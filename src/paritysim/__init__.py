@@ -24,7 +24,6 @@ from .fock import (
     MultiModeState,
     SingleModeState,
     TruncationReport,
-    append_mode,
     inner_product,
     normalize,
     prepend_mode,
@@ -34,6 +33,7 @@ from .fock import (
 from .measurement import (
     CountDistribution,
     DetectorModel,
+    HeraldedRecord,
     MeasurementOutcome,
     count_distribution,
     lossy_count_distribution,
@@ -42,6 +42,7 @@ from .measurement import (
     parity_flip_probability,
     project_counts,
     sample_counts,
+    split_and_count,
     thinned_distribution,
     total_variation_distance,
 )
@@ -87,4 +88,32 @@ from .states import (
     squeezed_spec,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [
+    # errors
+    "CutoffOverflow", "DegenerateState", "DegenerateSuperposition", "InvalidMode",
+    "InvalidResource", "NonRealOverlap", "ParitySimError", "SchemaError",
+    "TruncationTooSevere", "ZeroProbabilityOutcome",
+    # fock
+    "MultiModeState", "SingleModeState", "TruncationReport", "inner_product",
+    "normalize", "prepend_mode", "tensor", "truncation_check",
+    # measurement
+    "CountDistribution", "DetectorModel", "HeraldedRecord", "MeasurementOutcome",
+    "count_distribution", "lossy_count_distribution", "measure_modes",
+    "odd_parity_probability", "parity_flip_probability", "project_counts",
+    "sample_counts", "split_and_count", "thinned_distribution",
+    "total_variation_distance",
+    # optics
+    "BipartiteCoefficients", "beamsplitter_5050", "bipartite_coefficients",
+    "phase_shift",
+    # protocols
+    "OutcomeRecord", "ProtocolReport", "entanglement_entropy", "fidelity",
+    "quantum_scissors", "split_with_phase_shifted", "teleport_basic",
+    "teleport_enhanced",
+    # scenario
+    "ResultsDocument", "Scenario", "ScenarioCheck", "Tolerances", "parse_scenario_text",
+    "run_scenario", "scenario_to_wire", "validate_scenario",
+    # states
+    "EntangledResource", "QubitAmplitudes", "StateSpec", "build_resource",
+    "build_state", "coherent_spec", "encode_qubit", "explicit_spec", "number_spec",
+    "opposite_phase_partner", "plus_minus", "resource_from_states", "squeezed_spec",
+]

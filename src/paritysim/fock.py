@@ -3,7 +3,12 @@
 Single modes are dense complex vectors indexed by photon number.  Multimode
 states are sparse maps from occupation tuples to amplitudes, because the
 operations in this package (beamsplitters, projections) conserve total photon
-number and never densely fill the product space.
+number and never densely fill the product space.  The protocols' hot path
+does not build multimode states beyond the two-mode resource:
+``measurement.split_and_count`` reads the resource as a dense matrix and
+works one photon-total block at a time.  ``prepend_mode`` and the sparse
+multimode operations remain for the facts, coefficient and entropy paths and
+as the reference the kernel is tested against.
 
 All values are immutable after construction; every operation returns a new
 value.  Amplitudes with magnitude below ``SPARSITY_FLOOR`` are dropped on
@@ -188,19 +193,6 @@ def tensor(s1: SingleModeState, s2: SingleModeState) -> MultiModeState:
             if abs(amp) >= SPARSITY_FLOOR:
                 amps[(n, m)] = amp
     return MultiModeState(2, s1.cutoff + s2.cutoff, amps)
-
-
-def append_mode(state: MultiModeState, s: SingleModeState) -> MultiModeState:
-    """Tensor one more mode onto a multimode state, as the new last mode."""
-    if abs(s.norm_squared() - 1.0) > 1e-9:
-        raise ValueError("append_mode requires a normalized single-mode state")
-    amps: dict[tuple[int, ...], complex] = {}
-    for occ, a in state.items():
-        for n, b in enumerate(s.amplitudes):
-            amp = a * b
-            if abs(amp) >= SPARSITY_FLOOR:
-                amps[occ + (n,)] = amp
-    return MultiModeState(state.mode_count + 1, state.per_mode_cutoff + s.cutoff, amps)
 
 
 def prepend_mode(state: MultiModeState, s: SingleModeState) -> MultiModeState:

@@ -3,6 +3,11 @@
 Probabilities are computed exactly from amplitudes by exhaustive enumeration;
 the seeded sampler on top of the exact joint distribution is a convenience,
 never the source of any reported number.
+
+``split_and_count`` is the counting kernel of the heralded protocols: it
+mixes an input mode with the first half of a two-mode resource on the 50/50
+beamsplitter and enumerates the joint records of the two outputs one
+photon-total block at a time, without building the three-mode state.
 """
 
 from __future__ import annotations
@@ -13,7 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidMode, ZeroProbabilityOutcome
-from .fock import MultiModeState
+from .fock import MultiModeState, SingleModeState
+from .optics import _FORWARD, _block
 
 #: Outcomes with probability below this are treated as impossible.
 OUTCOME_FLOOR = 1e-14
@@ -54,6 +60,16 @@ class MeasurementOutcome:
     counts: tuple
     probability: float
     post_state: MultiModeState
+
+
+@dataclass(frozen=True)
+class HeraldedRecord:
+    """One joint counting record of the two beamsplitter outputs, with the
+    normalized state it leaves on the resource's second mode."""
+
+    counts: tuple
+    probability: float
+    receiver: SingleModeState
 
 
 @dataclass(frozen=True)
@@ -173,16 +189,78 @@ def measure_modes(state: MultiModeState, modes) -> list[MeasurementOutcome]:
     return outcomes
 
 
+def split_and_count(sent: SingleModeState, resource: MultiModeState) -> list[HeraldedRecord]:
+    """Mix ``sent`` with the first mode of ``resource`` on the 50/50
+    beamsplitter and enumerate every joint count (na, nb) of the two outputs.
+
+    The result is what ``measure_modes(beamsplitter_5050(prepend_mode(resource,
+    sent), 0, 1), (0, 1))`` gives, with each post-state read as a single mode,
+    but the three-mode state is never built.  The beamsplitter conserves the
+    photon total N = na + nb of the pair, so with the resource as a matrix
+    R[m, k] (k the receiver's count), the amplitudes of total N are the slab
+    X[i, k] = sent[i] R[N - i, k] turned by the block unitary of N: row na of
+    ``_block(_FORWARD, N) @ X`` is the unnormalized receiver state of record
+    (na, N - na).  Levels that are exactly zero in ``sent`` or ``R`` are
+    skipped, which is what keeps even-only (squeezed) supports cheap.
+
+    Records are sorted by counts; those below the 1e-14 probability floor are
+    dropped as rounding noise.
+    """
+    if resource.mode_count != 2:
+        raise InvalidMode(f"the resource must have two modes, got {resource.mode_count}")
+    if abs(sent.norm_squared() - 1.0) > 1e-9:
+        raise ValueError("split_and_count requires a normalized input state")
+
+    size = resource.per_mode_cutoff + 1
+    matrix = np.zeros((size, size), dtype=np.complex128)
+    if resource.amplitudes:
+        occ = np.array(list(resource.amplitudes), dtype=np.intp)
+        matrix[occ[:, 0], occ[:, 1]] = list(resource.amplitudes.values())
+    receiver_levels = np.flatnonzero(np.any(matrix, axis=0))
+    matrix = matrix[:, receiver_levels]
+    has_row = np.any(matrix, axis=1)
+    sent_amps = sent.amplitudes
+    sent_levels = np.flatnonzero(sent_amps)
+    # the totals i + m reachable from a nonzero sent[i] and a nonzero row m of R
+    totals = np.flatnonzero(np.convolve(sent_amps != 0, has_row))
+
+    records = []
+    for total in totals.tolist():
+        levels = sent_levels[sent_levels <= total]
+        levels = levels[total - levels < size]
+        levels = levels[has_row[total - levels]]
+        slab = sent_amps[levels, None] * matrix[total - levels]
+        out = _block(_FORWARD, total)[:, levels] @ slab
+        probs = np.sum(out.real ** 2 + out.imag ** 2, axis=1)
+        kept = np.flatnonzero(probs >= OUTCOME_FLOOR)
+        receivers = np.zeros((kept.size, size), dtype=np.complex128)
+        receivers[:, receiver_levels] = out[kept] / np.sqrt(probs[kept, None])
+        for na, prob, receiver in zip(kept.tolist(), probs[kept].tolist(), receivers):
+            records.append(HeraldedRecord((na, total - na), prob, SingleModeState(receiver)))
+    records.sort(key=lambda r: r.counts)
+    return records
+
+
 def thinned_distribution(dist: CountDistribution, det: DetectorModel) -> CountDistribution:
-    """Binomial thinning of an exact count distribution by detector efficiency."""
+    """Binomial thinning of an exact count distribution by detector efficiency.
+
+    The binomial weights of n photons come from those of n - 1 by
+    B_n(k) = eta B_{n-1}(k-1) + (1-eta) B_{n-1}(k), a convex combination of
+    non-negative numbers, so they neither overflow nor cancel at any count.
+    """
     eta = det.efficiency
-    out: dict[int, float] = {}
-    for n, p in dist.probabilities.items():
-        for k in range(n + 1):
-            w = math.comb(n, k) * (eta ** k) * ((1.0 - eta) ** (n - k))
-            if w:
-                out[k] = out.get(k, 0.0) + p * w
-    return CountDistribution(out)
+    top = dist.max_count()
+    weights = np.zeros(top + 1)  # B_n(k), zero beyond k = n
+    weights[0] = 1.0
+    out = np.zeros(top + 1)
+    for n in range(top + 1):
+        if n:
+            weights[1 : n + 1] = (1.0 - eta) * weights[1 : n + 1] + eta * weights[:n]
+            weights[0] *= 1.0 - eta
+        p = dist.probability(n)
+        if p:
+            out += p * weights
+    return CountDistribution(dict(enumerate(out.tolist())))
 
 
 def lossy_count_distribution(
@@ -195,17 +273,10 @@ def lossy_count_distribution(
 
 def parity_flip_probability(dist: CountDistribution, det: DetectorModel) -> float:
     """Probability that the observed parity differs from the true parity,
-    i.e. that an odd number of photons goes undetected."""
+    i.e. that an odd number of photons goes undetected: (1 - (2 eta - 1)^n)/2
+    for n photons."""
     eta = det.efficiency
-    total = 0.0
-    for n, p in dist.probabilities.items():
-        lost_odd = sum(
-            math.comb(n, k) * (eta ** k) * ((1.0 - eta) ** (n - k))
-            for k in range(n + 1)
-            if (n - k) % 2 == 1
-        )
-        total += p * lost_odd
-    return total
+    return sum(p * (1.0 - (2.0 * eta - 1.0) ** n) / 2.0 for n, p in dist.probabilities.items())
 
 
 def total_variation_distance(d1: CountDistribution, d2: CountDistribution) -> float:

@@ -1,10 +1,12 @@
 """End-to-end heralded teleportation and state-truncation protocols.
 
-All three protocols share the same skeleton: tensor the input mode with one
-half of a two-mode entangled resource, apply the 50/50 beamsplitter to the
-input mode and that half, and exhaustively enumerate the joint photon-count
-records on the two beamsplitter outputs.  They differ in the resource, in
-which records count as heralded successes, and in the conditional correction:
+All three protocols share the same skeleton: mix the input mode with one
+half of a two-mode entangled resource on the 50/50 beamsplitter and
+exhaustively enumerate the joint photon-count records on the two
+beamsplitter outputs.  ``measurement.split_and_count`` does both in one
+pass, one photon-total block at a time, so the three-mode state is never
+built.  The protocols differ in the resource, in which records count as
+heralded successes, and in the conditional correction:
 
 * basic: any pair (u, v) with real overlap; success iff the count in output
   A is odd; no correction needed; success probability 1/4.
@@ -37,10 +39,9 @@ from .fock import (
     SingleModeState,
     inner_product,
     normalize,
-    prepend_mode,
     tensor,
 )
-from .measurement import measure_modes
+from .measurement import split_and_count
 from .optics import beamsplitter_5050, phase_shift
 from .states import (
     QubitAmplitudes,
@@ -144,17 +145,15 @@ def _run_teleport(
 ) -> ProtocolReport:
     sent = encode_qubit(q, u, v, tilde=True)
     resource = resource_from_states(u, v, "phi_minus")
-    full = prepend_mode(resource, sent)  # modes: 0 = input, 1/2 = resource halves
-    after = beamsplitter_5050(full, 0, 1)
     target = encode_qubit(q, u, v, tilde=retilde)
 
     outcomes = []
     success_prob = 0.0
     weighted_fidelity = 0.0
     total = 0.0
-    for record in measure_modes(after, (0, 1)):
+    for record in split_and_count(sent, resource):
         na, nb = record.counts
-        post = record.post_state.as_single_mode()
+        post = record.receiver
         a_odd, b_odd = na % 2 == 1, nb % 2 == 1
         if enhanced:
             is_success = a_odd != b_odd
@@ -271,8 +270,6 @@ def quantum_scissors(
         build_state(number_spec(n_lo, top)), build_state(number_spec(n_hi, top)), "phi_minus"
     )
     sent = phase_shift(input_state, math.pi / 2)
-    full = prepend_mode(resource, sent)
-    after = beamsplitter_5050(full, 0, 1)
 
     herald_total = n_lo + n_hi
     correction_even_a = math.pi / (n_hi - n_lo)
@@ -280,9 +277,9 @@ def quantum_scissors(
     success_prob = 0.0
     weighted_fidelity = 0.0
     total = 0.0
-    for record in measure_modes(after, (0, 1)):
+    for record in split_and_count(sent, resource):
         na, nb = record.counts
-        post = record.post_state.as_single_mode()
+        post = record.receiver
         is_success = na + nb == herald_total
         correction: float | None = None
         corrected = post

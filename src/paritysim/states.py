@@ -22,6 +22,7 @@ Conventions fixed here:
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,7 +38,6 @@ from .fock import (
     SingleModeState,
     combined_tail,
     inner_product,
-    normalize,
 )
 from .optics import phase_shift
 
@@ -46,6 +46,15 @@ REAL_OVERLAP_TOL = 1e-10
 
 #: |<u|v>| at or above 1 - this means u and v coincide up to sign.
 PARALLEL_TOL = 1e-12
+
+#: A truncation tail at least this large is 1 minus the kept weight; below it
+#: that difference cancels, so the remainder series is summed directly.
+_CANCELLATION_FREE_TAIL = 1e-3
+
+_LN2 = math.log(2.0)
+
+#: log of the smallest normal float: exp() below this loses precision, then underflows.
+_LOG_MIN_NORMAL = math.log(sys.float_info.min)
 
 STATE_KINDS = ("coherent", "squeezed_vacuum", "number", "explicit")
 RESOURCE_KINDS = ("psi_minus", "phi_minus")
@@ -162,11 +171,15 @@ def build_state(spec: StateSpec) -> SingleModeState:
         amps /= np.sqrt(np.sum(np.abs(amps) ** 2))
         tail = 0.0
     elif spec.kind == "coherent":
-        # c_n = exp(-|alpha|^2/2) alpha^n / sqrt(n!), by stable recursion
-        amps[0] = math.exp(-abs(spec.alpha) ** 2 / 2.0)
-        for n in range(spec.cutoff):
-            amps[n + 1] = amps[n] * spec.alpha / math.sqrt(n + 1)
-        tail = max(0.0, 1.0 - float(np.sum(np.abs(amps) ** 2)))
+        amps = _coherent_amplitudes(spec.alpha, spec.cutoff)
+        # level n has the Poisson weight exp(-mean) mean^n / n!
+        mean = abs(spec.alpha) ** 2
+        tail = 0.0 if mean == 0.0 else _remainder(
+            amps,
+            lambda n: n * math.log(mean) - mean - math.lgamma(n + 1),
+            lambda n: mean / (n + 1),
+            spec.cutoff + 1,
+        )
     else:  # squeezed_vacuum
         # support on even levels only; amplitude ratio between consecutive
         # even levels is -tanh(r) sqrt(2k+1)/sqrt(2k+2)
@@ -176,13 +189,78 @@ def build_state(spec: StateSpec) -> SingleModeState:
             if 2 * k + 2 > spec.cutoff:
                 break
             amps[2 * k + 2] = amps[2 * k] * (-t) * math.sqrt(2 * k + 1) / math.sqrt(2 * k + 2)
-        tail = max(0.0, 1.0 - float(np.sum(np.abs(amps) ** 2)))
+        # level 2k has weight t^(2k) (2k)! / (4^k k!^2 cosh r); the ratio of
+        # consecutive weights, t^2 (2k+1)/(2k+2), stays below t^2
+        t2 = t * t
+        tail = 0.0 if t2 == 0.0 else _remainder(
+            amps,
+            lambda k: (k * math.log(t2) + math.lgamma(2 * k + 1) - k * math.log(4.0)
+                       - 2.0 * math.lgamma(k + 1) - math.log(math.cosh(spec.r))),
+            lambda k: t2,
+            spec.cutoff // 2 + 1,
+        )
     if tail >= spec.tail_tolerance:
         raise TruncationTooSevere(
             f"tail mass {tail:.3e} at cutoff {spec.cutoff} exceeds tolerance "
             f"{spec.tail_tolerance:.3e}; raise the cutoff"
         )
     return SingleModeState(amps, tail_mass=tail)
+
+
+def _coherent_amplitudes(alpha: complex, cutoff: int) -> np.ndarray:
+    """c_n = exp(-|alpha|^2/2) alpha^n / sqrt(n!) for n = 0..cutoff.
+
+    The stable recursion c_{n+1} = c_n alpha / sqrt(n+1) starts from a prefactor
+    that is subnormal for |alpha| >~ 37.6 and 0 beyond ~38.6, so the recursion
+    runs on w_n with c_n = w_n 2^e_n.  The binary exponent starts negative only
+    when the prefactor is not a normal float, and is folded back towards 0 by
+    exact power-of-two rescalings as w grows; otherwise e_n = 0 and this is the
+    plain recursion.  Either way the alpha -> -alpha partner is the exact
+    (-1)^n mirror, since every step only negates.
+    """
+    log_c0 = -abs(alpha) ** 2 / 2.0
+    exponent = 0
+    if log_c0 < _LOG_MIN_NORMAL:
+        exponent = math.floor(log_c0 / _LN2)
+    amps = np.zeros(cutoff + 1, dtype=np.complex128)
+    exponents = np.zeros(cutoff + 1, dtype=np.int64)
+    amps[0] = math.exp(log_c0 - exponent * _LN2)
+    exponents[0] = exponent
+    for n in range(cutoff):
+        w = amps[n] * alpha / math.sqrt(n + 1)
+        if exponent < 0 and abs(w) >= 1.0:
+            shift = min(-exponent, math.frexp(abs(w))[1])
+            w = w * 2.0 ** -shift
+            exponent += shift
+        amps[n + 1] = w
+        exponents[n + 1] = exponent
+    if exponents[0] < 0:
+        amps.real = np.ldexp(amps.real, exponents)
+        amps.imag = np.ldexp(amps.imag, exponents)
+    return amps
+
+
+def _remainder(amps: np.ndarray, log_weight, ratio_bound, first: int) -> float:
+    """Weight of a series beyond the amplitudes kept in ``amps``.
+
+    ``log_weight(j)`` is the log of the series' j-th weight and
+    ``ratio_bound(j)`` bounds every ratio of consecutive weights from j on.
+    A large remainder is 1 minus the kept weight.  A small one, which that
+    difference would cancel, is summed weight by weight from index ``first``
+    until the geometric bound on the rest is below rounding.
+    """
+    kept = float(np.sum(np.abs(amps) ** 2))
+    if kept < 1.0 - _CANCELLATION_FREE_TAIL:
+        return 1.0 - kept
+    total = 0.0
+    j = first
+    while True:
+        weight = math.exp(log_weight(j))
+        total += weight
+        q = ratio_bound(j)
+        if weight == 0.0 or (q < 1.0 and weight * q <= (1.0 - q) * total * 2.0 ** -60):
+            return total
+        j += 1
 
 
 def _check_pair(u: SingleModeState, v: SingleModeState) -> complex:
@@ -307,11 +385,3 @@ def pi_shifted_spec(spec: StateSpec) -> StateSpec:
     # even or single-level support: the half-cycle shift is the identity
     return spec
 
-
-def normalized_superposition(parts: list[tuple[complex, SingleModeState]]) -> SingleModeState:
-    """Utility: normalize a weighted sum of single-mode states."""
-    cutoff = max(s.cutoff for _, s in parts)
-    raw = np.zeros(cutoff + 1, dtype=np.complex128)
-    for weight, s in parts:
-        raw += weight * s.padded(cutoff)
-    return normalize(SingleModeState(raw))

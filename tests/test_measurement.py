@@ -217,3 +217,42 @@ class TestCountDistributionType:
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError):
             CountDistribution({0: 1.5, 1: -0.5})
+
+
+class TestLossyLargeCounts:
+    def test_no_overflow_beyond_a_thousand_photons(self):
+        dist = CountDistribution({1100: 1.0})
+        det = DetectorModel(0.9)
+        expected_flip = (1.0 - 0.8 ** 1100) / 2.0
+        assert parity_flip_probability(dist, det) == pytest.approx(expected_flip, abs=1e-15)
+        thinned = thinned_distribution(dist, det)
+        for k in (900, 990, 1050, 1100):
+            log_pmf = (math.lgamma(1101) - math.lgamma(k + 1) - math.lgamma(1101 - k)
+                       + k * math.log(0.9) + (1100 - k) * math.log(0.1))
+            assert thinned.probability(k) == pytest.approx(math.exp(log_pmf), rel=1e-10)
+        # an even count: the observed parity flips exactly when the count is odd
+        assert thinned.odd_probability() == pytest.approx(expected_flip, abs=1e-12)
+
+    def test_flip_closed_form_matches_binomial_sum(self):
+        dist = CountDistribution({0: 0.1, 3: 0.2, 8: 0.3, 21: 0.4})
+        det = DetectorModel(0.7)
+        direct = sum(
+            p * sum(math.comb(n, k) * 0.7 ** k * 0.3 ** (n - k)
+                    for k in range(n + 1) if (n - k) % 2 == 1)
+            for n, p in dist.probabilities.items())
+        assert parity_flip_probability(dist, det) == pytest.approx(direct, abs=1e-15)
+
+    def test_thinning_matches_binomial_sum(self):
+        # the comb-times-powers sum, exact up to rounding below ~1000 photons
+        dist = CountDistribution({0: 0.05, 1: 0.15, 4: 0.2, 9: 0.25, 40: 0.35})
+        for eta in (0.0, 0.3, 0.5, 0.85, 1.0):
+            expected = {}
+            for n, p in dist.probabilities.items():
+                for k in range(n + 1):
+                    w = math.comb(n, k) * eta ** k * (1.0 - eta) ** (n - k)
+                    if w:
+                        expected[k] = expected.get(k, 0.0) + p * w
+            got = thinned_distribution(dist, DetectorModel(eta)).probabilities
+            assert set(got) == set(expected)
+            for k, p in expected.items():
+                assert got[k] == pytest.approx(p, rel=1e-13, abs=1e-17)

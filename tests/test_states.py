@@ -233,3 +233,77 @@ class TestResources:
         u = build_state(coherent_spec(0.5, 15))
         with pytest.raises(DegenerateSuperposition):
             resource_from_states(u, u, "phi_minus")
+
+
+def poisson_remainder(mean: float, cutoff: int) -> float:
+    """sum_{n > cutoff} exp(-mean) mean^n / n!, each term in log space."""
+    total, n = 0.0, cutoff + 1
+    while True:
+        term = math.exp(n * math.log(mean) - mean - math.lgamma(n + 1))
+        total += term
+        if n > mean and term < total * 1e-20:
+            return total
+        n += 1
+
+
+class TestLargePhotonNumbers:
+    def test_coherent_beyond_prefactor_underflow(self):
+        # exp(-|alpha|^2/2) underflows to 0 here; the state must still build
+        state = build_state(coherent_spec(40, 2000))
+        assert state.norm_squared() == pytest.approx(1.0, abs=1e-12)
+        assert state.tail_mass < 1e-12
+        n = np.arange(2000 + 1)
+        log_expected = n * math.log(40.0) - 800.0 - np.array([math.lgamma(k + 1) for k in n]) / 2
+        peak = slice(1400, 1800)
+        np.testing.assert_allclose(np.log(np.abs(state.amplitudes[peak])), log_expected[peak],
+                                   rtol=0, atol=1e-10)
+
+    def test_large_alpha_partner_is_exact_mirror(self):
+        alpha = 39.0 * np.exp(0.7j)
+        u = build_state(coherent_spec(alpha, 1900))
+        v = build_state(coherent_spec(-alpha, 1900))
+        signs = (-1.0) ** np.arange(1900 + 1)
+        assert np.array_equal(v.amplitudes, u.amplitudes * signs)
+
+    @pytest.mark.parametrize("magnitude", [0.5, 3.0, 12.0, 30.0])
+    def test_moderate_alpha_keeps_the_plain_recursion(self, magnitude):
+        alpha = magnitude * np.exp(1.3j)
+        cutoff = int(magnitude ** 2 + 12 * magnitude + 40)
+        plain = np.zeros(cutoff + 1, dtype=complex)
+        plain[0] = math.exp(-magnitude ** 2 / 2.0)
+        for n in range(cutoff):
+            plain[n + 1] = plain[n] * alpha / math.sqrt(n + 1)
+        got = build_state(coherent_spec(alpha, cutoff)).amplitudes
+        nonzero = plain != 0
+        np.testing.assert_allclose(got[nonzero], plain[nonzero], rtol=1e-12, atol=0)
+        assert not np.any(got[~nonzero])
+
+    def test_cutoff_below_mean_still_refused(self):
+        with pytest.raises(TruncationTooSevere):
+            build_state(coherent_spec(40, 1000))
+
+
+class TestTailBelowRounding:
+    def test_coherent_tail_matches_log_space_poisson_remainder(self):
+        state = build_state(coherent_spec(1, 25))
+        expected = poisson_remainder(1.0, 25)
+        assert expected == pytest.approx(9.47e-28, rel=1e-2, abs=0)
+        assert state.tail_mass == pytest.approx(expected, rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("alpha, cutoff", [(0.3, 10), (2.0, 40), (5.0, 90), (12.0, 260)])
+    def test_coherent_tails_across_magnitudes(self, alpha, cutoff):
+        tail = build_state(coherent_spec(alpha, cutoff)).tail_mass
+        assert tail == pytest.approx(poisson_remainder(alpha * alpha, cutoff), rel=1e-10, abs=0)
+
+    def test_squeezed_tail_sums_even_levels(self):
+        r, cutoff = 0.4, 60
+        t2 = math.tanh(r) ** 2
+        expected = sum(
+            math.exp(k * math.log(t2) + math.lgamma(2 * k + 1) - k * math.log(4.0)
+                     - 2.0 * math.lgamma(k + 1) - math.log(math.cosh(r)))
+            for k in range(cutoff // 2 + 1, 400))
+        tail = build_state(squeezed_spec(r, cutoff)).tail_mass
+        assert 0.0 < expected < 1e-16
+        assert tail == pytest.approx(expected, rel=1e-12, abs=0)
+        # the odd cutoff has the same even-level remainder
+        assert build_state(squeezed_spec(r, cutoff + 1)).tail_mass == tail
