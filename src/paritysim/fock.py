@@ -6,9 +6,10 @@ operations in this package (beamsplitters, projections) conserve total photon
 number and never densely fill the product space.  The protocols' hot path
 does not build multimode states beyond the two-mode resource:
 ``measurement.split_and_count`` reads the resource as a dense matrix and
-works one photon-total block at a time.  ``prepend_mode`` and the sparse
-multimode operations remain for the facts, coefficient and entropy paths and
-as the reference the kernel is tested against.
+works one photon-total block at a time.  The sparse multimode operations
+serve the facts, coefficient and entropy paths.  Nothing in the package calls
+``prepend_mode``; it stays public as the reference the kernel is tested
+against.
 
 All values are immutable after construction; every operation returns a new
 value.  Amplitudes with magnitude below ``SPARSITY_FLOOR`` are dropped on
@@ -65,10 +66,6 @@ class SingleModeState:
     def norm_squared(self) -> float:
         return float(np.sum(np.abs(self.amplitudes) ** 2))
 
-    @property
-    def normalized(self) -> bool:
-        return abs(self.norm_squared() - 1.0) <= NORM_TOL
-
     def padded(self, cutoff: int) -> np.ndarray:
         """Amplitudes zero-padded (read-only view or copy) up to ``cutoff``."""
         if cutoff < self.cutoff:
@@ -113,10 +110,6 @@ class MultiModeState:
 
     def norm_squared(self) -> float:
         return float(sum(abs(a) ** 2 for a in self.amplitudes.values()))
-
-    @property
-    def normalized(self) -> bool:
-        return abs(self.norm_squared() - 1.0) <= NORM_TOL
 
     def items(self):
         return self.amplitudes.items()

@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import InvalidMode, ZeroProbabilityOutcome
 from .fock import MultiModeState, SingleModeState
-from .optics import _FORWARD, _block
+from .optics import _FORWARD, _block, _check_mode
 
 #: Outcomes with probability below this are treated as impossible.
 OUTCOME_FLOOR = 1e-14
@@ -32,10 +32,12 @@ class CountDistribution:
     probabilities: dict
 
     def __post_init__(self):
-        probs = {int(n): float(p) for n, p in self.probabilities.items() if p > 0.0}
-        total = sum(probs.values())
-        if any(p < 0.0 or p > 1.0 + 1e-12 for p in probs.values()):
+        raw = {int(n): float(p) for n, p in self.probabilities.items()}
+        # the negated test also rejects NaN, which fails every comparison
+        if not all(0.0 <= p <= 1.0 + 1e-12 for p in raw.values()):
             raise ValueError("probabilities must lie in [0, 1]")
+        probs = {n: p for n, p in raw.items() if p > 0.0}
+        total = sum(probs.values())
         if abs(total - 1.0) > 1e-10:
             raise ValueError(f"probabilities sum to {total}, not 1")
         object.__setattr__(self, "probabilities", probs)
@@ -82,11 +84,6 @@ class DetectorModel:
     def __post_init__(self):
         if not (0.0 <= self.efficiency <= 1.0):
             raise ValueError("efficiency must lie in [0, 1]")
-
-
-def _check_mode(state: MultiModeState, mode: int):
-    if not (0 <= mode < state.mode_count):
-        raise InvalidMode(f"mode {mode} out of range for {state.mode_count} modes")
 
 
 def count_distribution(state: MultiModeState, mode: int) -> CountDistribution:

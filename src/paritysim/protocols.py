@@ -1,12 +1,13 @@
 """End-to-end heralded teleportation and state-truncation protocols.
 
-All three protocols share the same skeleton: mix the input mode with one
-half of a two-mode entangled resource on the 50/50 beamsplitter and
-exhaustively enumerate the joint photon-count records on the two
-beamsplitter outputs.  ``measurement.split_and_count`` does both in one
-pass, one photon-total block at a time, so the three-mode state is never
-built.  The protocols differ in the resource, in which records count as
-heralded successes, and in the conditional correction:
+All three protocols are one heralded scheme, run by ``_run_heralded``: mix
+the input mode with one half of a two-mode entangled resource on the 50/50
+beamsplitter and exhaustively enumerate the joint photon-count records on
+the two beamsplitter outputs.  ``measurement.split_and_count`` does both in
+one pass, one photon-total block at a time, so the three-mode state is never
+built.  The protocols differ in the resource and in the rule that maps the
+counts (na, nb) to a classification and a correction phase for the receiver
+(``_basic_rule``, ``_enhanced_rule`` and ``_scissors_rule``):
 
 * basic: any pair (u, v) with real overlap; success iff the count in output
   A is odd; no correction needed; success probability 1/4.
@@ -18,6 +19,9 @@ heralded successes, and in the conditional correction:
   two counts total N + M; the receiver mode then holds the input truncated to
   its N- and M-photon components, with a relative sign that is positive for
   odd counts in A and needs a phase-shift correction for even ones.
+
+With ``retilde`` the two teleportation rules add a quarter-cycle shift to
+every success's correction, so the receiver reproduces the sent encoding.
 
 Heralded non-successes are classified ``filtered`` and kept in the report
 with their probabilities, so every report sums to one.  Outcomes that herald
@@ -131,53 +135,25 @@ def split_with_phase_shifted(
     return beamsplitter_5050(tensor(shifted, psi), 0, 1, swap_ports=swap_ports)
 
 
-def _audit(name: str, state: SingleModeState) -> tuple[str, dict]:
-    return name, {"cutoff": state.cutoff, "tail_mass": state.tail_mass}
+def _run_heralded(protocol: str, sent: SingleModeState, resource: MultiModeState,
+                  target: SingleModeState, rule, audits: dict) -> ProtocolReport:
+    """Count every record of ``sent`` mixed with ``resource`` and score it.
 
-
-def _run_teleport(
-    protocol: str,
-    q: QubitAmplitudes,
-    u: SingleModeState,
-    v: SingleModeState,
-    enhanced: bool,
-    retilde: bool,
-) -> ProtocolReport:
-    sent = encode_qubit(q, u, v, tilde=True)
-    resource = resource_from_states(u, v, "phi_minus")
-    target = encode_qubit(q, u, v, tilde=retilde)
-
+    ``rule(na, nb)`` gives the record's classification and the phase shift
+    that corrects the receiver, or None when no correction is defined; the
+    receiver is shifted only when that phase is non-zero.  ``audits`` names
+    the single-mode states whose cutoff and tail the report records.
+    """
     outcomes = []
     success_prob = 0.0
     weighted_fidelity = 0.0
     total = 0.0
     for record in split_and_count(sent, resource):
-        na, nb = record.counts
-        post = record.receiver
-        a_odd, b_odd = na % 2 == 1, nb % 2 == 1
-        if enhanced:
-            is_success = a_odd != b_odd
-            classification = SUCCESS if is_success else (FILTERED if not (a_odd or b_odd) else FAILURE)
-        else:
-            is_success = a_odd
-            classification = SUCCESS if is_success else (FAILURE if b_odd else FILTERED)
-
-        correction: float | None = None
-        corrected = post
-        if is_success:
-            correction = 0.0
-            if enhanced and b_odd:
-                # the receiver holds the qubit with the odd-support basis state
-                # negated; a half-cycle shift undoes exactly that sign
-                correction += math.pi
-            if retilde:
-                correction += math.pi / 2
-            if correction:
-                corrected = phase_shift(post, correction)
+        classification, correction = rule(*record.counts)
+        corrected = phase_shift(record.receiver, correction) if correction else record.receiver
         fid = fidelity(corrected, target)
-
         outcomes.append(OutcomeRecord(
-            counts=(na, nb),
+            counts=record.counts,
             probability=record.probability,
             classification=classification,
             corrected_post_state=corrected,
@@ -185,7 +161,7 @@ def _run_teleport(
             correction_phase=correction,
         ))
         total += record.probability
-        if is_success:
+        if classification == SUCCESS:
             success_prob += record.probability
             weighted_fidelity += record.probability * fid
 
@@ -195,7 +171,53 @@ def _run_teleport(
         success_probability=success_prob,
         mean_conditional_fidelity=(weighted_fidelity / success_prob) if success_prob > 0 else None,
         total_probability=total,
-        state_audits=dict([_audit("u", u), _audit("v", v), _audit("input", sent)]),
+        state_audits={name: {"cutoff": state.cutoff, "tail_mass": state.tail_mass}
+                      for name, state in audits.items()},
+    )
+
+
+def _basic_rule(quarter: float):
+    def rule(na: int, nb: int):
+        if na % 2:
+            return SUCCESS, quarter
+        return (FAILURE if nb % 2 else FILTERED), None
+    return rule
+
+
+def _enhanced_rule(quarter: float):
+    def rule(na: int, nb: int):
+        if na % 2 == nb % 2:
+            return (FAILURE if na % 2 else FILTERED), None
+        # an odd count in B leaves the receiver with the odd-support basis
+        # state negated; a half-cycle shift undoes exactly that sign
+        return SUCCESS, (math.pi if nb % 2 else 0.0) + quarter
+    return rule
+
+
+def _scissors_rule(herald_total: int, correction_even_a: float):
+    def rule(na: int, nb: int):
+        if na + nb != herald_total:
+            return FILTERED, None
+        return SUCCESS, (0.0 if na % 2 else correction_even_a)
+    return rule
+
+
+def _run_teleport(
+    protocol: str,
+    q: QubitAmplitudes,
+    u: SingleModeState,
+    v: SingleModeState,
+    rule,
+    retilde: bool,
+) -> ProtocolReport:
+    sent = encode_qubit(q, u, v, tilde=True)
+    return _run_heralded(
+        protocol,
+        sent,
+        resource_from_states(u, v, "phi_minus"),
+        encode_qubit(q, u, v, tilde=retilde),
+        rule(math.pi / 2 if retilde else 0.0),
+        {"u": u, "v": v, "input": sent},
     )
 
 
@@ -214,7 +236,7 @@ def teleport_basic(
     """
     u = build_state(u_spec)
     v = build_state(v_spec)
-    return _run_teleport("teleport_basic", q, u, v, enhanced=False, retilde=retilde)
+    return _run_teleport("teleport_basic", q, u, v, _basic_rule, retilde)
 
 
 def teleport_enhanced(
@@ -230,7 +252,7 @@ def teleport_enhanced(
     """
     u = build_state(u_spec)
     v = build_state(pi_shifted_spec(u_spec))
-    return _run_teleport("teleport_enhanced", q, u, v, enhanced=True, retilde=retilde)
+    return _run_teleport("teleport_enhanced", q, u, v, _enhanced_rule, retilde)
 
 
 def quantum_scissors(
@@ -271,41 +293,11 @@ def quantum_scissors(
     )
     sent = phase_shift(input_state, math.pi / 2)
 
-    herald_total = n_lo + n_hi
-    correction_even_a = math.pi / (n_hi - n_lo)
-    outcomes = []
-    success_prob = 0.0
-    weighted_fidelity = 0.0
-    total = 0.0
-    for record in split_and_count(sent, resource):
-        na, nb = record.counts
-        post = record.receiver
-        is_success = na + nb == herald_total
-        correction: float | None = None
-        corrected = post
-        if is_success:
-            correction = 0.0 if na % 2 == 1 else correction_even_a
-            if correction:
-                corrected = phase_shift(post, correction)
-        fid = fidelity(corrected, target)
-        outcomes.append(OutcomeRecord(
-            counts=(na, nb),
-            probability=record.probability,
-            classification=SUCCESS if is_success else FILTERED,
-            corrected_post_state=corrected,
-            fidelity_to_target=fid,
-            correction_phase=correction,
-        ))
-        total += record.probability
-        if is_success:
-            success_prob += record.probability
-            weighted_fidelity += record.probability * fid
-
-    return ProtocolReport(
-        protocol="quantum_scissors",
-        outcomes=tuple(outcomes),
-        success_probability=success_prob,
-        mean_conditional_fidelity=(weighted_fidelity / success_prob) if success_prob > 0 else None,
-        total_probability=total,
-        state_audits=dict([_audit("input", input_state)]),
+    return _run_heralded(
+        "quantum_scissors",
+        sent,
+        resource,
+        target,
+        _scissors_rule(n_lo + n_hi, math.pi / (n_hi - n_lo)),
+        {"input": input_state},
     )

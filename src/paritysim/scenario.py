@@ -31,9 +31,9 @@ from .protocols import (
 from .states import (
     QubitAmplitudes,
     StateSpec,
-    build_resource,
     build_state,
     explicit_spec,
+    resource_from_states,
 )
 
 PROTOCOLS = (
@@ -397,47 +397,24 @@ def _detector_aggregates(rows: list, efficiency: float) -> dict:
     return out
 
 
-def _teleport_results(s: Scenario) -> ResultsDocument:
+def _heralded_results(s: Scenario) -> ResultsDocument:
     if s.protocol == "teleport_basic":
         report = teleport_basic(s.qubit, s.u, s.v, retilde=s.retilde)
         nominal = 0.25
-    else:
+    elif s.protocol == "teleport_enhanced":
         report = teleport_enhanced(s.qubit, s.u, retilde=s.retilde)
         nominal = 0.5
+    else:
+        state = build_state(explicit_spec(s.input_coefficients))
+        report = quantum_scissors(state, s.scissors_n, s.scissors_m)
+        kept = 0.0
+        for n in (s.scissors_n, s.scissors_m):
+            if n <= state.cutoff:
+                kept += float(abs(state.amplitudes[n]) ** 2)
+        nominal = kept / 2.0
     rows = _outcome_rows(report)
     checks = [
         _check("success_probability", nominal, report.success_probability,
-               s.tolerances.probability),
-        _check_at_least("min_success_fidelity", 1.0, report.min_success_fidelity(),
-                        s.tolerances.fidelity),
-    ]
-    aggregates = {
-        "success_probability": report.success_probability,
-        "mean_conditional_fidelity": report.mean_conditional_fidelity,
-    }
-    if s.detector_efficiency is not None:
-        aggregates["detector"] = _detector_aggregates(rows, s.detector_efficiency)
-    return ResultsDocument(
-        scenario=scenario_to_wire(s),
-        outcomes=rows,
-        aggregates=aggregates,
-        environment=_environment(report.state_audits),
-        checks=checks,
-    )
-
-
-def _scissors_results(s: Scenario) -> ResultsDocument:
-    spec = explicit_spec(s.input_coefficients)
-    state = build_state(spec)
-    report = quantum_scissors(state, s.scissors_n, s.scissors_m)
-    amps = state.amplitudes
-    kept = 0.0
-    for n in (s.scissors_n, s.scissors_m):
-        if n <= state.cutoff:
-            kept += float(abs(amps[n]) ** 2)
-    rows = _outcome_rows(report)
-    checks = [
-        _check("success_probability", kept / 2.0, report.success_probability,
                s.tolerances.probability),
         _check_at_least("min_success_fidelity", 1.0, report.min_success_fidelity(),
                         s.tolerances.fidelity),
@@ -497,10 +474,9 @@ def _facts_results(s: Scenario) -> ResultsDocument:
 
 
 def _entropy_results(s: Scenario) -> ResultsDocument:
-    resource = build_resource(s.u, s.v, s.resource_kind)
-    entropy = entanglement_entropy(resource.two_mode_state)
     u = build_state(s.u)
     v = build_state(s.v)
+    entropy = entanglement_entropy(resource_from_states(u, v, s.resource_kind))
     checks = [_check("entanglement_entropy", 1.0, entropy, s.tolerances.probability)]
     return ResultsDocument(
         scenario=scenario_to_wire(s),
@@ -531,10 +507,8 @@ def _check_at_least(name: str, target: float, actual: float, tolerance: float) -
 def run_scenario(s: Scenario) -> ResultsDocument:
     """Execute a validated scenario.  Deterministic: identical scenarios
     produce identical documents."""
-    if s.protocol in ("teleport_basic", "teleport_enhanced"):
-        return _teleport_results(s)
-    if s.protocol == "quantum_scissors":
-        return _scissors_results(s)
     if s.protocol == "facts_check":
         return _facts_results(s)
-    return _entropy_results(s)
+    if s.protocol == "entropy":
+        return _entropy_results(s)
+    return _heralded_results(s)

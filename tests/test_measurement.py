@@ -256,3 +256,18 @@ class TestLossyLargeCounts:
             assert set(got) == set(expected)
             for k, p in expected.items():
                 assert got[k] == pytest.approx(p, rel=1e-13, abs=1e-17)
+
+
+class TestCountDistributionRange:
+    @pytest.mark.parametrize("probs", [
+        {0: 1.0, 1: -1e-11},
+        {0: 1.0, 1: float("nan")},
+        {0: 1.0, 1: -0.2, 2: 0.2},
+    ], ids=["tiny_negative", "nan", "negative_with_offsetting_excess"])
+    def test_rejects_values_outside_unit_interval(self, probs):
+        # the range check sees the raw values, before non-positive ones are dropped
+        with pytest.raises(ValueError, match=r"must lie in \[0, 1\]"):
+            CountDistribution(probs)
+
+    def test_drops_zeros_after_range_check(self):
+        assert CountDistribution({0: 0.0, 1: 1.0, 2: 0.0}).probabilities == {1: 1.0}

@@ -340,3 +340,53 @@ class TestEntanglementEntropy:
     def test_requires_two_modes(self):
         with pytest.raises(ValueError):
             entanglement_entropy(MultiModeState(3, 1, {(0, 0, 0): 1.0}))
+
+
+class TestRuleTables:
+    """Classification and correction phase of every record, by count parity.
+
+    Phases are compared exactly: results documents carry them bit for bit.
+    """
+
+    @pytest.mark.parametrize("retilde", [False, True])
+    @pytest.mark.parametrize("enhanced", [False, True])
+    def test_teleport_records(self, enhanced, retilde):
+        quarter = math.pi / 2 if retilde else 0.0
+        q = QubitAmplitudes(0.6, 0.8j)
+        if enhanced:
+            report = teleport_enhanced(q, coherent_spec(0.9, 16), retilde=retilde)
+            table = {
+                (1, 0): ("success", quarter),
+                (0, 1): ("success", math.pi + quarter),
+                (1, 1): ("failure", None),
+                (0, 0): ("filtered", None),
+            }
+        else:
+            report = teleport_basic(q, coherent_spec(0.9, 16), coherent_spec(0.3, 16),
+                                    retilde=retilde)
+            table = {
+                (1, 0): ("success", quarter),
+                (1, 1): ("success", quarter),
+                (0, 1): ("failure", None),
+                (0, 0): ("filtered", None),
+            }
+        seen = set()
+        for o in report.outcomes:
+            parity = (o.counts[0] % 2, o.counts[1] % 2)
+            seen.add(parity)
+            classification, phase = table[parity]
+            assert o.classification == classification
+            if phase is None:
+                assert o.correction_phase is None
+            else:
+                assert type(o.correction_phase) is float
+                assert o.correction_phase == phase
+        # half-cycle pairs never give odd counts in both outputs
+        assert seen == (set(table) - {(1, 1)} if enhanced else set(table))
+
+    @pytest.mark.parametrize("retilde", [False, True])
+    def test_enhanced_both_odd_is_failure(self, retilde):
+        # no enhanced run produces this record, so the rule is asked directly
+        from paritysim.protocols import _enhanced_rule
+
+        assert _enhanced_rule(math.pi / 2 if retilde else 0.0)(3, 1) == ("failure", None)
