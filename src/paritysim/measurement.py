@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import InvalidMode, ZeroProbabilityOutcome
 from .fock import MultiModeState, SingleModeState
-from .optics import _FORWARD, _block, _check_mode
+from .optics import _MINUS_I_POWERS, _check_mode, _real_block
 
 #: Outcomes with probability below this are treated as impossible.
 OUTCOME_FLOOR = 1e-14
@@ -195,10 +195,13 @@ def split_and_count(sent: SingleModeState, resource: MultiModeState) -> list[Her
     but the three-mode state is never built.  The beamsplitter conserves the
     photon total N = na + nb of the pair, so with the resource as a matrix
     R[m, k] (k the receiver's count), the amplitudes of total N are the slab
-    X[i, k] = sent[i] R[N - i, k] turned by the block unitary of N: row na of
-    ``_block(_FORWARD, N) @ X`` is the unnormalized receiver state of record
-    (na, N - na).  Levels that are exactly zero in ``sent`` or ``R`` are
-    skipped, which is what keeps even-only (squeezed) supports cheap.
+    X[i, k] = sent[i] R[N - i, k] turned by the block unitary of N, whose
+    entries are (-i)^(c-a) D_N[c, a] with D_N real (``optics._real_block``).
+    The column phases i^a are folded into ``sent`` once, the real D_N then
+    acts on the real and imaginary parts of X in one real product, and row
+    na of the result, times (-i)^na, is the unnormalized receiver state of
+    record (na, N - na).  Levels that are exactly zero in ``sent`` or ``R``
+    are skipped, which is what keeps even-only (squeezed) supports cheap.
 
     Records are sorted by counts; those below the 1e-14 probability floor are
     dropped as rounding noise.
@@ -220,18 +223,22 @@ def split_and_count(sent: SingleModeState, resource: MultiModeState) -> list[Her
     sent_levels = np.flatnonzero(sent_amps)
     # the totals i + m reachable from a nonzero sent[i] and a nonzero row m of R
     totals = np.flatnonzero(np.convolve(sent_amps != 0, has_row))
+    # the blocks' column phases i^a = conj((-i)^a), folded into the input once
+    twisted = sent_amps * _MINUS_I_POWERS[np.arange(sent_amps.size) % 4].conj()
 
     records = []
     for total in totals.tolist():
         levels = sent_levels[sent_levels <= total]
         levels = levels[total - levels < size]
         levels = levels[has_row[total - levels]]
-        slab = sent_amps[levels, None] * matrix[total - levels]
-        out = _block(_FORWARD, total)[:, levels] @ slab
+        slab = twisted[levels, None] * matrix[total - levels]
+        # a real product on the interleaved (re, im) columns: D Re X + i D Im X
+        out = (_real_block(total)[:, levels] @ slab.view(np.float64)).view(np.complex128)
         probs = np.sum(out.real ** 2 + out.imag ** 2, axis=1)
         kept = np.flatnonzero(probs >= OUTCOME_FLOOR)
         receivers = np.zeros((kept.size, size), dtype=np.complex128)
-        receivers[:, receiver_levels] = out[kept] / np.sqrt(probs[kept, None])
+        receivers[:, receiver_levels] = (
+            out[kept] / np.sqrt(probs[kept, None]) * _MINUS_I_POWERS[kept % 4, None])
         for na, prob, receiver in zip(kept.tolist(), probs[kept].tolist(), receivers):
             records.append(HeraldedRecord((na, total - na), prob, SingleModeState(receiver)))
     records.sort(key=lambda r: r.counts)

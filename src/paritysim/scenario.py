@@ -123,6 +123,18 @@ class ResultsDocument:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
 
 
+def _is_finite_number(value) -> bool:
+    """A JSON number, not a boolean, that is a finite float.  ``json`` also
+    parses NaN, Infinity, 1e400 (as infinity) and integers past the float
+    range, which no field takes."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an integer beyond the float range
+        return False
+
+
 def _parse_complex_pairs(value, path: str, errors: list) -> tuple | None:
     if not isinstance(value, list) or not value:
         errors.append((path, "expected a non-empty array of [re, im] pairs"))
@@ -130,17 +142,17 @@ def _parse_complex_pairs(value, path: str, errors: list) -> tuple | None:
     out = []
     for i, pair in enumerate(value):
         if (not isinstance(pair, list) or len(pair) != 2
-                or not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in pair)):
-            errors.append((f"{path}[{i}]", "expected a [re, im] number pair"))
+                or not all(_is_finite_number(x) for x in pair)):
+            errors.append((f"{path}[{i}]", "expected a [re, im] pair of finite numbers"))
             return None
         out.append(complex(pair[0], pair[1]))
     return tuple(out)
 
 
 def _number(value, path: str, errors: list, integer: bool = False):
-    ok = isinstance(value, int) if integer else isinstance(value, (int, float))
+    ok = isinstance(value, int) if integer else _is_finite_number(value)
     if not ok or isinstance(value, bool):
-        errors.append((path, "expected an integer" if integer else "expected a number"))
+        errors.append((path, "expected an integer" if integer else "expected a finite number"))
         return None
     return value
 
@@ -279,9 +291,8 @@ def validate_scenario(document: dict) -> Scenario:
     qubit = None
     if "qubit" in document:
         arr = document["qubit"]
-        if (not isinstance(arr, list) or len(arr) != 4
-                or not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in arr)):
-            errors.append(("qubit", "expected [re+, im+, re-, im-]"))
+        if not isinstance(arr, list) or len(arr) != 4 or not all(_is_finite_number(x) for x in arr):
+            errors.append(("qubit", "expected [re+, im+, re-, im-], four finite numbers"))
 
     scissors_n = scissors_m = None
     input_coefficients = None

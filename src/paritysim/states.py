@@ -21,6 +21,7 @@ Conventions fixed here:
 
 from __future__ import annotations
 
+import cmath
 import math
 import sys
 from dataclasses import dataclass
@@ -101,11 +102,17 @@ class StateSpec:
             coeffs = tuple(complex(c) for c in self.coefficients)
             if len(coeffs) == 0 or len(coeffs) > self.cutoff + 1:
                 raise ValueError("coefficients must be non-empty and fit within cutoff+1")
+            if not all(cmath.isfinite(c) for c in coeffs):
+                raise ValueError("coefficients must be finite")
             object.__setattr__(self, "coefficients", coeffs)
         if self.kind == "coherent":
             object.__setattr__(self, "alpha", complex(self.alpha))
+            if not cmath.isfinite(self.alpha):
+                raise ValueError(f"alpha must be finite, got {self.alpha}")
         if self.kind == "squeezed_vacuum":
             object.__setattr__(self, "r", float(self.r))
+            if not math.isfinite(self.r):
+                raise ValueError(f"r must be finite, got {self.r}")
 
 
 def coherent_spec(alpha: complex, cutoff: int, tail_tolerance: float = 1e-12) -> StateSpec:
@@ -137,6 +144,8 @@ class QubitAmplitudes:
     def __post_init__(self):
         object.__setattr__(self, "eps_plus", complex(self.eps_plus))
         object.__setattr__(self, "eps_minus", complex(self.eps_minus))
+        if not (cmath.isfinite(self.eps_plus) and cmath.isfinite(self.eps_minus)):
+            raise ValueError("qubit amplitudes must be finite")
         total = abs(self.eps_plus) ** 2 + abs(self.eps_minus) ** 2
         if abs(total - 1.0) > 1e-12:
             raise ValueError(f"qubit amplitudes must be normalized (got |.|^2 = {total})")

@@ -19,7 +19,7 @@ from paritysim import (
     split_with_phase_shifted,
     tensor,
 )
-from paritysim.optics import _FORWARD, _block
+from paritysim.optics import _FORWARD, _INVERSE, _block
 
 
 def max_amplitude_diff(a: MultiModeState, b: MultiModeState) -> float:
@@ -208,3 +208,37 @@ class TestBipartiteCoefficients:
     def test_requires_two_modes(self, rng):
         with pytest.raises(InvalidMode):
             bipartite_coefficients(random_multimode(rng, 3, 4, 5), 0, 1)
+
+
+def spectral_block(total: int) -> np.ndarray:
+    """The forward block as exp(-i pi/4 G) through the eigendecomposition of
+    the photon-exchange generator G, an independent route to the recurrence."""
+    coupling = np.sqrt(np.arange(1.0, total + 1) * np.arange(float(total), 0.0, -1.0))
+    generator = np.diag(coupling, 1) + np.diag(coupling, -1)
+    eigenvalues, eigenvectors = np.linalg.eigh(generator)
+    phases = np.exp(-1j * math.pi / 4 * np.round(eigenvalues))  # exact spectrum is integer
+    return (eigenvectors * phases) @ eigenvectors.T
+
+
+class TestBlockRecurrence:
+    # totals to 220 occur at alpha = 6 with cutoff 110
+
+    @pytest.fixture(autouse=True)
+    def drop_cached_blocks(self):
+        # some 170 MB of complex blocks would otherwise stay cached for the whole run
+        yield
+        _block.cache_clear()
+
+    def test_agrees_with_spectral_construction(self):
+        for total in range(251):
+            block = np.asarray(_block(_FORWARD, total))
+            assert np.max(np.abs(block - spectral_block(total))) <= 5e-14, total
+
+    def test_unitary_up_to_250(self):
+        for total in range(251):
+            block = np.asarray(_block(_FORWARD, total))
+            assert np.max(np.abs(block.conj().T @ block - np.eye(total + 1))) <= 1e-13, total
+
+    def test_inverse_is_exact_adjoint(self):
+        for total in range(251):
+            assert np.array_equal(_block(_INVERSE, total), _block(_FORWARD, total).conj().T)

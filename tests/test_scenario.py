@@ -258,3 +258,46 @@ class TestCli:
         value = document["aggregates"]["success_probability"]
         assert value != 0.5  # truncated coherent run: must carry full digits
         assert abs(value - 0.5) < 1e-9
+
+
+class TestNonFiniteNumbers:
+    # Python's json parses NaN and Infinity; no scenario field takes them
+    def write(self, tmp_path, doc):
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(doc))
+        assert "NaN" in path.read_text() or "Infinity" in path.read_text()
+        return str(path)
+
+    def test_infinite_tolerances_do_not_pass_vacuously(self, tmp_path, capsys):
+        doc = dict(ENHANCED_DOC, tolerances={"probability": float("inf"),
+                                             "fidelity": float("inf")})
+        out = tmp_path / "results.json"
+        code = main(["run", "--scenario", self.write(tmp_path, doc), "--out", str(out)])
+        assert code == 2
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert "tolerances.probability" in err and "tolerances.fidelity" in err
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_alpha(self, tmp_path, capsys, value):
+        # validate, not run: a NaN alpha once hung the state build
+        doc = dict(ENHANCED_DOC, u=dict(ENHANCED_DOC["u"], alpha_re=value))
+        assert main(["validate", "--scenario", self.write(tmp_path, doc)]) == 2
+        assert "u.alpha_re" in capsys.readouterr().err
+
+    def test_nan_qubit_entry(self, tmp_path, capsys):
+        doc = dict(ENHANCED_DOC, qubit=[float("nan"), 0.0, 0.0, 0.8])
+        assert main(["run", "--scenario", self.write(tmp_path, doc), "--quiet"]) == 2
+        assert "qubit" in capsys.readouterr().err
+
+    def test_nan_coefficient(self, tmp_path, capsys):
+        doc = dict(SCISSORS_DOC, input_coefficients=[[0.5, 0.0], [float("nan"), 0.0]])
+        assert main(["validate", "--scenario", self.write(tmp_path, doc)]) == 2
+        assert "input_coefficients[1]" in capsys.readouterr().err
+
+    def test_integer_beyond_float_range(self, tmp_path, capsys):
+        path = tmp_path / "scenario.json"
+        text = json.dumps(ENHANCED_DOC).replace('"alpha_re": 1.0', '"alpha_re": 1' + "0" * 400)
+        path.write_text(text)
+        assert main(["validate", "--scenario", str(path)]) == 2
+        assert "u.alpha_re" in capsys.readouterr().err

@@ -307,3 +307,33 @@ class TestTailBelowRounding:
         assert tail == pytest.approx(expected, rel=1e-12, abs=0)
         # the odd cutoff has the same even-level remainder
         assert build_state(squeezed_spec(r, cutoff + 1)).tail_mass == tail
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+class TestNonFiniteParameters:
+    # build_state is never called on these: before the check it looped
+    # forever on a NaN parameter
+    @pytest.mark.parametrize("make", [
+        lambda: coherent_spec(NAN, 30),
+        lambda: coherent_spec(complex(1.0, NAN), 30),
+        lambda: coherent_spec(INF, 30),
+        lambda: coherent_spec(complex(0.0, -INF), 30),
+        lambda: squeezed_spec(NAN, 30),
+        lambda: squeezed_spec(INF, 30),
+        lambda: squeezed_spec(-INF, 30),
+        lambda: explicit_spec([1.0, NAN]),
+        lambda: explicit_spec([complex(0.6, INF), 0.8]),
+    ], ids=["coherent-nan", "coherent-nan-imag", "coherent-inf", "coherent-inf-imag",
+            "squeezed-nan", "squeezed-inf", "squeezed-minus-inf", "explicit-nan",
+            "explicit-inf"])
+    def test_spec_rejects(self, make):
+        with pytest.raises(ValueError, match="finite"):
+            make()
+
+    @pytest.mark.parametrize("plus, minus", [(NAN, 0.8), (0.6, complex(NAN, 0.8)),
+                                             (INF, 0.0)])
+    def test_qubit_rejects(self, plus, minus):
+        with pytest.raises(ValueError, match="finite"):
+            QubitAmplitudes(plus, minus)
