@@ -3,12 +3,14 @@
 Single modes are dense complex vectors indexed by photon number.  Multimode
 states are sparse maps from occupation tuples to amplitudes, because the
 operations in this package (beamsplitters, projections) conserve total photon
-number and never densely fill the product space.  The protocols' hot path
-does not build multimode states beyond the two-mode resource:
-``measurement.split_and_count`` reads the resource as a dense matrix and
-works one photon-total block at a time.  The sparse multimode operations
-serve the facts, coefficient and entropy paths.  Nothing in the package calls
-``prepend_mode``; it stays public as the reference the kernel is tested
+number and never densely fill the product space.  The package's own paths
+build no multimode state beyond a two-mode resource (``resource_from_states``
+for the protocols and the entropy, ``psi (x) |0>`` for the parity facts):
+``measurement.split_and_count`` reads it as a dense matrix one photon-total
+block at a time, and ``entanglement_entropy`` decomposes it.  The sparse
+multimode operations (``prepend_mode``, ``optics.beamsplitter_5050``,
+``measurement.measure_modes``, ``optics.bipartite_coefficients``) stay public
+for direct use, the demos, and as the references the kernel is tested
 against.
 
 All values are immutable after construction; every operation returns a new

@@ -114,7 +114,11 @@ def project_counts(
 
     The post-state lives on the remaining modes, renormalized.  Raises
     ZeroProbabilityOutcome when the requested record has probability below
-    1e-14 (the post-state would be meaningless noise).
+    1e-14 (the post-state would be meaningless noise).  The state's own
+    amplitudes were cut at ``SPARSITY_FLOOR`` (1e-15), so a post-state of
+    probability P carries an error up to about 1e-15 / sqrt(P) per amplitude,
+    some 1e-8 near the 1e-14 floor; ``split_and_count`` keeps every amplitude
+    and its receivers carry no such error.
     """
     measured = tuple(measured_modes)
     wanted = tuple(int(c) for c in counts)
@@ -153,7 +157,9 @@ def measure_modes(state: MultiModeState, modes) -> list[MeasurementOutcome]:
 
     Returns outcomes sorted by counts, each with its exact probability and
     normalized post-state; records below the 1e-14 probability floor are
-    dropped as rounding noise.
+    dropped as rounding noise.  As in ``project_counts``, post-states of
+    records near that floor carry the 1e-15 sparsity-floor error divided by
+    sqrt(P); ``split_and_count``'s receivers do not.
     """
     measured = tuple(modes)
     if len(set(measured)) != len(measured):

@@ -37,7 +37,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -80,19 +79,17 @@ def _real_block(total: int) -> np.ndarray:
     return _REAL_BLOCKS[total]
 
 
-@lru_cache(maxsize=None)
 def _block(key: tuple, total: int) -> np.ndarray:
     """Unitary on the total-photon-number block, rows/cols indexed by the
-    photon count in the first mode (0..total)."""
+    photon count in the first mode (0..total), built from ``_real_block`` on
+    every call: ``_REAL_BLOCKS`` is the only store of beamsplitter blocks."""
     if key not in (_FORWARD, _INVERSE):
         raise ValueError("unsupported substitution convention")
     real = _real_block(total)
     counts = np.arange(total + 1)
     phases = _MINUS_I_POWERS[(counts[:, None] - counts[None, :]) % 4]
     # the inverse is the adjoint: (-i)^(c-a) D[a, c]
-    matrix = phases * (real if key == _FORWARD else real.T)
-    matrix.flags.writeable = False
-    return matrix
+    return phases * (real if key == _FORWARD else real.T)
 
 
 def _check_mode(state, mode: int):
@@ -153,6 +150,8 @@ def _two_mode_substitution(
         vec[na] += amp
 
     out: dict[tuple[int, ...], complex] = {}
+    # _block builds its matrix on every call, so build each total's once here
+    blocks = {total: _block(key, total) for total, _ in groups if total <= state.per_mode_cutoff}
     template = [0] * state.mode_count
     for (total, rest), vec in groups.items():
         if total > state.per_mode_cutoff:
@@ -160,7 +159,7 @@ def _two_mode_substitution(
                 f"total photon number {total} across modes ({mode_a}, {mode_b}) "
                 f"exceeds per-mode cutoff {state.per_mode_cutoff}"
             )
-        result = _block(key, total) @ vec
+        result = blocks[total] @ vec
         for i, slot in enumerate(spectator_slots):
             template[slot] = rest[i]
         for j in range(total + 1):

@@ -120,19 +120,19 @@ def entanglement_entropy(state: MultiModeState) -> float:
 
 
 def split_with_phase_shifted(
-    psi: SingleModeState,
-    phi: SingleModeState | None = None,
-    swap_ports: bool = False,
+    psi: SingleModeState, phi: SingleModeState | None = None
 ) -> MultiModeState:
     """Send a quarter-cycle-shifted state and a plain state through the beamsplitter.
 
     The shifted copy of ``phi`` (or of ``psi`` itself when ``phi`` is omitted)
     feeds port 1, ``psi`` feeds port 2.  With ``phi`` omitted the odd-count
     probability in output A is exactly zero; with ``phi`` orthogonal to
-    ``psi`` it is exactly one half.
+    ``psi`` it is exactly one half.  The sparse result keeps amplitudes down
+    to ``SPARSITY_FLOOR``; the facts scenarios count the same split with
+    ``split_and_count``, and the tests keep this as the sparse reference.
     """
     shifted = phase_shift(phi if phi is not None else psi, math.pi / 2)
-    return beamsplitter_5050(tensor(shifted, psi), 0, 1, swap_ports=swap_ports)
+    return beamsplitter_5050(tensor(shifted, psi), 0, 1)
 
 
 def _run_heralded(protocol: str, sent: SingleModeState, resource: MultiModeState,

@@ -13,18 +13,19 @@ from dataclasses import dataclass, field
 
 from . import __version__
 from .errors import SchemaError
-from .fock import inner_product
+from .fock import SingleModeState, inner_product, tensor
 from .measurement import (
     CountDistribution,
     DetectorModel,
+    split_and_count,
     thinned_distribution,
     total_variation_distance,
 )
+from .optics import phase_shift
 from .protocols import (
     ProtocolReport,
     entanglement_entropy,
     quantum_scissors,
-    split_with_phase_shifted,
     teleport_basic,
     teleport_enhanced,
 )
@@ -43,6 +44,12 @@ PROTOCOLS = (
     "facts_check",
     "entropy",
 )
+
+#: Largest photon number a scenario may name: a state's ``cutoff``,
+#: ``scissors_n`` or ``scissors_m`` (and at most MAX_CUTOFF + 1
+#: ``input_coefficients``).  Photon totals then stay within 2 * MAX_CUTOFF,
+#: whose beamsplitter blocks take about 8 (2 MAX_CUTOFF)^3 / 3 bytes, 1.3 GiB.
+MAX_CUTOFF = 400
 
 _STATE_KEYS = {"kind", "alpha_re", "alpha_im", "r", "n", "coefficients", "cutoff", "tail_tolerance"}
 
@@ -157,6 +164,15 @@ def _number(value, path: str, errors: list, integer: bool = False):
     return value
 
 
+def _photon_number(value, path: str, errors: list):
+    """An integer no larger than MAX_CUTOFF (a cutoff or a scissors level)."""
+    n = _number(value, path, errors, integer=True)
+    if n is not None and n > MAX_CUTOFF:
+        errors.append((path, f"above MAX_CUTOFF = {MAX_CUTOFF}"))
+        return None
+    return n
+
+
 def _parse_state_spec(obj, path: str, errors: list) -> StateSpec | None:
     local: list[tuple[str, str]] = []
     try:
@@ -173,7 +189,7 @@ def _parse_state_spec(obj, path: str, errors: list) -> StateSpec | None:
         if "cutoff" not in obj:
             local.append((f"{path}.cutoff", "required field is missing"))
             return None
-        cutoff = _number(obj["cutoff"], f"{path}.cutoff", local, integer=True)
+        cutoff = _photon_number(obj["cutoff"], f"{path}.cutoff", local)
         tail = _number(obj.get("tail_tolerance", 1e-12), f"{path}.tail_tolerance", local)
 
         required = {"coherent": ("alpha_re",), "squeezed_vacuum": ("r",),
@@ -297,10 +313,13 @@ def validate_scenario(document: dict) -> Scenario:
     scissors_n = scissors_m = None
     input_coefficients = None
     if protocol == "quantum_scissors":
-        scissors_n = _number(document.get("scissors_n"), "scissors_n", errors, integer=True)
-        scissors_m = _number(document.get("scissors_m"), "scissors_m", errors, integer=True)
-        input_coefficients = _parse_complex_pairs(
-            document.get("input_coefficients"), "input_coefficients", errors)
+        scissors_n = _photon_number(document.get("scissors_n"), "scissors_n", errors)
+        scissors_m = _photon_number(document.get("scissors_m"), "scissors_m", errors)
+        coefficients = document.get("input_coefficients")
+        if isinstance(coefficients, list) and len(coefficients) > MAX_CUTOFF + 1:
+            errors.append(("input_coefficients", f"more than MAX_CUTOFF + 1 = {MAX_CUTOFF + 1} pairs"))
+        else:
+            input_coefficients = _parse_complex_pairs(coefficients, "input_coefficients", errors)
 
     retilde = document.get("retilde", False)
     if not isinstance(retilde, bool):
@@ -369,17 +388,14 @@ def parse_scenario_text(text: str) -> Scenario:
     return validate_scenario(document)
 
 
+def _row(counts, probability, classification, fidelity=None, correction_phase=None) -> dict:
+    return {"counts": list(counts), "probability": probability, "classification": classification,
+            "fidelity": fidelity, "correction_phase": correction_phase}
+
+
 def _outcome_rows(report: ProtocolReport) -> list:
-    return [
-        {
-            "counts": list(o.counts),
-            "probability": o.probability,
-            "classification": o.classification,
-            "fidelity": o.fidelity_to_target,
-            "correction_phase": o.correction_phase,
-        }
-        for o in report.outcomes
-    ]
+    return [_row(o.counts, o.probability, o.classification, o.fidelity_to_target,
+                 o.correction_phase) for o in report.outcomes]
 
 
 def _environment(audits: dict) -> dict:
@@ -446,18 +462,12 @@ def _heralded_results(s: Scenario) -> ResultsDocument:
 
 
 def _facts_results(s: Scenario) -> ResultsDocument:
+    # each fact sends the shifted x = psi or phi through the heralded split
+    # with the resource psi (x) |0>, whose receiver stays in vacuum
     psi = build_state(s.u)
-    split_even = split_with_phase_shifted(psi)
-    rows = []
-    for occ in sorted(split_even.amplitudes):  # two modes: the tuple is the count record
-        prob = abs(split_even.amplitude(occ)) ** 2
-        rows.append({
-            "counts": list(occ),
-            "probability": prob,
-            "classification": "odd_count_a" if occ[0] % 2 else "even_count_a",
-            "fidelity": None,
-            "correction_phase": None,
-        })
+    resource = tensor(psi, SingleModeState([1.0]))
+    rows = [_row(r.counts, r.probability, "odd_count_a" if r.counts[0] % 2 else "even_count_a")
+            for r in split_and_count(phase_shift(psi, math.pi / 2), resource)]
     p_odd_1 = sum(r["probability"] for r in rows if r["classification"] == "odd_count_a")
     aggregates: dict = {"fact1_odd_parity_mode_a": p_odd_1}
     checks = [_check("fact1_odd_parity_mode_a", 0.0, p_odd_1, s.tolerances.probability)]
@@ -467,9 +477,9 @@ def _facts_results(s: Scenario) -> ResultsDocument:
         overlap = inner_product(psi, phi)
         if abs(overlap) > 1e-10:
             raise ValueError(f"v: must be orthogonal to u for the 50% check (|<u|v>| = {abs(overlap):.3e})")
-        split_half = split_with_phase_shifted(psi, phi)
-        p_odd_2 = sum(
-            abs(amp) ** 2 for occ, amp in split_half.items() if occ[0] % 2 == 1)
+        p_odd_2 = sum(r.probability
+                      for r in split_and_count(phase_shift(phi, math.pi / 2), resource)
+                      if r.counts[0] % 2)
         aggregates["fact2_odd_parity_mode_a"] = p_odd_2
         checks.append(_check("fact2_odd_parity_mode_a", 0.5, p_odd_2, s.tolerances.probability))
         audits["v"] = {"cutoff": phi.cutoff, "tail_mass": phi.tail_mass}

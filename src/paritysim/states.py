@@ -35,6 +35,7 @@ from .errors import (
     TruncationTooSevere,
 )
 from .fock import (
+    SPARSITY_FLOOR,
     MultiModeState,
     SingleModeState,
     combined_tail,
@@ -349,7 +350,7 @@ def resource_from_states(u: SingleModeState, v: SingleModeState, kind: str) -> M
         (n, m): matrix[n, m]
         for n in range(cutoff + 1)
         for m in range(cutoff + 1)
-        if abs(matrix[n, m]) >= 1e-15
+        if abs(matrix[n, m]) >= SPARSITY_FLOOR
     }
     return MultiModeState(2, cutoff, amps)
 

@@ -222,13 +222,6 @@ def spectral_block(total: int) -> np.ndarray:
 
 class TestBlockRecurrence:
     # totals to 220 occur at alpha = 6 with cutoff 110
-
-    @pytest.fixture(autouse=True)
-    def drop_cached_blocks(self):
-        # some 170 MB of complex blocks would otherwise stay cached for the whole run
-        yield
-        _block.cache_clear()
-
     def test_agrees_with_spectral_construction(self):
         for total in range(251):
             block = np.asarray(_block(_FORWARD, total))

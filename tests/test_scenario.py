@@ -1,9 +1,21 @@
 import json
+from pathlib import Path
 
 import pytest
 
-from paritysim import SchemaError, validate_scenario, run_scenario, scenario_to_wire
+from paritysim import (
+    SchemaError,
+    build_state,
+    run_scenario,
+    scenario_to_wire,
+    split_with_phase_shifted,
+    validate_scenario,
+)
 from paritysim.cli import main
+from paritysim.measurement import OUTCOME_FLOOR
+from paritysim.scenario import MAX_CUTOFF
+
+DEMO_SCENARIOS = Path(__file__).resolve().parent.parent / "demos" / "scenarios"
 
 
 ENHANCED_DOC = {
@@ -301,3 +313,76 @@ class TestNonFiniteNumbers:
         path.write_text(text)
         assert main(["validate", "--scenario", str(path)]) == 2
         assert "u.alpha_re" in capsys.readouterr().err
+
+
+class TestFactsRowsAreKernelRecords:
+    # the sparse split keeps amplitudes down to 1e-15; the rows must be
+    # exactly its records at or above the outcome floor
+    CASES = {
+        "facts_squeezed": json.loads((DEMO_SCENARIOS / "facts_squeezed.json").read_text()),
+        "lossy_facts_coherent":
+            json.loads((DEMO_SCENARIOS / "lossy_facts_coherent.json").read_text()),
+        "lossy_coherent_3+0.4i": {
+            "protocol": "facts_check",
+            "u": {"kind": "coherent", "alpha_re": 3.0, "alpha_im": 0.4, "cutoff": 38},
+            "detector_efficiency": 0.85,
+            "tolerances": {"probability": 1e-12, "fidelity": 1e-9},
+        },
+    }
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_rows_match_sparse_reference(self, name):
+        scenario = validate_scenario(self.CASES[name])
+        rows = run_scenario(scenario).outcomes
+        reference = {occ: abs(amp) ** 2
+                     for occ, amp in split_with_phase_shifted(build_state(scenario.u)).items()}
+        counts = {tuple(row["counts"]) for row in rows}
+        assert len(counts) == len(rows)
+        for row in rows:
+            assert row["probability"] >= OUTCOME_FLOOR
+            expected = reference.get(tuple(row["counts"]), 0.0)
+            assert abs(row["probability"] - expected) <= 1e-15, row["counts"]
+        for occ, prob in reference.items():
+            if occ not in counts:
+                assert prob < OUTCOME_FLOOR, occ
+
+
+class TestMaxCutoff:
+    # validate only: running an oversize scenario would allocate without bound
+    def validate(self, tmp_path, doc):
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(doc))
+        return main(["validate", "--scenario", str(path)])
+
+    def test_max_cutoff_is_accepted(self, tmp_path):
+        doc = dict(ENHANCED_DOC, u=dict(ENHANCED_DOC["u"], cutoff=MAX_CUTOFF))
+        assert self.validate(tmp_path, doc) == 0
+
+    @pytest.mark.parametrize("cutoff", [MAX_CUTOFF + 1, 10 ** 30])
+    def test_state_cutoff_above_maximum(self, tmp_path, capsys, cutoff):
+        doc = dict(ENHANCED_DOC, u=dict(ENHANCED_DOC["u"], cutoff=cutoff))
+        assert self.validate(tmp_path, doc) == 2
+        assert "u.cutoff" in capsys.readouterr().err
+
+    def test_second_state_cutoff_above_maximum(self, tmp_path, capsys):
+        doc = dict(FACTS_DOC, v={"kind": "number", "n": 1, "cutoff": MAX_CUTOFF + 1})
+        assert self.validate(tmp_path, doc) == 2
+        assert "v.cutoff" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("field", ["scissors_n", "scissors_m"])
+    @pytest.mark.parametrize("level", [MAX_CUTOFF + 1, 10 ** 20])
+    def test_scissors_level_above_maximum(self, tmp_path, capsys, field, level):
+        doc = dict(SCISSORS_DOC, **{field: level})
+        assert self.validate(tmp_path, doc) == 2
+        assert field in capsys.readouterr().err
+
+    def test_input_coefficients_longer_than_maximum(self, tmp_path, capsys):
+        pair = [1.0 / (MAX_CUTOFF + 2) ** 0.5, 0.0]
+        doc = dict(SCISSORS_DOC, input_coefficients=[pair] * (MAX_CUTOFF + 2))
+        assert self.validate(tmp_path, doc) == 2
+        assert "input_coefficients" in capsys.readouterr().err
+
+    def test_input_coefficients_at_maximum_length(self, tmp_path):
+        pair = [1.0 / (MAX_CUTOFF + 1) ** 0.5, 0.0]
+        doc = dict(SCISSORS_DOC, input_coefficients=[pair] * (MAX_CUTOFF + 1))
+        assert self.validate(tmp_path, doc) == 0
