@@ -5,9 +5,11 @@ states are sparse maps from occupation tuples to amplitudes, because the
 operations in this package (beamsplitters, projections) conserve total photon
 number and never densely fill the product space.  The package's own paths
 build no multimode state beyond a two-mode resource (``resource_from_states``
-for the protocols and the entropy, ``psi (x) |0>`` for the parity facts):
+for the entropy, ``psi (x) |0>`` for the parity facts):
 ``measurement.split_and_count`` reads it as a dense matrix one photon-total
-block at a time, and ``entanglement_entropy`` decomposes it.  The sparse
+block at a time, and ``entanglement_entropy`` decomposes it.  The protocols
+build none at all: they pass their rank-2 resources as two narrow factors.
+The sparse
 multimode operations (``prepend_mode``, ``optics.beamsplitter_5050``,
 ``measurement.measure_modes``, ``optics.bipartite_coefficients``) stay public
 for direct use, the demos, and as the references the kernel is tested
@@ -60,6 +62,16 @@ class SingleModeState:
         amps.flags.writeable = False
         object.__setattr__(self, "amplitudes", amps)
 
+    @classmethod
+    def _trusted(cls, amplitudes: np.ndarray) -> "SingleModeState":
+        """Wrap a 1-D complex128 array that the caller already checked finite
+        and made read-only, with zero tail mass, without the copy and the
+        scan of construction; see ``_trusted_rows``."""
+        state = object.__new__(cls)
+        object.__setattr__(state, "amplitudes", amplitudes)
+        object.__setattr__(state, "tail_mass", 0.0)
+        return state
+
     @property
     def cutoff(self) -> int:
         """Highest representable photon number."""
@@ -77,6 +89,18 @@ class SingleModeState:
         out = np.zeros(cutoff + 1, dtype=np.complex128)
         out[: self.amplitudes.size] = self.amplitudes
         return out
+
+
+def _trusted_rows(rows: np.ndarray) -> list[SingleModeState]:
+    """One state per row of a 2-D complex128 array the caller owns.
+
+    The whole array is checked finite once and made read-only, so every row
+    is a read-only view that ``SingleModeState._trusted`` can wrap as is.
+    """
+    if not np.isfinite(rows).all():
+        raise ValueError("amplitudes must be finite (no NaN/Inf)")
+    rows.flags.writeable = False
+    return [SingleModeState._trusted(row) for row in rows]
 
 
 @dataclass(frozen=True)

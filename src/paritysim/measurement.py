@@ -4,10 +4,12 @@ Probabilities are computed exactly from amplitudes by exhaustive enumeration;
 the seeded sampler on top of the exact joint distribution is a convenience,
 never the source of any reported number.
 
-``split_and_count`` is the counting kernel of the heralded protocols: it
-mixes an input mode with the first half of a two-mode resource on the 50/50
-beamsplitter and enumerates the joint records of the two outputs one
-photon-total block at a time, without building the three-mode state.
+``_count_factored`` is the counting kernel of the heralded protocols: it
+mixes an input mode with the first half of a two-mode resource, given as two
+narrow factors, on the 50/50 beamsplitter and enumerates the joint records of
+the two outputs one photon-total block at a time, without building the
+three-mode state.  ``split_and_count`` runs the same kernel on a resource
+given as a sparse two-mode state.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidMode, ZeroProbabilityOutcome
-from .fock import MultiModeState, SingleModeState
+from .fock import MultiModeState, SingleModeState, _trusted_rows
 from .optics import _MINUS_I_POWERS, _check_mode, _real_block
 
 #: Outcomes with probability below this are treated as impossible.
@@ -198,57 +200,84 @@ def split_and_count(sent: SingleModeState, resource: MultiModeState) -> list[Her
 
     The result is what ``measure_modes(beamsplitter_5050(prepend_mode(resource,
     sent), 0, 1), (0, 1))`` gives, with each post-state read as a single mode,
-    but the three-mode state is never built.  The beamsplitter conserves the
-    photon total N = na + nb of the pair, so with the resource as a matrix
-    R[m, k] (k the receiver's count), the amplitudes of total N are the slab
-    X[i, k] = sent[i] R[N - i, k] turned by the block unitary of N, whose
-    entries are (-i)^(c-a) D_N[c, a] with D_N real (``optics._real_block``).
-    The column phases i^a are folded into ``sent`` once, the real D_N then
-    acts on the real and imaginary parts of X in one real product, and row
-    na of the result, times (-i)^na, is the unnormalized receiver state of
-    record (na, N - na).  Levels that are exactly zero in ``sent`` or ``R``
-    are skipped, which is what keeps even-only (squeezed) supports cheap.
+    but the three-mode state is never built.  The resource is read as a dense
+    matrix R and counted by ``_count_factored`` with the factors
+    ``left = R[:, levels]`` and ``right`` the identity's columns at the
+    receiver levels (the columns of R that are not all zero).
 
     Records are sorted by counts; those below the 1e-14 probability floor are
-    dropped as rounding noise.
+    dropped as rounding noise.  Receivers are read-only.
     """
     if resource.mode_count != 2:
         raise InvalidMode(f"the resource must have two modes, got {resource.mode_count}")
-    if abs(sent.norm_squared() - 1.0) > 1e-9:
-        raise ValueError("split_and_count requires a normalized input state")
-
     size = resource.per_mode_cutoff + 1
     matrix = np.zeros((size, size), dtype=np.complex128)
     if resource.amplitudes:
         occ = np.array(list(resource.amplitudes), dtype=np.intp)
         matrix[occ[:, 0], occ[:, 1]] = list(resource.amplitudes.values())
-    receiver_levels = np.flatnonzero(np.any(matrix, axis=0))
-    matrix = matrix[:, receiver_levels]
-    has_row = np.any(matrix, axis=1)
+    levels = np.flatnonzero(np.any(matrix, axis=0))
+    records = [HeraldedRecord((a, total - a), p, state)
+               for total, na, probs, receivers in _count_factored(
+                   sent, matrix[:, levels], np.eye(size)[:, levels])
+               for a, p, state in zip(na.tolist(), probs.tolist(), _trusted_rows(receivers))]
+    records.sort(key=lambda r: r.counts)
+    return records
+
+
+def _count_factored(sent: SingleModeState, left: np.ndarray, right: np.ndarray):
+    """The counting kernel: ``sent`` mixed with the first mode of the two-mode
+    resource R[m, k] = sum_j left[m, j] right[k, j] on the 50/50 beamsplitter.
+
+    Returns ``(N, na, probabilities, receivers)`` for every photon total N
+    = na + nb with a record at or above ``OUTCOME_FLOOR``, totals and na
+    ascending; row i of the writable ``receivers`` is the normalized state
+    record (na[i], N - na[i]) leaves on the resource's second mode.
+
+    The beamsplitter conserves the total N = na + nb, so the amplitudes of
+    total N are the slab X[i, k] = sent[i] R[N - i, k] turned by the block
+    unitary of N, whose entries are (-i)^(c-a) D_N[c, a] with D_N real
+    (``optics._real_block``).  With R factored, X = S Q^T for the narrow
+    S[i, j] = sent[i] left[N - i, j] and Q = ``right``, so D_N acts on the r
+    columns of S only: the column phases i^a are folded into ``sent`` once,
+    and one real product on the real and imaginary parts of S gives
+    Y = D_N S.  Record (na, N - na)'s amplitudes are row na of Y Q^T times
+    (-i)^na, so its probability is Re sum (Y G) * conj(Y) over that row,
+    with the r x r Gram matrix G = Q^T conj(Q), and receivers are built for
+    kept rows only.  Totals that no nonzero level of ``sent`` and row of
+    ``left`` reach are skipped, which is what keeps even-only (squeezed)
+    supports cheap.
+    """
+    if abs(sent.norm_squared() - 1.0) > 1e-9:
+        raise ValueError("split_and_count requires a normalized input state")
+    size = left.shape[0]
+    right_t = np.ascontiguousarray(right.T)
+    gram = right_t @ right.conj()
     sent_amps = sent.amplitudes
-    sent_levels = np.flatnonzero(sent_amps)
+    top = sent_amps.size - 1
     # the totals i + m reachable from a nonzero sent[i] and a nonzero row m of R
-    totals = np.flatnonzero(np.convolve(sent_amps != 0, has_row))
+    totals = np.flatnonzero(np.convolve(sent_amps != 0, np.any(left, axis=1)))
     # the blocks' column phases i^a = conj((-i)^a), folded into the input once
     twisted = sent_amps * _MINUS_I_POWERS[np.arange(sent_amps.size) % 4].conj()
 
-    records = []
+    # row m of left is row size - 1 - m of flipped, so that sent levels
+    # lo..hi meet rows total - lo..total - hi of left in one forward slice
+    flipped = np.ascontiguousarray(left[::-1])
+    blocks = []
     for total in totals.tolist():
-        levels = sent_levels[sent_levels <= total]
-        levels = levels[total - levels < size]
-        levels = levels[has_row[total - levels]]
-        slab = twisted[levels, None] * matrix[total - levels]
-        # a real product on the interleaved (re, im) columns: D Re X + i D Im X
-        out = (_real_block(total)[:, levels] @ slab.view(np.float64)).view(np.complex128)
-        probs = np.sum(out.real ** 2 + out.imag ** 2, axis=1)
-        kept = np.flatnonzero(probs >= OUTCOME_FLOOR)
-        receivers = np.zeros((kept.size, size), dtype=np.complex128)
-        receivers[:, receiver_levels] = (
-            out[kept] / np.sqrt(probs[kept, None]) * _MINUS_I_POWERS[kept % 4, None])
-        for na, prob, receiver in zip(kept.tolist(), probs[kept].tolist(), receivers):
-            records.append(HeraldedRecord((na, total - na), prob, SingleModeState(receiver)))
-    records.sort(key=lambda r: r.counts)
-    return records
+        lo, hi = max(0, total - size + 1), min(total, top)
+        shift = size - 1 - total
+        slab = twisted[lo : hi + 1, None] * flipped[lo + shift : hi + shift + 1]
+        # a real product on the interleaved (re, im) columns: D Re S + i D Im S
+        out = (_real_block(total)[:, lo : hi + 1] @ slab.view(np.float64)).view(np.complex128)
+        # Re(a conj(b)) = Re a Re b + Im a Im b, summed over the (re, im) pairs
+        probs = np.einsum("ij,ij->i", (out @ gram).view(np.float64), out.view(np.float64))
+        na = np.flatnonzero(probs >= OUTCOME_FLOOR)
+        if na.size:
+            probs = probs[na]
+            # each kept row scaled to a unit-norm receiver, with its (-i)^na phase
+            rows = out[na] * (_MINUS_I_POWERS[na % 4] / np.sqrt(probs))[:, None]
+            blocks.append((total, na, probs, rows @ right_t))
+    return blocks
 
 
 def thinned_distribution(dist: CountDistribution, det: DetectorModel) -> CountDistribution:

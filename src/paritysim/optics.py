@@ -106,8 +106,11 @@ def _phase_factors(phi: float, count: int) -> np.ndarray:
 
     Quarter- and half-cycle shifts carry the parity structure the protocols
     rely on, so those factors must be exactly +-1, +-i rather than carry the
-    rounding of exp(); everything else goes through exp as usual.
+    rounding of exp(); everything else goes through exp as usual.  A NaN or
+    infinite ``phi`` is refused, since no phase factor corresponds to it.
     """
+    if not math.isfinite(phi):
+        raise ValueError(f"phi must be finite, got {phi}")
     quarter_turns = phi / (math.pi / 2)
     k = round(quarter_turns)
     if abs(quarter_turns - k) < 1e-12:

@@ -3,11 +3,14 @@
 All three protocols are one heralded scheme, run by ``_run_heralded``: mix
 the input mode with one half of a two-mode entangled resource on the 50/50
 beamsplitter and exhaustively enumerate the joint photon-count records on
-the two beamsplitter outputs.  ``measurement.split_and_count`` does both in
-one pass, one photon-total block at a time, so the three-mode state is never
-built.  The protocols differ in the resource and in the rule that maps the
-counts (na, nb) to a classification and a correction phase for the receiver
-(``_basic_rule``, ``_enhanced_rule`` and ``_scissors_rule``):
+the two beamsplitter outputs.  Every resource here has rank 2, so it is
+passed as two narrow factors read off the orthonormal pair
+(``states._resource_factors``), and ``measurement._count_factored`` does
+both steps in one pass, one photon-total block at a time, so neither the
+resource matrix nor the three-mode state is built.  The records of each
+photon total are then scored as one array.  The protocols differ in the resource and in the rule
+that maps the counts (na, nb) to a classification and a correction phase for
+the receiver (``_basic_rule``, ``_enhanced_rule`` and ``_scissors_rule``):
 
 * basic: any pair (u, v) with real overlap; success iff the count in output
   A is odd; no correction needed; success probability 1/4.
@@ -41,12 +44,13 @@ from .errors import DegenerateState, InvalidResource
 from .fock import (
     MultiModeState,
     SingleModeState,
+    _trusted_rows,
     inner_product,
     normalize,
     tensor,
 )
-from .measurement import split_and_count
-from .optics import beamsplitter_5050, phase_shift
+from .measurement import _count_factored
+from .optics import _phase_factors, beamsplitter_5050, phase_shift
 from .states import (
     QubitAmplitudes,
     StateSpec,
@@ -54,7 +58,7 @@ from .states import (
     encode_qubit,
     number_spec,
     pi_shifted_spec,
-    resource_from_states,
+    _resource_factors,
 )
 
 SUCCESS = "success"
@@ -135,42 +139,63 @@ def split_with_phase_shifted(
     return beamsplitter_5050(tensor(shifted, psi), 0, 1)
 
 
-def _run_heralded(protocol: str, sent: SingleModeState, resource: MultiModeState,
+def _run_heralded(protocol: str, sent: SingleModeState, factors: tuple,
                   target: SingleModeState, rule, audits: dict) -> ProtocolReport:
-    """Count every record of ``sent`` mixed with ``resource`` and score it.
+    """Count every record of ``sent`` mixed with the resource of ``factors``
+    (``left``, ``right``; see ``measurement._count_factored``) and score it.
 
     ``rule(na, nb)`` gives the record's classification and the phase shift
-    that corrects the receiver, or None when no correction is defined; the
-    receiver is shifted only when that phase is non-zero.  ``audits`` names
-    the single-mode states whose cutoff and tail the report records.
+    that corrects the receiver, or None when no correction is defined.  Each
+    photon total is scored as one array: the rows of each distinct non-zero
+    phase are shifted together, every fidelity |<target|receiver>|^2 comes
+    from one product with the target, and the corrected rows, checked finite
+    once, become the records' read-only states.  Records are then sorted by
+    counts.  ``audits`` names the single-mode states whose cutoff and tail
+    the report records.
     """
+    size = factors[1].shape[0]
+    conj_target = target.padded(size - 1).conj()
+    shifts = {}  # phase -> its factors exp(i phase n)
     outcomes = []
+    for total, na, probs, receivers in _count_factored(sent, *factors):
+        verdicts = [rule(a, total - a) for a in na.tolist()]
+        corrections = [correction for _, correction in verdicts]
+        for phase in set(corrections) - {None, 0.0}:
+            if phase not in shifts:
+                shifts[phase] = _phase_factors(phase, size)
+            rows = [i for i, correction in enumerate(corrections) if correction == phase]
+            receivers[rows] *= shifts[phase]
+        fidelities = np.abs(receivers @ conj_target) ** 2
+        outcomes.extend(
+            OutcomeRecord(
+                counts=(a, total - a),
+                probability=p,
+                classification=classification,
+                corrected_post_state=state,
+                fidelity_to_target=fid,
+                correction_phase=correction,
+            )
+            for a, p, (classification, correction), state, fid in zip(
+                na.tolist(), probs.tolist(), verdicts, _trusted_rows(receivers),
+                fidelities.tolist())
+        )
+    outcomes.sort(key=lambda o: o.counts)
+
     success_prob = 0.0
     weighted_fidelity = 0.0
-    total = 0.0
-    for record in split_and_count(sent, resource):
-        classification, correction = rule(*record.counts)
-        corrected = phase_shift(record.receiver, correction) if correction else record.receiver
-        fid = fidelity(corrected, target)
-        outcomes.append(OutcomeRecord(
-            counts=record.counts,
-            probability=record.probability,
-            classification=classification,
-            corrected_post_state=corrected,
-            fidelity_to_target=fid,
-            correction_phase=correction,
-        ))
-        total += record.probability
-        if classification == SUCCESS:
-            success_prob += record.probability
-            weighted_fidelity += record.probability * fid
+    total_prob = 0.0
+    for o in outcomes:
+        total_prob += o.probability
+        if o.classification == SUCCESS:
+            success_prob += o.probability
+            weighted_fidelity += o.probability * o.fidelity_to_target
 
     return ProtocolReport(
         protocol=protocol,
         outcomes=tuple(outcomes),
         success_probability=success_prob,
         mean_conditional_fidelity=(weighted_fidelity / success_prob) if success_prob > 0 else None,
-        total_probability=total,
+        total_probability=total_prob,
         state_audits={name: {"cutoff": state.cutoff, "tail_mass": state.tail_mass}
                       for name, state in audits.items()},
     )
@@ -214,7 +239,7 @@ def _run_teleport(
     return _run_heralded(
         protocol,
         sent,
-        resource_from_states(u, v, "phi_minus"),
+        _resource_factors(u, v, "phi_minus"),
         encode_qubit(q, u, v, tilde=retilde),
         rule(math.pi / 2 if retilde else 0.0),
         {"u": u, "v": v, "input": sent},
@@ -288,7 +313,7 @@ def quantum_scissors(
     raw_target[n_hi] = amp_hi
     target = normalize(SingleModeState(raw_target))
 
-    resource = resource_from_states(
+    factors = _resource_factors(
         build_state(number_spec(n_lo, top)), build_state(number_spec(n_hi, top)), "phi_minus"
     )
     sent = phase_shift(input_state, math.pi / 2)
@@ -296,7 +321,7 @@ def quantum_scissors(
     return _run_heralded(
         "quantum_scissors",
         sent,
-        resource,
+        factors,
         target,
         _scissors_rule(n_lo + n_hi, math.pi / (n_hi - n_lo)),
         {"input": input_state},

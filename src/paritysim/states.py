@@ -16,7 +16,11 @@ Conventions fixed here:
   normalized ``|u>|u> - |v>|v>`` equals ``(|+>|-> + |->|+>)/sqrt(2)`` and
   normalized ``|u>|v> - |v>|u>`` equals ``(|->|+> - |+>|->)/sqrt(2)``, because
   the norms of u+v and u-v absorb any non-orthogonality.  Tests pin this
-  correspondence amplitude-wise.
+  correspondence amplitude-wise.  The protocols take the second form as two
+  rank-2 factors (``_resource_factors``), which keeps the digits that the
+  difference of products loses when u and v are nearly parallel;
+  ``resource_from_states`` stays the dense two-mode state that
+  ``entanglement_entropy`` decomposes and the tests compare against.
 """
 
 from __future__ import annotations
@@ -193,7 +197,8 @@ def build_state(spec: StateSpec) -> SingleModeState:
     else:  # squeezed_vacuum
         # support on even levels only; amplitude ratio between consecutive
         # even levels is -tanh(r) sqrt(2k+1)/sqrt(2k+2)
-        amps[0] = 1.0 / math.sqrt(math.cosh(spec.r))
+        log_cosh = _log_cosh(spec.r)
+        amps[0] = math.exp(-0.5 * log_cosh)
         t = math.tanh(spec.r)
         for k in range(spec.cutoff // 2):
             if 2 * k + 2 > spec.cutoff:
@@ -205,7 +210,7 @@ def build_state(spec: StateSpec) -> SingleModeState:
         tail = 0.0 if t2 == 0.0 else _remainder(
             amps,
             lambda k: (k * math.log(t2) + math.lgamma(2 * k + 1) - k * math.log(4.0)
-                       - 2.0 * math.lgamma(k + 1) - math.log(math.cosh(spec.r))),
+                       - 2.0 * math.lgamma(k + 1) - log_cosh),
             lambda k: t2,
             spec.cutoff // 2 + 1,
         )
@@ -215,6 +220,14 @@ def build_state(spec: StateSpec) -> SingleModeState:
             f"{spec.tail_tolerance:.3e}; raise the cutoff"
         )
     return SingleModeState(amps, tail_mass=tail)
+
+
+def _log_cosh(r: float) -> float:
+    """log cosh r = |r| - log 2 + log1p(exp(-2|r|)), with no overflow where
+    cosh r itself overflows (|r| > ~710); the absolute error stays at
+    rounding for every r, which is what exp() of it needs."""
+    r = abs(r)
+    return r - _LN2 + math.log1p(math.exp(-2.0 * r))
 
 
 def _coherent_amplitudes(alpha: complex, cutoff: int) -> np.ndarray:
@@ -353,6 +366,30 @@ def resource_from_states(u: SingleModeState, v: SingleModeState, kind: str) -> M
         if abs(matrix[n, m]) >= SPARSITY_FLOOR
     }
     return MultiModeState(2, cutoff, amps)
+
+
+def _resource_factors(u: SingleModeState, v: SingleModeState,
+                      kind: str) -> tuple[np.ndarray, np.ndarray]:
+    """The rank-2 resource of ``resource_from_states`` as two factors.
+
+    ``left`` and ``right`` are (cutoff+1) x 2 with amplitude (m, k) equal to
+    sum_j left[m, j] right[k, j].  They are read off the orthonormal pair of
+    the module docstring, ``(|->|+> - |+>|->)`` for phi_minus and
+    ``(|+>|-> + |->|+>)`` for psi_minus, not off u and v themselves: for
+    nearly parallel u and v, ``u v^T - v u^T`` is a small difference of large
+    products and loses digits that u + v and u - v keep.  The normalization
+    is the Frobenius norm of the product, from the two 2x2 Gram matrices.
+    """
+    if kind not in RESOURCE_KINDS:
+        raise ValueError(f"unknown resource kind {kind!r}")
+    plus, minus = plus_minus(u, v)
+    p, m = plus.amplitudes, minus.amplitudes
+    if kind == "psi_minus":
+        left, right = np.stack([p, m], axis=1), np.stack([m, p], axis=1)
+    else:
+        left, right = np.stack([m, -p], axis=1), np.stack([p, m], axis=1)
+    ns = float(np.sum(left.T @ left.conj() * (right.T @ right.conj())).real)
+    return left / np.sqrt(ns), right
 
 
 def build_resource(u_spec: StateSpec, v_spec: StateSpec, kind: str) -> EntangledResource:

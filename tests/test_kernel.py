@@ -1,4 +1,5 @@
-"""The block counting kernel against the sparse three-mode chain it replaces.
+"""The block counting kernel against the sparse three-mode chain it replaces,
+and its factored form against the dense one.
 
 ``split_and_count`` must give, record for record, what the public dict chain
 ``prepend_mode -> beamsplitter_5050 -> measure_modes`` gives on the same input
@@ -10,6 +11,13 @@ kernel does not, so a receiver state normalized by a small probability p
 carries the chain's floor error divided by sqrt(p).  Receiver states are
 therefore compared to 1e-12 for records with p >= 1e-6, and for every record
 as unnormalized amplitudes (sqrt(p) times the state) to 1e-14.
+
+The protocols count through the same kernel with the resource as two rank-2
+factors read off the orthonormal pair (u + v, u - v); ``split_and_count``
+reads it as a dense matrix built from u and v.  The two must give the same
+record set, probabilities to 1e-14 and receivers to 1e-12 for p >= 1e-6, also
+for nearly parallel u and v, where factors taken from u and v themselves
+would lose digits to cancellation.
 """
 
 import cmath
@@ -17,6 +25,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from conftest import random_single
 from paritysim import (
@@ -37,8 +47,9 @@ from paritysim import (
     squeezed_spec,
     tensor,
 )
+from paritysim.measurement import _count_factored
 from paritysim.optics import _FORWARD, _block
-from paritysim.states import pi_shifted_spec
+from paritysim.states import _resource_factors, pi_shifted_spec
 
 
 def dict_chain(sent, resource):
@@ -121,6 +132,70 @@ class TestKernelContract:
         u, v = build_state(coherent_spec(1.5, 30)), build_state(coherent_spec(-1.5, 30))
         records = split_and_count(*teleport_inputs(u, v))
         assert sum(r.probability for r in records) == pytest.approx(1.0, abs=1e-12)
+
+
+def assert_factored_matches_dense(sent, u, v, kind):
+    factored = {(a, total - a): (prob, receiver)
+                for total, na, probs, receivers in _count_factored(
+                    sent, *_resource_factors(u, v, kind))
+                for a, prob, receiver in zip(na.tolist(), probs.tolist(), receivers)}
+    dense = split_and_count(sent, resource_from_states(u, v, kind))
+    assert sorted(factored) == [r.counts for r in dense]
+    for record in dense:
+        prob, receiver = factored[record.counts]
+        assert abs(prob - record.probability) <= 1e-14, record.counts
+        if record.probability >= 1e-6:
+            np.testing.assert_allclose(receiver, record.receiver.amplitudes, rtol=0, atol=1e-12)
+
+
+def coherent_pair(alpha, cutoff):
+    spec = coherent_spec(alpha, cutoff)
+    return build_state(spec), build_state(pi_shifted_spec(spec))
+
+
+def squeezed_pair(r, cutoff):
+    return build_state(squeezed_spec(r, cutoff)), build_state(squeezed_spec(-r, cutoff))
+
+
+class TestFactoredAgainstDense:
+    @pytest.mark.parametrize("kind", ["phi_minus", "psi_minus"])
+    @pytest.mark.parametrize("pair, parameter, cutoff", [
+        (squeezed_pair, 0.01, 4),  # <u|v> = 0.9999: nearly parallel
+        (squeezed_pair, 1.0, 96),
+        (coherent_pair, cmath.rect(0.08, 0.3), 4),
+        (coherent_pair, cmath.rect(4.0, 2.2), 52),
+    ], ids=["r=0.01", "r=1.0", "alpha=0.08", "alpha=4"])
+    def test_teleport_pairs(self, pair, parameter, cutoff, kind):
+        u, v = pair(parameter, cutoff)
+        sent = encode_qubit(QubitAmplitudes(0.6, 0.8j), u, v, tilde=True)
+        assert_factored_matches_dense(sent, u, v, kind)
+
+    @pytest.mark.parametrize("kind", ["phi_minus", "psi_minus"])
+    def test_scissors_number_pair(self, rng, kind):
+        u, v = build_state(number_spec(1, 4)), build_state(number_spec(4, 4))
+        sent = phase_shift(random_single(rng, 6), math.pi / 2)
+        assert_factored_matches_dense(sent, u, v, kind)
+
+    @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(seed=st.integers(0, 2 ** 32 - 1), size=st.integers(2, 8),
+           closeness=st.floats(0.0, 4.0), sign=st.sampled_from([1.0, -1.0]),
+           kind=st.sampled_from(["phi_minus", "psi_minus"]))
+    def test_random_real_pairs(self, seed, size, closeness, sign, kind):
+        # |<u|v>| = 1 - 10^-closeness, up to 0.9999: v = overlap u +
+        # sqrt(1 - overlap^2) w with w a real unit vector orthogonal to u
+        overlap = sign * (1.0 - 10.0 ** -closeness)
+        gen = np.random.default_rng(seed)
+        u = gen.normal(size=size)
+        u /= np.linalg.norm(u)
+        w = gen.normal(size=size)
+        w -= (w @ u) * u
+        w /= np.linalg.norm(w)
+        v = overlap * u + math.sqrt(1.0 - overlap * overlap) * w
+        u, v = SingleModeState(u), SingleModeState(v / np.linalg.norm(v))
+        qubit = gen.normal(size=2) + 1j * gen.normal(size=2)
+        qubit /= np.linalg.norm(qubit)
+        sent = encode_qubit(QubitAmplitudes(*qubit), u, v, tilde=True)
+        assert_factored_matches_dense(sent, u, v, kind)
 
 
 def test_every_block_up_to_120_is_unitary():

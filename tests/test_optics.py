@@ -51,6 +51,13 @@ class TestPhaseShift:
         with pytest.raises(InvalidMode):
             phase_shift(random_multimode(rng, 2, 4, 5), 0.3, mode=2)
 
+    @pytest.mark.parametrize("phi", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("multimode", [False, True])
+    def test_non_finite_phase_refused(self, rng, phi, multimode):
+        state = random_multimode(rng, 2, 4, 5) if multimode else random_single(rng, 4)
+        with pytest.raises(ValueError, match="phi must be finite"):
+            phase_shift(state, phi)
+
 
 class TestBeamsplitter:
     def test_vacuum_invariance(self):

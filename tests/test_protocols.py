@@ -25,11 +25,14 @@ from paritysim import (
     phase_shift,
     plus_minus,
     quantum_scissors,
+    resource_from_states,
+    split_and_count,
     squeezed_spec,
     teleport_basic,
     teleport_enhanced,
     tensor,
 )
+from paritysim.states import pi_shifted_spec
 
 
 def ipow(k: int) -> complex:
@@ -390,3 +393,71 @@ class TestRuleTables:
         from paritysim.protocols import _enhanced_rule
 
         assert _enhanced_rule(math.pi / 2 if retilde else 0.0)(3, 1) == ("failure", None)
+
+
+def _teleport_case(enhanced, retilde):
+    q = QubitAmplitudes(0.6, 0.8j)
+    if enhanced:
+        spec = coherent_spec(2.0 * np.exp(0.7j), 25)
+        u, v = build_state(spec), build_state(pi_shifted_spec(spec))
+        report = teleport_enhanced(q, spec, retilde=retilde)
+    else:
+        u, v = build_state(squeezed_spec(0.6, 42)), build_state(squeezed_spec(-0.6, 42))
+        report = teleport_basic(q, squeezed_spec(0.6, 42), squeezed_spec(-0.6, 42),
+                                retilde=retilde)
+    sent = encode_qubit(q, u, v, tilde=True)
+    return report, split_and_count(sent, resource_from_states(u, v, "phi_minus"))
+
+
+def _scissors_case():
+    state = build_state(explicit_spec([0.3, 0.5j, -0.4, 0.2 + 0.3j, 0.5, -0.3j]))
+    report = quantum_scissors(state, 1, 3)
+    resource = resource_from_states(build_state(number_spec(1, 3)),
+                                    build_state(number_spec(3, 3)), "phi_minus")
+    return report, split_and_count(phase_shift(state, math.pi / 2), resource)
+
+
+RECEIVER_CASES = {
+    "basic": lambda: _teleport_case(False, False),
+    "basic_retilde": lambda: _teleport_case(False, True),
+    "enhanced": lambda: _teleport_case(True, False),
+    "enhanced_retilde": lambda: _teleport_case(True, True),
+    "scissors": _scissors_case,
+}
+
+
+class TestReceiverContract:
+    """Each record's corrected receiver is its own finite, normalized,
+    read-only state: its kernel receiver shifted by its own correction."""
+
+    @pytest.mark.parametrize("name", sorted(RECEIVER_CASES))
+    def test_finite_normalized_read_only(self, name):
+        report, _ = RECEIVER_CASES[name]()
+        for o in report.outcomes:
+            amps = o.corrected_post_state.amplitudes
+            assert np.all(np.isfinite(amps))
+            assert o.corrected_post_state.norm_squared() == pytest.approx(1.0, abs=1e-12)
+            assert not amps.flags.writeable
+            with pytest.raises(ValueError):
+                amps[0] = 0.0
+
+    @pytest.mark.parametrize("name", sorted(RECEIVER_CASES))
+    def test_each_row_carries_its_own_correction(self, name):
+        report, records = RECEIVER_CASES[name]()
+        reference = {r.counts: r for r in records}
+        assert [o.counts for o in report.outcomes] == [r.counts for r in records]
+        phases_by_total = {}
+        for o in report.outcomes:
+            phases_by_total.setdefault(sum(o.counts), set()).add(o.correction_phase)
+            back = o.corrected_post_state
+            if o.correction_phase is not None:
+                back = phase_shift(back, -o.correction_phase)
+            want = reference[o.counts]
+            scale = math.sqrt(o.probability)
+            np.testing.assert_allclose(back.amplitudes * scale,
+                                       want.receiver.amplitudes * scale, rtol=0, atol=1e-14)
+            if o.probability >= 1e-6:
+                np.testing.assert_allclose(back.amplitudes, want.receiver.amplitudes,
+                                           rtol=0, atol=1e-12)
+        # some photon total mixes records of different correction phases
+        assert max(len(phases) for phases in phases_by_total.values()) >= 2

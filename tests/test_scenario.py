@@ -272,6 +272,17 @@ class TestCli:
         assert abs(value - 0.5) < 1e-9
 
 
+class TestLargeSqueezing:
+    @pytest.mark.parametrize("r", [800.0, -800.0])
+    def test_run_reports_typed_truncation_error(self, tmp_path, capsys, r):
+        path, out = tmp_path / "scenario.json", tmp_path / "results.json"
+        path.write_text(json.dumps(dict(FACTS_DOC, u=dict(FACTS_DOC["u"], r=r))))
+        assert main(["run", "--scenario", str(path), "--out", str(out), "--quiet"]) == 3
+        err = capsys.readouterr().err
+        assert "TruncationTooSevere" in err and "OverflowError" not in err
+        assert json.loads(out.read_text())["error"]["type"] == "TruncationTooSevere"
+
+
 class TestNonFiniteNumbers:
     # Python's json parses NaN and Infinity; no scenario field takes them
     def write(self, tmp_path, doc):

@@ -282,6 +282,17 @@ class TestLargePhotonNumbers:
         with pytest.raises(TruncationTooSevere):
             build_state(coherent_spec(40, 1000))
 
+    @pytest.mark.parametrize("r", [400.0, 800.0, -800.0])
+    def test_squeezing_beyond_cosh_overflow_is_refused(self, r):
+        # cosh r overflows above |r| ~ 710; the refusal must stay typed
+        with pytest.raises(TruncationTooSevere):
+            build_state(squeezed_spec(r, 10))
+
+    @pytest.mark.parametrize("r", [1e-8, 0.01, 0.5, -1.5])
+    def test_squeezed_vacuum_amplitude_is_sech_root(self, r):
+        amp = build_state(squeezed_spec(r, 400)).amplitudes[0]
+        assert amp == pytest.approx(1.0 / math.sqrt(math.cosh(r)), rel=1e-15, abs=0)
+
 
 class TestTailBelowRounding:
     def test_coherent_tail_matches_log_space_poisson_remainder(self):
