@@ -116,8 +116,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_PARSER: argparse.ArgumentParser | None = None
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    global _PARSER
+    if _PARSER is None:  # built once per process; parsing leaves it unchanged
+        _PARSER = build_parser()
+    args = _PARSER.parse_args(argv)
     try:
         return args.func(args)
     except Exception as exc:  # anything unclassified is an internal error

@@ -4,12 +4,12 @@ Single modes are dense complex vectors indexed by photon number.  Multimode
 states are sparse maps from occupation tuples to amplitudes, because the
 operations in this package (beamsplitters, projections) conserve total photon
 number and never densely fill the product space.  The package's own paths
-build no multimode state beyond a two-mode resource (``resource_from_states``
-for the entropy, ``psi (x) |0>`` for the parity facts):
-``measurement.split_and_count`` reads it as a dense matrix one photon-total
-block at a time, and ``entanglement_entropy`` decomposes it.  The protocols
-build none at all: they pass their rank-2 resources as two narrow factors.
-The sparse
+build no multimode state beyond the entropy scenario's two-mode resource
+(``resource_from_states``), which ``entanglement_entropy`` decomposes.  The
+protocols and the parity facts build none at all: they pass their resources
+to the counting kernel as narrow factors (rank 2, and rank 1 for the facts'
+``psi (x) |0>``).  ``measurement.split_and_count``, which reads a two-mode
+state as a dense matrix, is called only by the tests.  The sparse
 multimode operations (``prepend_mode``, ``optics.beamsplitter_5050``,
 ``measurement.measure_modes``, ``optics.bipartite_coefficients``) stay public
 for direct use, the demos, and as the references the kernel is tested

@@ -133,7 +133,7 @@ def split_with_phase_shifted(
     probability in output A is exactly zero; with ``phi`` orthogonal to
     ``psi`` it is exactly one half.  The sparse result keeps amplitudes down
     to ``SPARSITY_FLOOR``; the facts scenarios count the same split with
-    ``split_and_count``, and the tests keep this as the sparse reference.
+    the counting kernel, and the tests keep this as the sparse reference.
     """
     shifted = phase_shift(phi if phi is not None else psi, math.pi / 2)
     return beamsplitter_5050(tensor(shifted, psi), 0, 1)

@@ -2,7 +2,14 @@
 
 Scenarios and results are plain JSON.  Numbers pass through Python's float
 repr, which preserves 15-17 significant digits, so a run is reproducible
-bit-for-bit from its results file.
+bit-for-bit from its results file.  A results document is laid out exactly as
+``json.dumps(document, indent=2, sort_keys=True)`` lays it out; its
+``outcomes`` rows, which are most of it, are written with one fixed template.
+
+The heralded protocols' rows are their reports' records.  The parity facts
+count ``psi`` and ``phi`` against the rank-1 resource ``psi (x) |0>`` with
+the protocols' kernel (``measurement._count_factored``), and rows are built
+straight from each photon total's arrays.
 """
 
 from __future__ import annotations
@@ -10,14 +17,17 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii
+
+import numpy as np
 
 from . import __version__
 from .errors import SchemaError
-from .fock import SingleModeState, inner_product, tensor
+from .fock import inner_product
 from .measurement import (
     CountDistribution,
     DetectorModel,
-    split_and_count,
+    _count_factored,
     thinned_distribution,
     total_variation_distance,
 )
@@ -127,7 +137,18 @@ class ResultsDocument:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
+        """``json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\\n"``,
+        byte for byte: the stdlib lays out all but the outcomes, whose rows
+        ``_rows_json`` writes in place of the empty list."""
+        document = self.to_dict()
+        document["outcomes"] = []
+        text = json.dumps(document, indent=2, sort_keys=True) + "\n"
+        if not self.outcomes:
+            return text
+        # "outcomes" is a top-level key, the only one indented by two spaces,
+        # and "scenario" follows it
+        return text.replace('\n  "outcomes": [],\n',
+                            f'\n  "outcomes": {_rows_json(self.outcomes)},\n', 1)
 
 
 def _is_finite_number(value) -> bool:
@@ -393,6 +414,42 @@ def _row(counts, probability, classification, fidelity=None, correction_phase=No
             "fidelity": fidelity, "correction_phase": correction_phase}
 
 
+# one ``_row``, with its two counts, at depth 2 of an indent=2 document, keys sorted
+_ROW_TEMPLATE = (
+    '    {\n'
+    '      "classification": %s,\n'
+    '      "correction_phase": %s,\n'
+    '      "counts": [\n'
+    '        %d,\n'
+    '        %d\n'
+    '      ],\n'
+    '      "fidelity": %s,\n'
+    '      "probability": %s\n'
+    '    }'
+)
+
+
+def _json_float(value) -> str:
+    """A float, or None, as ``json`` writes it."""
+    if value is None:
+        return "null"
+    if math.isfinite(value):
+        return float.__repr__(value)
+    if value != value:
+        return "NaN"
+    return "Infinity" if value > 0 else "-Infinity"
+
+
+def _rows_json(rows: list) -> str:
+    """The non-empty outcomes list as ``json.dumps`` writes it at depth 1."""
+    body = ",\n".join([
+        _ROW_TEMPLATE % (encode_basestring_ascii(row["classification"]),
+                         _json_float(row["correction_phase"]), *row["counts"],
+                         _json_float(row["fidelity"]), _json_float(row["probability"]))
+        for row in rows])
+    return f"[\n{body}\n  ]"
+
+
 def _outcome_rows(report: ProtocolReport) -> list:
     return [_row(o.counts, o.probability, o.classification, o.fidelity_to_target,
                  o.correction_phase) for o in report.outcomes]
@@ -461,28 +518,38 @@ def _heralded_results(s: Scenario) -> ResultsDocument:
     )
 
 
+def _parity_rows(sent, psi) -> list:
+    """Every record of ``sent`` split against the resource psi (x) |0>, whose
+    receiver stays in vacuum, as rows sorted by counts."""
+    blocks = _count_factored(sent, psi.amplitudes[:, None], np.ones((1, 1)))
+    rows = [_row((a, total - a), p, "odd_count_a" if a % 2 else "even_count_a")
+            for total, na, probs, _ in blocks for a, p in zip(na.tolist(), probs.tolist())]
+    rows.sort(key=lambda row: row["counts"])
+    return rows
+
+
+def _odd_probability(rows: list) -> float:
+    return sum(row["probability"] for row in rows if row["classification"] == "odd_count_a")
+
+
 def _facts_results(s: Scenario) -> ResultsDocument:
     # each fact sends the shifted x = psi or phi through the heralded split
-    # with the resource psi (x) |0>, whose receiver stays in vacuum
     psi = build_state(s.u)
-    resource = tensor(psi, SingleModeState([1.0]))
-    rows = [_row(r.counts, r.probability, "odd_count_a" if r.counts[0] % 2 else "even_count_a")
-            for r in split_and_count(phase_shift(psi, math.pi / 2), resource)]
-    p_odd_1 = sum(r["probability"] for r in rows if r["classification"] == "odd_count_a")
-    aggregates: dict = {"fact1_odd_parity_mode_a": p_odd_1}
-    checks = [_check("fact1_odd_parity_mode_a", 0.0, p_odd_1, s.tolerances.probability)]
     audits = {"u": {"cutoff": psi.cutoff, "tail_mass": psi.tail_mass}}
     if s.v is not None:
         phi = build_state(s.v)
         overlap = inner_product(psi, phi)
         if abs(overlap) > 1e-10:
             raise ValueError(f"v: must be orthogonal to u for the 50% check (|<u|v>| = {abs(overlap):.3e})")
-        p_odd_2 = sum(r.probability
-                      for r in split_and_count(phase_shift(phi, math.pi / 2), resource)
-                      if r.counts[0] % 2)
+        audits["v"] = {"cutoff": phi.cutoff, "tail_mass": phi.tail_mass}
+    rows = _parity_rows(phase_shift(psi, math.pi / 2), psi)
+    p_odd_1 = _odd_probability(rows)
+    aggregates: dict = {"fact1_odd_parity_mode_a": p_odd_1}
+    checks = [_check("fact1_odd_parity_mode_a", 0.0, p_odd_1, s.tolerances.probability)]
+    if s.v is not None:
+        p_odd_2 = _odd_probability(_parity_rows(phase_shift(phi, math.pi / 2), psi))
         aggregates["fact2_odd_parity_mode_a"] = p_odd_2
         checks.append(_check("fact2_odd_parity_mode_a", 0.5, p_odd_2, s.tolerances.probability))
-        audits["v"] = {"cutoff": phi.cutoff, "tail_mass": phi.tail_mass}
     if s.detector_efficiency is not None:
         aggregates["detector"] = _detector_aggregates(rows, s.detector_efficiency)
     return ResultsDocument(

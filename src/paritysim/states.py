@@ -197,9 +197,16 @@ def build_state(spec: StateSpec) -> SingleModeState:
     else:  # squeezed_vacuum
         # support on even levels only; amplitude ratio between consecutive
         # even levels is -tanh(r) sqrt(2k+1)/sqrt(2k+2)
+        t = math.tanh(spec.r)
+        if abs(t) == 1.0:
+            # |r| >~ 19.1: the weight ratio t^2 (2k+1)/(2k+2) tends to 1, the
+            # kept weight grows only like sqrt(cutoff) sech r
+            raise TruncationTooSevere(
+                f"squeezing r = {spec.r!r} is too large for any truncated basis: "
+                f"tanh r rounds to 1, so no cutoff holds the state"
+            )
         log_cosh = _log_cosh(spec.r)
         amps[0] = math.exp(-0.5 * log_cosh)
-        t = math.tanh(spec.r)
         for k in range(spec.cutoff // 2):
             if 2 * k + 2 > spec.cutoff:
                 break

@@ -11,9 +11,10 @@ from paritysim import (
     split_with_phase_shifted,
     validate_scenario,
 )
+from paritysim import cli
 from paritysim.cli import main
 from paritysim.measurement import OUTCOME_FLOOR
-from paritysim.scenario import MAX_CUTOFF
+from paritysim.scenario import MAX_CUTOFF, ResultsDocument
 
 DEMO_SCENARIOS = Path(__file__).resolve().parent.parent / "demos" / "scenarios"
 
@@ -397,3 +398,98 @@ class TestMaxCutoff:
         pair = [1.0 / (MAX_CUTOFF + 1) ** 0.5, 0.0]
         doc = dict(SCISSORS_DOC, input_coefficients=[pair] * (MAX_CUTOFF + 1))
         assert self.validate(tmp_path, doc) == 0
+
+
+def stdlib_json(results) -> str:
+    return json.dumps(results.to_dict(), indent=2, sort_keys=True) + "\n"
+
+
+class TestJsonLayout:
+    # to_json writes the outcome rows itself; every document must still be
+    # the stdlib's indent=2, sort_keys encoding byte for byte
+
+    @pytest.mark.parametrize("path", sorted(DEMO_SCENARIOS.glob("*.json")), ids=lambda p: p.stem)
+    def test_demo_documents(self, path):
+        results = run_scenario(validate_scenario(json.loads(path.read_text())))
+        assert results.to_json() == stdlib_json(results)
+
+    def test_facts_rows_with_null_fidelity_and_phase(self):
+        results = run_scenario(validate_scenario(dict(FACTS_DOC, detector_efficiency=0.8)))
+        assert results.outcomes
+        assert all(row["fidelity"] is None and row["correction_phase"] is None
+                   for row in results.outcomes)
+        assert results.to_json() == stdlib_json(results)
+
+    def test_entropy_document_with_empty_outcomes(self):
+        results = run_scenario(validate_scenario(ENTROPY_DOC))
+        assert results.outcomes == []
+        assert '"outcomes": [],' in results.to_json()
+        assert results.to_json() == stdlib_json(results)
+
+    def test_lossy_teleport_document(self):
+        results = run_scenario(validate_scenario(dict(ENHANCED_DOC, detector_efficiency=0.7)))
+        assert "detector" in results.aggregates
+        assert results.to_json() == stdlib_json(results)
+
+    def test_hand_built_rows(self):
+        nan, inf = float("nan"), float("inf")
+        values = [-0.0, 5e-324, 1e16, 1e-7, nan, inf, -inf, 0.1, None]
+        rows = [{"counts": [i, 2 * i + 1], "probability": values[i % len(values)],
+                 "classification": ("success", "odd \"A\"", "caf\u00e9\n")[i % 3],
+                 "fidelity": values[(i + 3) % len(values)],
+                 "correction_phase": values[(i + 5) % len(values)]}
+                for i in range(2 * len(values))]
+        results = ResultsDocument(scenario={"protocol": "teleport_basic"}, outcomes=rows,
+                                  aggregates={"success_probability": nan}, environment={},
+                                  checks=[])
+        text = results.to_json()
+        assert text == stdlib_json(results)
+        for literal in ("-0.0", "5e-324", "1e+16", "1e-07", "NaN", "Infinity", "-Infinity", "null"):
+            assert literal in text
+
+
+class TestParserReuse:
+    # main builds its parser once per process; a call must not see what an
+    # earlier call parsed
+
+    def call(self, capsys, argv):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = f"SystemExit({exc.code})"
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    def test_calls_in_sequence_match_first_calls(self, tmp_path, capsys, monkeypatch):
+        scenario, invalid = tmp_path / "scenario.json", tmp_path / "invalid.json"
+        scenario.write_text(json.dumps(BASIC_DOC))
+        invalid.write_text(json.dumps(dict(SCISSORS_DOC, scissors_m=0)))
+        steps = [
+            ["run", "--scenario", str(scenario)],
+            ["run", "--scenario", str(scenario), "--quiet"],
+            ["run", "--scenario", str(scenario)],
+            ["validate", "--scenario", str(invalid)],
+            ["run"],
+            ["list-protocols"],
+        ]
+        first = []
+        for argv in steps:
+            monkeypatch.setattr(cli, "_PARSER", None, raising=False)
+            first.append(self.call(capsys, argv))
+
+        builds = []
+        build_parser = cli.build_parser
+        monkeypatch.setattr(cli, "build_parser", lambda: builds.append(1) or build_parser())
+        monkeypatch.setattr(cli, "_PARSER", None, raising=False)
+        again = [self.call(capsys, argv) for argv in steps]
+        assert again == first
+        assert len(builds) == 1
+
+        codes = [code for code, _, _ in again]
+        assert codes == [0, 0, 0, 2, "SystemExit(2)", 0]
+        summary = again[0][1]
+        assert summary.startswith("teleport_basic: checks 2/2 passed")
+        assert again[1][1] == "" and again[2][1] == summary
+        assert "scissors_n, scissors_m" in again[3][2]
+        assert "--scenario" in again[4][2]
+        assert again[5][1].split() == list(cli.PROTOCOLS)

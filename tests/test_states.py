@@ -288,6 +288,16 @@ class TestLargePhotonNumbers:
         with pytest.raises(TruncationTooSevere):
             build_state(squeezed_spec(r, 10))
 
+    @pytest.mark.parametrize("r", [19.1, 20.0, -20.0, 800.0])
+    def test_squeezing_beyond_any_basis_names_r(self, r):
+        # tanh r rounds to 1: raising the cutoff cannot help, and the
+        # message must not advise it
+        with pytest.raises(TruncationTooSevere) as info:
+            build_state(squeezed_spec(r, 400))
+        message = str(info.value)
+        assert f"r = {r!r}" in message and "too large for any truncated basis" in message
+        assert "raise the cutoff" not in message
+
     @pytest.mark.parametrize("r", [1e-8, 0.01, 0.5, -1.5])
     def test_squeezed_vacuum_amplitude_is_sech_root(self, r):
         amp = build_state(squeezed_spec(r, 400)).amplitudes[0]
