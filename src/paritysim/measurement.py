@@ -50,9 +50,6 @@ class CountDistribution:
     def odd_probability(self) -> float:
         return sum(p for n, p in self.probabilities.items() if n % 2 == 1)
 
-    def even_probability(self) -> float:
-        return sum(p for n, p in self.probabilities.items() if n % 2 == 0)
-
     def max_count(self) -> int:
         return max(self.probabilities, default=0)
 

@@ -177,19 +177,14 @@ def _two_mode_substitution(
     return MultiModeState(state.mode_count, state.per_mode_cutoff, out)
 
 
-def beamsplitter_5050(
-    state: MultiModeState, mode_a: int, mode_b: int, swap_ports: bool = False
-) -> MultiModeState:
+def beamsplitter_5050(state: MultiModeState, mode_a: int, mode_b: int) -> MultiModeState:
     """Apply the fixed-convention 50/50 beamsplitter to two modes.
 
     ``mode_a`` feeds input port 1 and receives output port A; ``mode_b``
-    feeds port 2 and receives B.  ``swap_ports`` interchanges the two roles
-    (the parity guarantees then attach to the other slot).  Norm and the
-    total photon number in the pair are preserved; CutoffOverflow is raised
-    instead of silently truncating when the output would not fit.
+    feeds port 2 and receives B.  Norm and the total photon number in the
+    pair are preserved; CutoffOverflow is raised instead of silently
+    truncating when the output would not fit.
     """
-    if swap_ports:
-        mode_a, mode_b = mode_b, mode_a
     return _two_mode_substitution(state, mode_a, mode_b, _FORWARD)
 
 

@@ -196,9 +196,14 @@ def _run_heralded(protocol: str, sent: SingleModeState, factors: tuple,
         success_probability=success_prob,
         mean_conditional_fidelity=(weighted_fidelity / success_prob) if success_prob > 0 else None,
         total_probability=total_prob,
-        state_audits={name: {"cutoff": state.cutoff, "tail_mass": state.tail_mass}
-                      for name, state in audits.items()},
+        state_audits=_state_audits(audits),
     )
+
+
+def _state_audits(states: dict) -> dict:
+    """The cutoff and truncation tail of each named single-mode state."""
+    return {name: {"cutoff": state.cutoff, "tail_mass": state.tail_mass}
+            for name, state in states.items()}
 
 
 def _basic_rule(quarter: float):

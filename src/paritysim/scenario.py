@@ -6,10 +6,15 @@ bit-for-bit from its results file.  A results document is laid out exactly as
 ``json.dumps(document, indent=2, sort_keys=True)`` lays it out; its
 ``outcomes`` rows, which are most of it, are written with one fixed template.
 
-The heralded protocols' rows are their reports' records.  The parity facts
-count ``psi`` and ``phi`` against the rank-1 resource ``psi (x) |0>`` with
-the protocols' kernel (``measurement._count_factored``), and rows are built
-straight from each photon total's arrays.
+The schema is two tables: ``_FIELDS`` gives each protocol's required and
+optional fields, ``_STATE_PARAMETERS`` each state kind's parameters.  Every
+protocol's results come from one builder: a per-protocol function yields the
+outcome rows, aggregates, checks and state audits, and ``run_scenario`` adds
+the detector aggregates and builds the document.  The heralded protocols'
+rows are their reports' records.  The parity facts count ``psi`` and ``phi``
+against the rank-1 resource ``psi (x) |0>`` with the protocols' kernel
+(``measurement._count_factored``), and rows are built straight from each
+photon total's arrays.
 """
 
 from __future__ import annotations
@@ -33,13 +38,15 @@ from .measurement import (
 )
 from .optics import phase_shift
 from .protocols import (
-    ProtocolReport,
+    _state_audits,
     entanglement_entropy,
     quantum_scissors,
     teleport_basic,
     teleport_enhanced,
 )
 from .states import (
+    RESOURCE_KINDS,
+    STATE_KINDS,
     QubitAmplitudes,
     StateSpec,
     build_state,
@@ -47,13 +54,19 @@ from .states import (
     resource_from_states,
 )
 
-PROTOCOLS = (
-    "teleport_basic",
-    "teleport_enhanced",
-    "quantum_scissors",
-    "facts_check",
-    "entropy",
-)
+#: Each protocol's fields besides ``protocol`` and ``tolerances``, which all
+#: take: the required ones, then the optional ones.  ``list-protocols`` prints
+#: the protocols in this order.
+_FIELDS = {
+    "teleport_basic": (("u", "v", "qubit"), ("retilde", "detector_efficiency")),
+    "teleport_enhanced": (("u", "qubit"), ("retilde", "detector_efficiency")),
+    "quantum_scissors": (("scissors_n", "scissors_m", "input_coefficients"),
+                         ("detector_efficiency",)),
+    "facts_check": (("u",), ("v", "detector_efficiency")),
+    "entropy": (("u", "v"), ("resource_kind",)),
+}
+
+PROTOCOLS = tuple(_FIELDS)
 
 #: Largest photon number a scenario may name: a state's ``cutoff``,
 #: ``scissors_n`` or ``scissors_m`` (and at most MAX_CUTOFF + 1
@@ -61,25 +74,16 @@ PROTOCOLS = (
 #: whose beamsplitter blocks take about 8 (2 MAX_CUTOFF)^3 / 3 bytes, 1.3 GiB.
 MAX_CUTOFF = 400
 
-_STATE_KEYS = {"kind", "alpha_re", "alpha_im", "r", "n", "coefficients", "cutoff", "tail_tolerance"}
-
-# fields each protocol consumes; tolerances is always allowed
-_ALLOWED_KEYS = {
-    "teleport_basic": {"protocol", "u", "v", "qubit", "retilde", "detector_efficiency", "tolerances"},
-    "teleport_enhanced": {"protocol", "u", "qubit", "retilde", "detector_efficiency", "tolerances"},
-    "quantum_scissors": {"protocol", "scissors_n", "scissors_m", "input_coefficients",
-                         "detector_efficiency", "tolerances"},
-    "facts_check": {"protocol", "u", "v", "detector_efficiency", "tolerances"},
-    "entropy": {"protocol", "u", "v", "resource_kind", "tolerances"},
+#: Each state kind's parameter, then its optional ones: a coherent state's
+#: alpha is ``alpha_re`` and ``alpha_im``, which defaults to 0.
+_STATE_PARAMETERS = {
+    "coherent": ("alpha_re", "alpha_im"),
+    "squeezed_vacuum": ("r",),
+    "number": ("n",),
+    "explicit": ("coefficients",),
 }
 
-_REQUIRED_KEYS = {
-    "teleport_basic": ("u", "v", "qubit"),
-    "teleport_enhanced": ("u", "qubit"),
-    "quantum_scissors": ("scissors_n", "scissors_m", "input_coefficients"),
-    "facts_check": ("u",),
-    "entropy": ("u", "v"),
-}
+_PARAMETER_KEYS = set().union(*_STATE_PARAMETERS.values())
 
 
 @dataclass(frozen=True)
@@ -200,12 +204,11 @@ def _parse_state_spec(obj, path: str, errors: list) -> StateSpec | None:
         if not isinstance(obj, dict):
             local.append((path, "expected an object"))
             return None
-        for key in sorted(set(obj) - _STATE_KEYS):
+        for key in sorted(set(obj) - _PARAMETER_KEYS - {"kind", "cutoff", "tail_tolerance"}):
             local.append((f"{path}.{key}", "unknown field"))
         kind = obj.get("kind")
-        if kind not in ("coherent", "squeezed_vacuum", "number", "explicit"):
-            local.append((f"{path}.kind",
-                          f"expected one of coherent, squeezed_vacuum, number, explicit; got {kind!r}"))
+        if kind not in STATE_KINDS:  # a tuple: an unhashable kind is just not in it
+            local.append((f"{path}.kind", f"expected one of {', '.join(STATE_KINDS)}; got {kind!r}"))
             return None
         if "cutoff" not in obj:
             local.append((f"{path}.cutoff", "required field is missing"))
@@ -213,43 +216,24 @@ def _parse_state_spec(obj, path: str, errors: list) -> StateSpec | None:
         cutoff = _photon_number(obj["cutoff"], f"{path}.cutoff", local)
         tail = _number(obj.get("tail_tolerance", 1e-12), f"{path}.tail_tolerance", local)
 
-        required = {"coherent": ("alpha_re",), "squeezed_vacuum": ("r",),
-                    "number": ("n",), "explicit": ("coefficients",)}[kind]
-        allowed = {"coherent": {"alpha_re", "alpha_im"}, "squeezed_vacuum": {"r"},
-                   "number": {"n"}, "explicit": {"coefficients"}}[kind]
-        present = set(obj) & {"alpha_re", "alpha_im", "r", "n", "coefficients"}
-        for key in required:
-            if key not in obj:
-                local.append((f"{path}.{key}", f"required for kind {kind!r}"))
-        for key in sorted(present - allowed):
+        parameters = _STATE_PARAMETERS[kind]
+        if parameters[0] not in obj:
+            local.append((f"{path}.{parameters[0]}", f"required for kind {kind!r}"))
+        for key in sorted(set(obj) & _PARAMETER_KEYS - set(parameters)):
             local.append((f"{path}.{key}", f"not a parameter of kind {kind!r}"))
         if local:
             return None
 
-        kwargs = {}
-        if kind == "coherent":
-            re = _number(obj["alpha_re"], f"{path}.alpha_re", local)
-            im = _number(obj.get("alpha_im", 0.0), f"{path}.alpha_im", local)
-            if local:
-                return None
-            kwargs["alpha"] = complex(re, im)
-        elif kind == "squeezed_vacuum":
-            r = _number(obj["r"], f"{path}.r", local)
-            if local:
-                return None
-            kwargs["r"] = float(r)
-        elif kind == "number":
-            n = _number(obj["n"], f"{path}.n", local, integer=True)
-            if local:
-                return None
-            kwargs["n"] = n
+        if kind == "explicit":
+            values = [_parse_complex_pairs(obj["coefficients"], f"{path}.coefficients", local)]
         else:
-            coeffs = _parse_complex_pairs(obj["coefficients"], f"{path}.coefficients", local)
-            if local:
-                return None
-            kwargs["coefficients"] = coeffs
+            values = [_number(obj.get(key, 0.0), f"{path}.{key}", local, integer=kind == "number")
+                      for key in parameters]
+        if local:
+            return None
+        parameter = {"alpha": complex(*values)} if kind == "coherent" else {parameters[0]: values[0]}
         try:
-            return StateSpec(kind=kind, cutoff=cutoff, tail_tolerance=float(tail), **kwargs)
+            return StateSpec(kind=kind, cutoff=cutoff, tail_tolerance=float(tail), **parameter)
         except ValueError as exc:
             local.append((path, str(exc)))
             return None
@@ -258,17 +242,15 @@ def _parse_state_spec(obj, path: str, errors: list) -> StateSpec | None:
 
 
 def state_spec_to_wire(spec: StateSpec) -> dict:
-    out = {"kind": spec.kind, "cutoff": spec.cutoff, "tail_tolerance": spec.tail_tolerance}
+    parameters = _STATE_PARAMETERS[spec.kind]
     if spec.kind == "coherent":
-        out["alpha_re"] = spec.alpha.real
-        out["alpha_im"] = spec.alpha.imag
-    elif spec.kind == "squeezed_vacuum":
-        out["r"] = spec.r
-    elif spec.kind == "number":
-        out["n"] = spec.n
+        values = (spec.alpha.real, spec.alpha.imag)
+    elif spec.kind == "explicit":
+        values = ([[c.real, c.imag] for c in spec.coefficients],)
     else:
-        out["coefficients"] = [[c.real, c.imag] for c in spec.coefficients]
-    return out
+        values = (getattr(spec, parameters[0]),)
+    return {"kind": spec.kind, "cutoff": spec.cutoff, "tail_tolerance": spec.tail_tolerance,
+            **dict(zip(parameters, values))}
 
 
 def scenario_to_wire(s: Scenario) -> dict:
@@ -284,9 +266,10 @@ def scenario_to_wire(s: Scenario) -> dict:
         out["scissors_n"] = s.scissors_n
         out["scissors_m"] = s.scissors_m
         out["input_coefficients"] = [[c.real, c.imag] for c in s.input_coefficients]
-    if s.protocol in ("teleport_basic", "teleport_enhanced"):
+    optional = _FIELDS[s.protocol][1]
+    if "retilde" in optional:
         out["retilde"] = s.retilde
-    if s.protocol == "entropy":
+    if "resource_kind" in optional:
         out["resource_kind"] = s.resource_kind
     if s.detector_efficiency is not None:
         out["detector_efficiency"] = s.detector_efficiency
@@ -307,13 +290,13 @@ def validate_scenario(document: dict) -> Scenario:
         raise SchemaError("$", "scenario must be a JSON object")
     errors: list[tuple[str, str]] = []
     protocol = document.get("protocol")
-    if protocol not in PROTOCOLS:
+    if protocol not in PROTOCOLS:  # a tuple, like STATE_KINDS below
         raise SchemaError("protocol", f"expected one of {', '.join(PROTOCOLS)}; got {protocol!r}")
 
-    allowed = _ALLOWED_KEYS[protocol]
-    for key in sorted(set(document) - allowed):
+    required, optional = _FIELDS[protocol]
+    for key in sorted(set(document) - {"protocol", "tolerances", *required, *optional}):
         errors.append((key, f"not a field of protocol {protocol!r}"))
-    for key in _REQUIRED_KEYS[protocol]:
+    for key in required:
         if key not in document:
             errors.append((key, "required field is missing"))
     if errors:
@@ -346,8 +329,8 @@ def validate_scenario(document: dict) -> Scenario:
     if not isinstance(retilde, bool):
         errors.append(("retilde", "expected a boolean"))
     resource_kind = document.get("resource_kind", "phi_minus")
-    if resource_kind not in ("psi_minus", "phi_minus"):
-        errors.append(("resource_kind", "expected psi_minus or phi_minus"))
+    if resource_kind not in RESOURCE_KINDS:
+        errors.append(("resource_kind", f"expected {' or '.join(RESOURCE_KINDS)}"))
 
     efficiency = document.get("detector_efficiency")
     if efficiency is not None:
@@ -450,15 +433,6 @@ def _rows_json(rows: list) -> str:
     return f"[\n{body}\n  ]"
 
 
-def _outcome_rows(report: ProtocolReport) -> list:
-    return [_row(o.counts, o.probability, o.classification, o.fidelity_to_target,
-                 o.correction_phase) for o in report.outcomes]
-
-
-def _environment(audits: dict) -> dict:
-    return {"version": __version__, "states": audits}
-
-
 def _marginal(rows: list, index: int) -> CountDistribution:
     probs: dict[int, float] = {}
     for row in rows:
@@ -481,7 +455,7 @@ def _detector_aggregates(rows: list, efficiency: float) -> dict:
     return out
 
 
-def _heralded_results(s: Scenario) -> ResultsDocument:
+def _heralded_results(s: Scenario) -> tuple:
     if s.protocol == "teleport_basic":
         report = teleport_basic(s.qubit, s.u, s.v, retilde=s.retilde)
         nominal = 0.25
@@ -496,7 +470,8 @@ def _heralded_results(s: Scenario) -> ResultsDocument:
             if n <= state.cutoff:
                 kept += float(abs(state.amplitudes[n]) ** 2)
         nominal = kept / 2.0
-    rows = _outcome_rows(report)
+    rows = [_row(o.counts, o.probability, o.classification, o.fidelity_to_target,
+                 o.correction_phase) for o in report.outcomes]
     checks = [
         _check("success_probability", nominal, report.success_probability,
                s.tolerances.probability),
@@ -507,15 +482,7 @@ def _heralded_results(s: Scenario) -> ResultsDocument:
         "success_probability": report.success_probability,
         "mean_conditional_fidelity": report.mean_conditional_fidelity,
     }
-    if s.detector_efficiency is not None:
-        aggregates["detector"] = _detector_aggregates(rows, s.detector_efficiency)
-    return ResultsDocument(
-        scenario=scenario_to_wire(s),
-        outcomes=rows,
-        aggregates=aggregates,
-        environment=_environment(report.state_audits),
-        checks=checks,
-    )
+    return rows, aggregates, checks, report.state_audits
 
 
 def _parity_rows(sent, psi) -> list:
@@ -532,16 +499,16 @@ def _odd_probability(rows: list) -> float:
     return sum(row["probability"] for row in rows if row["classification"] == "odd_count_a")
 
 
-def _facts_results(s: Scenario) -> ResultsDocument:
+def _facts_results(s: Scenario) -> tuple:
     # each fact sends the shifted x = psi or phi through the heralded split
     psi = build_state(s.u)
-    audits = {"u": {"cutoff": psi.cutoff, "tail_mass": psi.tail_mass}}
+    states = {"u": psi}
     if s.v is not None:
         phi = build_state(s.v)
         overlap = inner_product(psi, phi)
         if abs(overlap) > 1e-10:
             raise ValueError(f"v: must be orthogonal to u for the 50% check (|<u|v>| = {abs(overlap):.3e})")
-        audits["v"] = {"cutoff": phi.cutoff, "tail_mass": phi.tail_mass}
+        states["v"] = phi
     rows = _parity_rows(phase_shift(psi, math.pi / 2), psi)
     p_odd_1 = _odd_probability(rows)
     aggregates: dict = {"fact1_odd_parity_mode_a": p_odd_1}
@@ -550,32 +517,15 @@ def _facts_results(s: Scenario) -> ResultsDocument:
         p_odd_2 = _odd_probability(_parity_rows(phase_shift(phi, math.pi / 2), psi))
         aggregates["fact2_odd_parity_mode_a"] = p_odd_2
         checks.append(_check("fact2_odd_parity_mode_a", 0.5, p_odd_2, s.tolerances.probability))
-    if s.detector_efficiency is not None:
-        aggregates["detector"] = _detector_aggregates(rows, s.detector_efficiency)
-    return ResultsDocument(
-        scenario=scenario_to_wire(s),
-        outcomes=rows,
-        aggregates=aggregates,
-        environment=_environment(audits),
-        checks=checks,
-    )
+    return rows, aggregates, checks, _state_audits(states)
 
 
-def _entropy_results(s: Scenario) -> ResultsDocument:
-    u = build_state(s.u)
-    v = build_state(s.v)
+def _entropy_results(s: Scenario) -> tuple:
+    u, v = build_state(s.u), build_state(s.v)
     entropy = entanglement_entropy(resource_from_states(u, v, s.resource_kind))
     checks = [_check("entanglement_entropy", 1.0, entropy, s.tolerances.probability)]
-    return ResultsDocument(
-        scenario=scenario_to_wire(s),
-        outcomes=[],
-        aggregates={"entanglement_entropy": entropy, "resource_kind": s.resource_kind},
-        environment=_environment({
-            "u": {"cutoff": u.cutoff, "tail_mass": u.tail_mass},
-            "v": {"cutoff": v.cutoff, "tail_mass": v.tail_mass},
-        }),
-        checks=checks,
-    )
+    aggregates = {"entanglement_entropy": entropy, "resource_kind": s.resource_kind}
+    return [], aggregates, checks, _state_audits({"u": u, "v": v})
 
 
 def _check(name: str, target: float, actual: float, tolerance: float) -> ScenarioCheck:
@@ -595,8 +545,15 @@ def _check_at_least(name: str, target: float, actual: float, tolerance: float) -
 def run_scenario(s: Scenario) -> ResultsDocument:
     """Execute a validated scenario.  Deterministic: identical scenarios
     produce identical documents."""
-    if s.protocol == "facts_check":
-        return _facts_results(s)
-    if s.protocol == "entropy":
-        return _entropy_results(s)
-    return _heralded_results(s)
+    results = {"facts_check": _facts_results, "entropy": _entropy_results}.get(
+        s.protocol, _heralded_results)
+    rows, aggregates, checks, audits = results(s)
+    if s.detector_efficiency is not None:
+        aggregates["detector"] = _detector_aggregates(rows, s.detector_efficiency)
+    return ResultsDocument(
+        scenario=scenario_to_wire(s),
+        outcomes=rows,
+        aggregates=aggregates,
+        environment={"version": __version__, "states": audits},
+        checks=checks,
+    )

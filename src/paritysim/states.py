@@ -62,7 +62,15 @@ _LN2 = math.log(2.0)
 #: log of the smallest normal float: exp() below this loses precision, then underflows.
 _LOG_MIN_NORMAL = math.log(sys.float_info.min)
 
-STATE_KINDS = ("coherent", "squeezed_vacuum", "number", "explicit")
+#: |alpha| beyond which a coherent state's mean photon number |alpha|^2 exceeds
+#: every array index (~3.04e9), so no truncated basis can hold the state.
+_MAX_COHERENT_ABS = math.sqrt(sys.maxsize)
+
+#: Each state kind and the StateSpec field that is its one parameter.
+_SPEC_PARAMETER = {"coherent": "alpha", "squeezed_vacuum": "r", "number": "n",
+                   "explicit": "coefficients"}
+
+STATE_KINDS = tuple(_SPEC_PARAMETER)
 RESOURCE_KINDS = ("psi_minus", "phi_minus")
 
 
@@ -90,9 +98,8 @@ class StateSpec:
             raise ValueError("cutoff must be non-negative")
         if not (0.0 < self.tail_tolerance < 1.0):
             raise ValueError("tail_tolerance must lie in (0, 1)")
-        required = {"coherent": "alpha", "squeezed_vacuum": "r",
-                    "number": "n", "explicit": "coefficients"}[self.kind]
-        for name in ("alpha", "r", "n", "coefficients"):
+        required = _SPEC_PARAMETER[self.kind]
+        for name in _SPEC_PARAMETER.values():
             value = getattr(self, name)
             if name == required and value is None:
                 raise ValueError(f"kind {self.kind!r} requires {name}")
@@ -185,6 +192,13 @@ def build_state(spec: StateSpec) -> SingleModeState:
         amps /= np.sqrt(np.sum(np.abs(amps) ** 2))
         tail = 0.0
     elif spec.kind == "coherent":
+        # hypot, not abs(): abs() of a complex raises OverflowError near 1e308
+        if math.hypot(spec.alpha.real, spec.alpha.imag) > _MAX_COHERENT_ABS:
+            raise TruncationTooSevere(
+                f"coherent amplitude alpha = {spec.alpha!r} is too large for any truncated "
+                f"basis: the mean photon number |alpha|^2 exceeds every array index, so no "
+                f"cutoff holds the state"
+            )
         amps = _coherent_amplitudes(spec.alpha, spec.cutoff)
         # level n has the Poisson weight exp(-mean) mean^n / n!
         mean = abs(spec.alpha) ** 2

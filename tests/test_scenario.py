@@ -284,6 +284,24 @@ class TestLargeSqueezing:
         assert json.loads(out.read_text())["error"]["type"] == "TruncationTooSevere"
 
 
+class TestLargeCoherentAmplitude:
+    # validate accepts any finite alpha; run must refuse one that no basis
+    # holds with a typed error and an error document
+    @pytest.mark.parametrize("doc", [FACTS_DOC, ENHANCED_DOC], ids=["facts", "enhanced"])
+    @pytest.mark.parametrize("alpha_re", [1e10, 1e155])
+    def test_run_reports_typed_truncation_error(self, tmp_path, capsys, doc, alpha_re):
+        path, out = tmp_path / "scenario.json", tmp_path / "results.json"
+        path.write_text(json.dumps(dict(doc, u={"kind": "coherent", "alpha_re": alpha_re,
+                                                "cutoff": 40})))
+        assert main(["validate", "--scenario", str(path)]) == 0
+        assert main(["run", "--scenario", str(path), "--out", str(out), "--quiet"]) == 3
+        err = capsys.readouterr().err
+        assert "TruncationTooSevere" in err and "OverflowError" not in err
+        error = json.loads(out.read_text())["error"]
+        assert error["type"] == "TruncationTooSevere"
+        assert f"alpha = {complex(alpha_re)!r}" in error["message"]
+
+
 class TestNonFiniteNumbers:
     # Python's json parses NaN and Infinity; no scenario field takes them
     def write(self, tmp_path, doc):
@@ -493,3 +511,235 @@ class TestParserReuse:
         assert "scissors_n, scissors_m" in again[3][2]
         assert "--scenario" in again[4][2]
         assert again[5][1].split() == list(cli.PROTOCOLS)
+
+
+def _with_u(**state):
+    return dict(FACTS_DOC, u=state)
+
+
+_PROTOCOL_CHOICES = ("expected one of teleport_basic, teleport_enhanced, quantum_scissors, "
+                     "facts_check, entropy; got ")
+_KIND_CHOICES = "expected one of coherent, squeezed_vacuum, number, explicit; got "
+_QUBIT = "expected [re+, im+, re-, im-], four finite numbers"
+_TOLERANCES = "expected an object with probability and/or fidelity"
+_PAIRS = "expected a non-empty array of [re, im] pairs"
+_PAIR = "expected a [re, im] pair of finite numbers"
+_RESOURCE = "expected psi_minus or phi_minus"
+
+#: Malformed scenarios and exactly what validation reports for each: the
+#: (path, message) list of a SchemaError, or the message of a ValueError.
+MALFORMED = [
+    # documents and protocol fields
+    ("document_not_object", [], [("$", "scenario must be a JSON object")]),
+    ("protocol_missing", {"u": FACTS_DOC["u"]}, [("protocol", _PROTOCOL_CHOICES + "None")]),
+    ("protocol_unknown", dict(FACTS_DOC, protocol="teleport"),
+     [("protocol", _PROTOCOL_CHOICES + "'teleport'")]),
+    ("protocol_list", dict(FACTS_DOC, protocol=[]), [("protocol", _PROTOCOL_CHOICES + "[]")]),
+    ("protocol_object", dict(FACTS_DOC, protocol={}), [("protocol", _PROTOCOL_CHOICES + "{}")]),
+    ("unknown_fields", dict(ENHANCED_DOC, zeta=1, alpha=2),
+     [("alpha", "not a field of protocol 'teleport_enhanced'"),
+      ("zeta", "not a field of protocol 'teleport_enhanced'")]),
+    ("field_of_another_protocol", dict(FACTS_DOC, qubit=[1.0, 0.0, 0.0, 0.0]),
+     [("qubit", "not a field of protocol 'facts_check'")]),
+    ("missing_fields", {"protocol": "teleport_basic"},
+     [("u", "required field is missing"), ("v", "required field is missing"),
+      ("qubit", "required field is missing")]),
+    ("unknown_and_missing", {"protocol": "quantum_scissors", "u": FACTS_DOC["u"]},
+     [("u", "not a field of protocol 'quantum_scissors'"),
+      ("scissors_n", "required field is missing"), ("scissors_m", "required field is missing"),
+      ("input_coefficients", "required field is missing")]),
+    # state objects
+    ("state_not_object", dict(FACTS_DOC, u=5), [("u", "expected an object")]),
+    ("state_unknown_field", _with_u(kind="squeezed_vacuum", r=0.3, cutoff=24, size=2),
+     [("u.size", "unknown field")]),
+    ("state_kind_missing", _with_u(r=0.3, cutoff=24), [("u.kind", _KIND_CHOICES + "None")]),
+    ("state_kind_unknown", _with_u(kind="cat", cutoff=24), [("u.kind", _KIND_CHOICES + "'cat'")]),
+    ("state_kind_list", _with_u(kind=[], cutoff=24), [("u.kind", _KIND_CHOICES + "[]")]),
+    ("state_kind_object", _with_u(kind={}, cutoff=24), [("u.kind", _KIND_CHOICES + "{}")]),
+    ("state_unknown_field_and_kind", _with_u(kind="cat", cutoff=24, size=2),
+     [("u.size", "unknown field"), ("u.kind", _KIND_CHOICES + "'cat'")]),
+    ("state_cutoff_missing", _with_u(kind="squeezed_vacuum", r=0.3),
+     [("u.cutoff", "required field is missing")]),
+    ("state_cutoff_string", _with_u(kind="squeezed_vacuum", r=0.3, cutoff="24"),
+     [("u.cutoff", "expected an integer")]),
+    ("state_cutoff_float", _with_u(kind="squeezed_vacuum", r=0.3, cutoff=24.0),
+     [("u.cutoff", "expected an integer")]),
+    ("state_cutoff_bool", _with_u(kind="number", n=0, cutoff=True),
+     [("u.cutoff", "expected an integer")]),
+    ("state_cutoff_negative", _with_u(kind="coherent", alpha_re=0.0, cutoff=-1),
+     [("u", "cutoff must be non-negative")]),
+    ("state_cutoff_above_max", _with_u(kind="squeezed_vacuum", r=0.3, cutoff=MAX_CUTOFF + 1),
+     [("u.cutoff", "above MAX_CUTOFF = 400")]),
+    ("state_cutoff_huge", _with_u(kind="squeezed_vacuum", r=0.3, cutoff=10 ** 30),
+     [("u.cutoff", "above MAX_CUTOFF = 400")]),
+    ("state_cutoff_bad_and_parameter_missing", _with_u(kind="coherent", cutoff="x"),
+     [("u.cutoff", "expected an integer"), ("u.alpha_re", "required for kind 'coherent'")]),
+    ("state_tail_string", _with_u(kind="squeezed_vacuum", r=0.3, cutoff=24, tail_tolerance="x"),
+     [("u.tail_tolerance", "expected a finite number")]),
+    ("state_tail_zero", _with_u(kind="squeezed_vacuum", r=0.3, cutoff=24, tail_tolerance=0),
+     [("u", "tail_tolerance must lie in (0, 1)")]),
+    ("state_tail_one", _with_u(kind="squeezed_vacuum", r=0.3, cutoff=24, tail_tolerance=1.0),
+     [("u", "tail_tolerance must lie in (0, 1)")]),
+    ("coherent_missing", _with_u(kind="coherent", cutoff=24),
+     [("u.alpha_re", "required for kind 'coherent'")]),
+    ("coherent_only_im", _with_u(kind="coherent", alpha_im=0.5, cutoff=24),
+     [("u.alpha_re", "required for kind 'coherent'")]),
+    ("coherent_re_string", _with_u(kind="coherent", alpha_re="1", cutoff=24),
+     [("u.alpha_re", "expected a finite number")]),
+    ("coherent_both_wrong", _with_u(kind="coherent", alpha_re=None, alpha_im=True, cutoff=24),
+     [("u.alpha_re", "expected a finite number"), ("u.alpha_im", "expected a finite number")]),
+    ("coherent_extra",
+     _with_u(kind="coherent", alpha_re=1.0, r=0.3, n=1, coefficients=[], cutoff=24),
+     [("u.coefficients", "not a parameter of kind 'coherent'"),
+      ("u.n", "not a parameter of kind 'coherent'"),
+      ("u.r", "not a parameter of kind 'coherent'")]),
+    ("squeezed_missing", _with_u(kind="squeezed_vacuum", cutoff=24),
+     [("u.r", "required for kind 'squeezed_vacuum'")]),
+    ("squeezed_string", _with_u(kind="squeezed_vacuum", r="0.3", cutoff=24),
+     [("u.r", "expected a finite number")]),
+    ("squeezed_extra",
+     _with_u(kind="squeezed_vacuum", r=0.3, alpha_re=1.0, alpha_im=0.0, cutoff=24),
+     [("u.alpha_im", "not a parameter of kind 'squeezed_vacuum'"),
+      ("u.alpha_re", "not a parameter of kind 'squeezed_vacuum'")]),
+    ("squeezed_missing_and_extra", _with_u(kind="squeezed_vacuum", n=2, cutoff=24),
+     [("u.r", "required for kind 'squeezed_vacuum'"),
+      ("u.n", "not a parameter of kind 'squeezed_vacuum'")]),
+    ("number_missing", _with_u(kind="number", cutoff=4), [("u.n", "required for kind 'number'")]),
+    ("number_float", _with_u(kind="number", n=1.0, cutoff=4), [("u.n", "expected an integer")]),
+    ("number_negative", _with_u(kind="number", n=-1, cutoff=4),
+     [("u", "photon number must be non-negative")]),
+    ("number_above_cutoff", _with_u(kind="number", n=5, cutoff=4),
+     [("u", "cutoff must be at least n for number states")]),
+    ("number_extra", _with_u(kind="number", n=1, r=0.2, cutoff=4),
+     [("u.r", "not a parameter of kind 'number'")]),
+    ("explicit_missing", _with_u(kind="explicit", cutoff=4),
+     [("u.coefficients", "required for kind 'explicit'")]),
+    ("explicit_empty", _with_u(kind="explicit", coefficients=[], cutoff=4),
+     [("u.coefficients", _PAIRS)]),
+    ("explicit_not_list", _with_u(kind="explicit", coefficients="1,0", cutoff=4),
+     [("u.coefficients", _PAIRS)]),
+    ("explicit_short_pair", _with_u(kind="explicit", coefficients=[[1.0, 0.0], [1.0]], cutoff=4),
+     [("u.coefficients[1]", _PAIR)]),
+    ("explicit_bool_entry", _with_u(kind="explicit", coefficients=[[True, 0.0]], cutoff=4),
+     [("u.coefficients[0]", _PAIR)]),
+    ("explicit_too_long", _with_u(kind="explicit", coefficients=[[1.0, 0.0]] * 3, cutoff=1),
+     [("u", "coefficients must be non-empty and fit within cutoff+1")]),
+    ("explicit_extra",
+     _with_u(kind="explicit", coefficients=[[1.0, 0.0]], alpha_im=1.0, cutoff=4),
+     [("u.alpha_im", "not a parameter of kind 'explicit'")]),
+    ("both_states_bad", dict(ENTROPY_DOC, u={"kind": "number", "cutoff": 1},
+                             v={"kind": "number", "n": "1", "cutoff": 1, "x": 0}),
+     [("u.n", "required for kind 'number'"), ("v.x", "unknown field")]),
+    ("second_state_cutoff_above_max",
+     dict(FACTS_DOC, v={"kind": "number", "n": 1, "cutoff": MAX_CUTOFF + 1}),
+     [("v.cutoff", "above MAX_CUTOFF = 400")]),
+    # qubit
+    ("qubit_short", dict(BASIC_DOC, qubit=[1.0, 0.0]), [("qubit", _QUBIT)]),
+    ("qubit_not_list", dict(BASIC_DOC, qubit={"re": 1.0}), [("qubit", _QUBIT)]),
+    ("qubit_string_entry", dict(BASIC_DOC, qubit=[1.0, 0.0, "0", 0.0]), [("qubit", _QUBIT)]),
+    ("qubit_bool_entry", dict(BASIC_DOC, qubit=[True, 0.0, 0.0, 0.0]), [("qubit", _QUBIT)]),
+    ("qubit_not_normalized", dict(BASIC_DOC, qubit=[1.0, 0.0, 1.0, 0.0]),
+     "qubit amplitudes must be normalized (got |.|^2 = 2.0)"),
+    ("qubit_zero", dict(ENHANCED_DOC, qubit=[0, 0, 0, 0]),
+     "qubit amplitudes must be normalized (got |.|^2 = 0.0)"),
+    # tolerances
+    ("tolerances_not_object", dict(BASIC_DOC, tolerances=1e-9), [("tolerances", _TOLERANCES)]),
+    ("tolerances_unknown_key", dict(BASIC_DOC, tolerances={"probability": 1e-9, "norm": 1e-9}),
+     [("tolerances", _TOLERANCES)]),
+    ("tolerances_strings", dict(BASIC_DOC, tolerances={"probability": "1e-9", "fidelity": None}),
+     [("tolerances.probability", "expected a finite number"),
+      ("tolerances.fidelity", "expected a finite number")]),
+    ("tolerances_zero", dict(BASIC_DOC, tolerances={"probability": 0.0}),
+     "tolerances: must be positive"),
+    ("tolerances_negative_fidelity", dict(BASIC_DOC, tolerances={"fidelity": -1e-9}),
+     "tolerances: must be positive"),
+    # detector efficiency
+    ("efficiency_string", dict(BASIC_DOC, detector_efficiency="0.9"),
+     [("detector_efficiency", "expected a finite number")]),
+    ("efficiency_bool", dict(BASIC_DOC, detector_efficiency=True),
+     [("detector_efficiency", "expected a finite number")]),
+    ("efficiency_above_one", dict(BASIC_DOC, detector_efficiency=1.5),
+     "detector_efficiency: 1.5 outside [0, 1]"),
+    ("efficiency_negative", dict(FACTS_DOC, detector_efficiency=-0.1),
+     "detector_efficiency: -0.1 outside [0, 1]"),
+    ("efficiency_on_entropy", dict(ENTROPY_DOC, detector_efficiency=0.9),
+     [("detector_efficiency", "not a field of protocol 'entropy'")]),
+    # retilde and resource_kind
+    ("retilde_string", dict(ENHANCED_DOC, retilde="yes"), [("retilde", "expected a boolean")]),
+    ("retilde_on_facts", dict(FACTS_DOC, retilde=True),
+     [("retilde", "not a field of protocol 'facts_check'")]),
+    ("resource_kind_unknown", dict(ENTROPY_DOC, resource_kind="bell"),
+     [("resource_kind", _RESOURCE)]),
+    ("resource_kind_list", dict(ENTROPY_DOC, resource_kind=[]), [("resource_kind", _RESOURCE)]),
+    ("resource_kind_object", dict(ENTROPY_DOC, resource_kind={}), [("resource_kind", _RESOURCE)]),
+    ("resource_kind_on_basic", dict(BASIC_DOC, resource_kind="phi_minus"),
+     [("resource_kind", "not a field of protocol 'teleport_basic'")]),
+    # scissors levels and input
+    ("scissors_equal", dict(SCISSORS_DOC, scissors_m=0),
+     "scissors_n, scissors_m: kept photon numbers must differ (both 0)"),
+    ("scissors_equal_negative", dict(SCISSORS_DOC, scissors_n=-1, scissors_m=-1),
+     "scissors_n, scissors_m: kept photon numbers must differ (both -1)"),
+    ("scissors_negative", dict(SCISSORS_DOC, scissors_n=-1),
+     "scissors_n, scissors_m: must be non-negative"),
+    ("scissors_string", dict(SCISSORS_DOC, scissors_n="0"), [("scissors_n", "expected an integer")]),
+    ("scissors_float", dict(SCISSORS_DOC, scissors_m=2.0), [("scissors_m", "expected an integer")]),
+    ("scissors_null", dict(SCISSORS_DOC, scissors_n=None, scissors_m=None),
+     [("scissors_n", "expected an integer"), ("scissors_m", "expected an integer")]),
+    ("scissors_above_max", dict(SCISSORS_DOC, scissors_n=MAX_CUTOFF + 1),
+     [("scissors_n", "above MAX_CUTOFF = 400")]),
+    ("scissors_huge", dict(SCISSORS_DOC, scissors_m=10 ** 20),
+     [("scissors_m", "above MAX_CUTOFF = 400")]),
+    ("scissors_coefficients_too_many",
+     dict(SCISSORS_DOC, input_coefficients=[[0.05, 0.0]] * (MAX_CUTOFF + 2)),
+     [("input_coefficients", "more than MAX_CUTOFF + 1 = 401 pairs")]),
+    ("scissors_coefficients_empty", dict(SCISSORS_DOC, input_coefficients=[]),
+     [("input_coefficients", _PAIRS)]),
+    ("scissors_coefficients_bad_pair", dict(SCISSORS_DOC, input_coefficients=[[0.5, 0.0], [0.5]]),
+     [("input_coefficients[1]", _PAIR)]),
+    ("scissors_all_bad",
+     dict(SCISSORS_DOC, scissors_n=1.5, scissors_m="2", input_coefficients=None, tolerances=[]),
+     [("scissors_n", "expected an integer"), ("scissors_m", "expected an integer"),
+      ("input_coefficients", _PAIRS), ("tolerances", _TOLERANCES)]),
+    # several problems at once: structure first, in field order, then ranges
+    ("errors_in_field_order",
+     {"protocol": "teleport_basic", "u": {"kind": "coherent", "cutoff": 10},
+      "v": {"kind": "number", "cutoff": 5}, "qubit": [1.0, 0.0], "retilde": 1,
+      "detector_efficiency": "x", "tolerances": {"probability": "p"}},
+     [("u.alpha_re", "required for kind 'coherent'"), ("v.n", "required for kind 'number'"),
+      ("qubit", _QUBIT), ("retilde", "expected a boolean"),
+      ("detector_efficiency", "expected a finite number"),
+      ("tolerances.probability", "expected a finite number")]),
+    ("range_errors_in_order",
+     dict(SCISSORS_DOC, scissors_m=0, detector_efficiency=2.0, tolerances={"fidelity": 0.0}),
+     "detector_efficiency: 2.0 outside [0, 1]"),
+    ("qubit_norm_before_tolerances",
+     dict(BASIC_DOC, qubit=[0.0, 0.0, 0.0, 0.5], tolerances={"probability": -1.0}),
+     "qubit amplitudes must be normalized (got |.|^2 = 0.25)"),
+]
+
+
+class TestValidationContract:
+    # every structural problem is a SchemaError listing each offending path in
+    # a fixed order; a range problem is one ValueError; the CLI exits 2 on both
+
+    @pytest.mark.parametrize("doc, expected", [case[1:] for case in MALFORMED],
+                             ids=[case[0] for case in MALFORMED])
+    def test_reported_exactly(self, doc, expected):
+        if isinstance(expected, list):
+            with pytest.raises(SchemaError) as info:
+                validate_scenario(doc)
+            assert info.value.errors == expected
+            assert info.value.path == expected[0][0]
+        else:
+            with pytest.raises(ValueError) as info:
+                validate_scenario(doc)
+            assert not isinstance(info.value, SchemaError)
+            assert str(info.value) == expected
+
+    @pytest.mark.parametrize("doc", [case[1] for case in MALFORMED],
+                             ids=[case[0] for case in MALFORMED])
+    def test_cli_validate_exits_two(self, tmp_path, capsys, doc):
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(doc))
+        assert main(["validate", "--scenario", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("invalid: ")

@@ -288,6 +288,22 @@ class TestLargePhotonNumbers:
         with pytest.raises(TruncationTooSevere):
             build_state(squeezed_spec(r, 10))
 
+    @pytest.mark.parametrize("alpha", [1e10, -1e10j, 3.1e9, 1e155, complex(1.5e308, 1.5e308)])
+    def test_coherent_beyond_any_basis_names_alpha(self, alpha):
+        # |alpha|^2 exceeds every array index; the binary exponent once
+        # overflowed int64 above |alpha| ~ 3.7e9 and |alpha|^2 itself
+        # overflows above ~1.34e154, both as raw OverflowErrors
+        with pytest.raises(TruncationTooSevere) as info:
+            build_state(coherent_spec(alpha, 10))
+        message = str(info.value)
+        assert f"alpha = {complex(alpha)!r}" in message
+        assert "too large for any truncated basis" in message
+        assert "raise the cutoff" not in message
+
+    def test_coherent_below_the_bound_keeps_the_cutoff_advice(self):
+        with pytest.raises(TruncationTooSevere, match="raise the cutoff"):
+            build_state(coherent_spec(3e9, 10))
+
     @pytest.mark.parametrize("r", [19.1, 20.0, -20.0, 800.0])
     def test_squeezing_beyond_any_basis_names_r(self, r):
         # tanh r rounds to 1: raising the cutoff cannot help, and the
