@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import InvalidMode, ZeroProbabilityOutcome
 from .fock import MultiModeState, SingleModeState, _trusted_rows
-from .optics import _MINUS_I_POWERS, _check_mode, _real_block
+from .optics import _MINUS_I_POWERS, _check_mode, _real_band
 
 #: Outcomes with probability below this are treated as impossible.
 OUTCOME_FLOOR = 1e-14
@@ -232,8 +232,12 @@ def _count_factored(sent: SingleModeState, left: np.ndarray, right: np.ndarray):
 
     The beamsplitter conserves the total N = na + nb, so the amplitudes of
     total N are the slab X[i, k] = sent[i] R[N - i, k] turned by the block
-    unitary of N, whose entries are (-i)^(c-a) D_N[c, a] with D_N real
-    (``optics._real_block``).  With R factored, X = S Q^T for the narrow
+    unitary of N, whose entries are (-i)^(c-a) D_N[c, a] with D_N real.
+    Only columns a = i of D_N that meet a sent level i and a resource row
+    N - i are needed, max(0, N - (size - 1))..min(N, top) for ``left`` of
+    ``size`` rows and ``sent`` of levels 0..top, so the kernel asks
+    ``optics._real_band`` for ``(N, size - 1, top)`` and slices that range
+    out of the band it gets.  With R factored, X = S Q^T for the narrow
     S[i, j] = sent[i] left[N - i, j] and Q = ``right``, so D_N acts on the r
     columns of S only: the column phases i^a are folded into ``sent`` once,
     and one real product on the real and imaginary parts of S gives
@@ -265,7 +269,9 @@ def _count_factored(sent: SingleModeState, left: np.ndarray, right: np.ndarray):
         shift = size - 1 - total
         slab = twisted[lo : hi + 1, None] * flipped[lo + shift : hi + shift + 1]
         # a real product on the interleaved (re, im) columns: D Re S + i D Im S
-        out = (_real_block(total)[:, lo : hi + 1] @ slab.view(np.float64)).view(np.complex128)
+        band_lo, band = _real_band(total, size - 1, top)
+        columns = band[:, lo - band_lo : hi - band_lo + 1]
+        out = (columns @ slab.view(np.float64)).view(np.complex128)
         # Re(a conj(b)) = Re a Re b + Im a Im b, summed over the (re, im) pairs
         probs = np.einsum("ij,ij->i", (out @ gram).view(np.float64), out.view(np.float64))
         na = np.flatnonzero(probs >= OUTCOME_FLOOR)

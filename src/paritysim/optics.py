@@ -31,6 +31,20 @@ previous block rather than a long alternating sum, so rounding stays small:
 against the spectral decomposition of the photon-exchange generator (the
 reference in tests/test_optics.py) the blocks agree to 1e-14 entrywise and
 are unitary to 5e-14 for every N up to 300.
+
+Column a of D_N reads only columns a - 1 and a of D_(N-1), so a band of
+columns grows from a band.  The counting kernel reads columns
+max(0, N - rows_top)..min(N, cols_top) of D_N, rows_top being the resource's
+largest row index and cols_top the largest sent level; the same range for
+N - 1 holds every column that this band reads.  So ``_real_band`` keeps
+only that band of each block, for caps ``rows_top`` and ``cols_top`` that
+only grow: the largest any caller has asked for.  Raising a cap drops the blocks
+above the smaller old cap (those below it are full width) and rebuilds them
+on demand.  Each kept entry is computed by the same operations, in the same
+order, as in the full block, so a band holds the same bits whatever the
+caps were when it was built.  Held for every N up to 2 c with both caps at
+c, the bands take 8 (c + 1)^3 bytes, against about 8 (2 c)^3 / 3 for full
+blocks.
 """
 
 from __future__ import annotations
@@ -50,42 +64,59 @@ _FORWARD = (1 / _SQ2, -1j / _SQ2, -1j / _SQ2, 1 / _SQ2)
 _INVERSE = (1 / _SQ2, 1j / _SQ2, 1j / _SQ2, 1 / _SQ2)
 
 
-#: D_N for N = 0, 1, ..., len - 1; ``_real_block`` grows it on demand.
-_REAL_BLOCKS: list[np.ndarray] = [np.ones((1, 1))]
-_REAL_BLOCKS[0].flags.writeable = False
+#: ``_BANDS[N]`` is ``(lo, D_N[:, lo : hi + 1])`` with lo = max(0, N - rows_top)
+#: and hi = min(N, cols_top) for the caps below; read-only.
+_BANDS: list[tuple[int, np.ndarray]] = [(0, np.ones((1, 1)))]
+_BANDS[0][1].flags.writeable = False
+
+#: [rows_top, cols_top]: the largest resource row index and sent level asked for.
+_CAPS = [0, 0]
 
 #: (-i)^k for k mod 4, exact.
 _MINUS_I_POWERS = np.array([1.0, -1j, -1.0, 1j])
 
 
-def _real_block(total: int) -> np.ndarray:
-    """The real matrix D_N of the module docstring, rows/cols indexed by the
-    photon count in the first mode (0..total); read-only."""
-    while len(_REAL_BLOCKS) <= total:
-        n = len(_REAL_BLOCKS)
-        prev = _REAL_BLOCKS[-1]
+def _real_band(total: int, rows_top: int, cols_top: int) -> tuple[int, np.ndarray]:
+    """``(lo, band)``: columns lo.. of the real matrix D_N of the module
+    docstring for N = ``total``, rows indexed by the photon count in the first
+    mode (0..total); the band covers at least columns
+    max(0, total - rows_top)..min(total, cols_top) and is read-only."""
+    if rows_top > _CAPS[0] or cols_top > _CAPS[1]:
+        del _BANDS[min(_CAPS) + 1 :]  # blocks up to the smaller cap are full width
+        _CAPS[:] = max(rows_top, _CAPS[0]), max(cols_top, _CAPS[1])
+    while len(_BANDS) <= total:
+        n = len(_BANDS)
+        lo, hi = max(0, n - _CAPS[0]), min(n, _CAPS[1])
+        # columns first..hi have an a - 1 term and lo..last an a term
+        first, last = max(lo, 1), min(hi, n - 1)
+        _, prev = _BANDS[-1]  # exactly columns first - 1..last of D_(N-1)
         roots = np.sqrt(np.arange(n + 1.0))  # sqrt(c) and, reversed, sqrt(N - c)
-        raised = np.zeros((n + 1, n))  # sqrt(c) D[c-1, :]
+        raised = np.zeros((n + 1, prev.shape[1]))  # sqrt(c) D[c-1, :]
         np.multiply(prev, roots[1:, None], out=raised[1:])
-        kept = np.zeros((n + 1, n))  # sqrt(N-c) D[c, :]
+        kept = np.zeros((n + 1, prev.shape[1]))  # sqrt(N-c) D[c, :]
         np.multiply(prev, roots[:0:-1, None], out=kept[:-1])
-        scale = 1.0 / (n * _SQ2)
-        block = np.empty((n + 1, n + 1))
-        block[:, 0] = 0.0
-        np.multiply(raised - kept, roots[1:] * scale, out=block[:, 1:])
-        block[:, :-1] += (raised + kept) * (roots[:0:-1] * scale)
-        block.flags.writeable = False
-        _REAL_BLOCKS.append(block)
-    return _REAL_BLOCKS[total]
+        weights = roots * (1.0 / (n * _SQ2))  # sqrt(a) / (N sqrt 2)
+        band = np.empty((n + 1, hi - lo + 1))
+        band[:, : first - lo] = 0.0
+        np.multiply((raised - kept)[:, : hi - first + 1], weights[first : hi + 1],
+                    out=band[:, first - lo :])
+        # column N has no a term, so nothing is added there: not even a 0.0,
+        # which would turn a -0.0 into +0.0
+        band[:, : last - lo + 1] += ((raised + kept)[:, lo - first + 1 :]
+                                     * weights[::-1][lo : last + 1])
+        band.flags.writeable = False
+        _BANDS.append((lo, band))
+    return _BANDS[total]
 
 
 def _block(key: tuple, total: int) -> np.ndarray:
     """Unitary on the total-photon-number block, rows/cols indexed by the
-    photon count in the first mode (0..total), built from ``_real_block`` on
-    every call: ``_REAL_BLOCKS`` is the only store of beamsplitter blocks."""
+    photon count in the first mode (0..total), built from the full band of
+    ``_real_band`` on every call: the bands are the only store of
+    beamsplitter blocks."""
     if key not in (_FORWARD, _INVERSE):
         raise ValueError("unsupported substitution convention")
-    real = _real_block(total)
+    _, real = _real_band(total, total, total)  # lo = 0: all of D_N
     counts = np.arange(total + 1)
     phases = _MINUS_I_POWERS[(counts[:, None] - counts[None, :]) % 4]
     # the inverse is the adjoint: (-i)^(c-a) D[a, c]

@@ -70,8 +70,9 @@ PROTOCOLS = tuple(_FIELDS)
 
 #: Largest photon number a scenario may name: a state's ``cutoff``,
 #: ``scissors_n`` or ``scissors_m`` (and at most MAX_CUTOFF + 1
-#: ``input_coefficients``).  Photon totals then stay within 2 * MAX_CUTOFF,
-#: whose beamsplitter blocks take about 8 (2 MAX_CUTOFF)^3 / 3 bytes, 1.3 GiB.
+#: ``input_coefficients``).  Photon totals then stay within 2 * MAX_CUTOFF
+#: and both band caps of ``optics._real_band`` within MAX_CUTOFF, so the
+#: beamsplitter bands take at most 8 (MAX_CUTOFF + 1)^3 bytes, about 492 MiB.
 MAX_CUTOFF = 400
 
 #: Each state kind's parameter, then its optional ones: a coherent state's

@@ -158,7 +158,11 @@ class QubitAmplitudes:
         object.__setattr__(self, "eps_minus", complex(self.eps_minus))
         if not (cmath.isfinite(self.eps_plus) and cmath.isfinite(self.eps_minus)):
             raise ValueError("qubit amplitudes must be finite")
-        total = abs(self.eps_plus) ** 2 + abs(self.eps_minus) ** 2
+        # hypot and a product, not abs() ** 2, which raises OverflowError
+        # above ~1.34e154: a huge amplitude gives inf, which is not normalized
+        plus = math.hypot(self.eps_plus.real, self.eps_plus.imag)
+        minus = math.hypot(self.eps_minus.real, self.eps_minus.imag)
+        total = plus * plus + minus * minus
         if abs(total - 1.0) > 1e-12:
             raise ValueError(f"qubit amplitudes must be normalized (got |.|^2 = {total})")
 
@@ -187,9 +191,17 @@ def build_state(spec: StateSpec) -> SingleModeState:
         tail = 0.0
     elif spec.kind == "explicit":
         amps[: len(spec.coefficients)] = spec.coefficients
-        if np.sum(np.abs(amps) ** 2) <= 1e-14:
+        # scaled by a power of two, so that the largest part lies in [1/2, 1):
+        # squares of coefficients near 1e300 cannot overflow, and since the
+        # scaling is exact, coefficients of ordinary size normalize to the
+        # same bits as unscaled ones
+        exponent = math.frexp(float(np.max(np.abs(amps.view(np.float64)))))[1]
+        amps = np.ldexp(amps.view(np.float64), -exponent).view(np.complex128)
+        weight = float(np.sum(np.abs(amps) ** 2))  # norm^2 / 4^exponent
+        # norm^2 <= 1e-14 as unscaled; with a positive exponent, norm^2 >= weight >= 1/4
+        if math.ldexp(weight, 2 * min(exponent, 0)) <= 1e-14:
             raise DegenerateState("explicit coefficients are all (near) zero")
-        amps /= np.sqrt(np.sum(np.abs(amps) ** 2))
+        amps /= np.sqrt(weight)
         tail = 0.0
     elif spec.kind == "coherent":
         # hypot, not abs(): abs() of a complex raises OverflowError near 1e308

@@ -9,6 +9,7 @@ from paritysim import (
     CutoffOverflow,
     InvalidMode,
     MultiModeState,
+    QubitAmplitudes,
     SingleModeState,
     beamsplitter_5050,
     bipartite_coefficients,
@@ -17,8 +18,10 @@ from paritysim import (
     odd_parity_probability,
     phase_shift,
     split_with_phase_shifted,
+    teleport_enhanced,
     tensor,
 )
+from paritysim import optics
 from paritysim.optics import _FORWARD, _INVERSE, _block
 
 
@@ -231,3 +234,80 @@ class TestBlockRecurrence:
     def test_inverse_is_exact_adjoint(self):
         for total in range(251):
             assert np.array_equal(_block(_INVERSE, total), _block(_FORWARD, total).conj().T)
+
+
+def full_recurrence(top: int) -> list:
+    """Full-width D_0..D_top straight from the module docstring's recurrence,
+    with the products grouped as in ``optics._real_band``: sqrt(c) and
+    sqrt(N - c) times D_(N-1) first, then sqrt(a) / (N sqrt 2) and
+    sqrt(N - a) / (N sqrt 2) times their sum and difference."""
+    blocks = [np.ones((1, 1))]
+    for n in range(1, top + 1):
+        prev = blocks[-1]
+        roots = np.sqrt(np.arange(n + 1.0))
+        raised = np.zeros((n + 1, n))  # sqrt(c) D[c-1, a]
+        raised[1:] = prev * roots[1:, None]
+        kept = np.zeros((n + 1, n))  # sqrt(N-c) D[c, a]
+        kept[:-1] = prev * roots[:0:-1, None]
+        weights = roots * (1.0 / (n * math.sqrt(2.0)))
+        block = np.zeros((n + 1, n + 1))
+        block[:, 1:] = (raised - kept) * weights[1:]  # the a - 1 terms, none at a = 0
+        block[:, :-1] += (raised + kept) * weights[:0:-1]  # the a terms, none at a = N
+        blocks.append(block)
+    return blocks
+
+
+REFERENCE = full_recurrence(160)
+
+
+@pytest.fixture
+def fresh_bands(monkeypatch):
+    """An empty band store with both caps at 0, the process's own restored after."""
+    monkeypatch.setattr(optics, "_BANDS", optics._BANDS[:1])
+    monkeypatch.setattr(optics, "_CAPS", [0, 0])
+
+
+def band_entries(c: int) -> int:
+    """Entries of the bands of every total to 2 c with both caps at c:
+    sum over N of (N + 1) (min(N, c) - max(0, N - c) + 1), which is (c + 1)^3."""
+    return (c + 1) ** 3
+
+
+class TestBandStore:
+    def test_bands_equal_the_full_recurrence_under_any_history(self, rng, fresh_bands):
+        for _ in range(25):
+            optics._BANDS[1:] = []
+            optics._CAPS[:] = [0, 0]
+            for _ in range(6):
+                rows_top, cols_top = (int(k) for k in rng.integers(0, 80, size=2))
+                total = int(rng.integers(0, rows_top + cols_top + 1))
+                if rng.random() < 0.25:  # what _block asks for
+                    rows_top = cols_top = total
+                lo, band = optics._real_band(total, rows_top, cols_top)
+                # the band covers the columns the counting kernel slices out
+                assert lo <= max(0, total - rows_top)
+                assert lo + band.shape[1] - 1 >= min(total, cols_top)
+                for n, (band_lo, stored) in enumerate(optics._BANDS):
+                    columns = REFERENCE[n][:, band_lo : band_lo + stored.shape[1]]
+                    assert stored.tobytes() == columns.tobytes(), n
+                    assert not stored.flags.writeable
+
+    def test_block_stays_the_full_unitary(self, fresh_bands):
+        optics._real_band(140, 20, 120)
+        optics._real_band(150, 100, 50)
+        for total in (0, 1, 37, 70, 101, 150, 160):
+            block = _block(_FORWARD, total)
+            counts = np.arange(total + 1)
+            phases = (-1j) ** ((counts[:, None] - counts[None, :]) % 4)
+            np.testing.assert_array_equal(block, phases * REFERENCE[total])
+            assert np.max(np.abs(block.conj().T @ block - np.eye(total + 1))) <= 1e-13
+
+    @pytest.mark.parametrize("cutoff", [20, 40])
+    def test_store_after_an_enhanced_run_holds_the_band_count(self, fresh_bands, cutoff):
+        teleport_enhanced(QubitAmplitudes(0.6, 0.8), coherent_spec(1.0, cutoff))
+        assert optics._CAPS == [cutoff, cutoff]
+        assert len(optics._BANDS) == 2 * cutoff + 1
+        assert sum(band.nbytes for _, band in optics._BANDS) == 8 * band_entries(cutoff)
+        direct = sum((n + 1) * (min(n, cutoff) - max(0, n - cutoff) + 1)
+                     for n in range(2 * cutoff + 1))
+        assert band_entries(cutoff) == direct

@@ -302,6 +302,26 @@ class TestLargeCoherentAmplitude:
         assert f"alpha = {complex(alpha_re)!r}" in error["message"]
 
 
+class TestHugeExplicitCoefficients:
+    # coefficients whose squares overflow normalize like unit-scale ones
+    @pytest.mark.parametrize("scale", [1e200, 1e300])
+    def test_scissors_input(self, scale):
+        unit = run_scenario(validate_scenario(dict(SCISSORS_DOC, input_coefficients=[[1.0, 0.0]] * 4)))
+        doc = dict(SCISSORS_DOC, input_coefficients=[[scale, 0.0]] * 4)
+        results = run_scenario(validate_scenario(doc))
+        assert results.all_passed
+        assert results.aggregates["success_probability"] == pytest.approx(
+            unit.aggregates["success_probability"], abs=1e-15)
+
+    @pytest.mark.parametrize("scale", [1e200, 1e300])
+    def test_facts_state(self, scale):
+        doc = dict(FACTS_DOC, u={"kind": "explicit", "cutoff": 3,
+                                 "coefficients": [[scale, 0.0], [0.0, 0.0], [scale, 0.0]]})
+        results = run_scenario(validate_scenario(doc))
+        assert results.all_passed
+        assert results.aggregates["fact1_odd_parity_mode_a"] <= 1e-12
+
+
 class TestNonFiniteNumbers:
     # Python's json parses NaN and Infinity; no scenario field takes them
     def write(self, tmp_path, doc):
@@ -642,6 +662,8 @@ MALFORMED = [
      "qubit amplitudes must be normalized (got |.|^2 = 2.0)"),
     ("qubit_zero", dict(ENHANCED_DOC, qubit=[0, 0, 0, 0]),
      "qubit amplitudes must be normalized (got |.|^2 = 0.0)"),
+    ("qubit_huge", dict(BASIC_DOC, qubit=[1e200, 0.0, 0.0, 0.0]),
+     "qubit amplitudes must be normalized (got |.|^2 = inf)"),
     # tolerances
     ("tolerances_not_object", dict(BASIC_DOC, tolerances=1e-9), [("tolerances", _TOLERANCES)]),
     ("tolerances_unknown_key", dict(BASIC_DOC, tolerances={"probability": 1e-9, "norm": 1e-9}),

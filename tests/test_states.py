@@ -374,3 +374,53 @@ class TestNonFiniteParameters:
     def test_qubit_rejects(self, plus, minus):
         with pytest.raises(ValueError, match="finite"):
             QubitAmplitudes(plus, minus)
+
+
+class TestHugeAmplitudes:
+    # squaring amplitudes above ~1.34e154 overflows: qubit amplitudes must
+    # still be refused as unnormalized, and explicit coefficients normalized
+
+    @pytest.mark.parametrize("plus, minus", [(1e200, 0.0), (0.0, 1e155j),
+                                             (complex(1.5e308, 1.5e308), 0.0)])
+    def test_qubit_is_not_normalized(self, plus, minus):
+        with pytest.raises(ValueError, match="must be normalized"):
+            QubitAmplitudes(plus, minus)
+
+    @pytest.mark.parametrize("scale", [1e200, 1e300])
+    def test_explicit_normalizes(self, scale):
+        state = build_state(explicit_spec([scale, 0.0]))
+        np.testing.assert_array_equal(state.amplitudes, [1.0, 0.0])
+        mixed = build_state(explicit_spec([scale, 1j * scale]))
+        np.testing.assert_allclose(mixed.amplitudes, [1 / math.sqrt(2), 1j / math.sqrt(2)],
+                                   rtol=0, atol=1e-16)
+
+    def test_power_of_two_scaling_is_exact(self):
+        plain = build_state(explicit_spec([3.0, 4.0j])).amplitudes
+        for shift in (1000, 900, 100, -20):
+            scaled = build_state(explicit_spec([math.ldexp(3.0, shift), math.ldexp(4.0, shift) * 1j]))
+            np.testing.assert_array_equal(scaled.amplitudes, plain)
+
+    def test_same_bits_as_unscaled_normalization(self, rng):
+        for _ in range(200):
+            size = int(rng.integers(1, 40))
+            coeffs = (rng.normal(size=size) + 1j * rng.normal(size=size)) * 10.0 ** rng.uniform(-6, 6)
+            amps = coeffs.astype(np.complex128)
+            amps /= np.sqrt(np.sum(np.abs(amps) ** 2))
+            np.testing.assert_array_equal(build_state(explicit_spec(coeffs)).amplitudes, amps)
+
+    def test_degenerate_threshold_is_unscaled_norm(self, rng):
+        # refused exactly when the unscaled sum of squares is at most 1e-14
+        for _ in range(500):
+            size = int(rng.integers(1, 6))
+            coeffs = rng.normal(size=size) + 1j * rng.normal(size=size)
+            coeffs *= 1e-7 * rng.uniform(0.99, 1.01) / np.sqrt(np.sum(np.abs(coeffs) ** 2))
+            degenerate = np.sum(np.abs(coeffs) ** 2) <= 1e-14
+            try:
+                build_state(explicit_spec(coeffs))
+                refused = False
+            except DegenerateState:
+                refused = True
+            assert refused == degenerate
+        for tiny in (1e-8, 1e-200, 5e-324):
+            with pytest.raises(DegenerateState):
+                build_state(explicit_spec([tiny, 0.0]))
