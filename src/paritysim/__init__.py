@@ -1,6 +1,7 @@
-"""Multimode Fock-space simulator for parity-heralded optical protocols.
+"""Fock-space simulator for parity-heralded optical protocols.
 
-The library represents pure bosonic states in truncated photon-number bases,
+The library represents pure bosonic states in truncated photon-number bases
+(one mode as a ``SingleModeState``, two modes as a complex matrix R[n, m]),
 applies the fixed-convention 50/50 beamsplitter and phase shifts exactly, and
 evaluates heralded teleportation and state-truncation (scissors) protocols by
 exhaustive enumeration of photon-counting records.
@@ -21,28 +22,21 @@ from .errors import (
     ZeroProbabilityOutcome,
 )
 from .fock import (
-    MultiModeState,
     SingleModeState,
     TruncationReport,
     inner_product,
     normalize,
-    prepend_mode,
     tensor,
     truncation_check,
 )
 from .measurement import (
     CountDistribution,
     DetectorModel,
-    HeraldedRecord,
-    MeasurementOutcome,
     count_distribution,
     lossy_count_distribution,
-    measure_modes,
     odd_parity_probability,
     parity_flip_probability,
-    project_counts,
     sample_counts,
-    split_and_count,
     thinned_distribution,
     total_variation_distance,
 )
@@ -58,7 +52,6 @@ from .protocols import (
     entanglement_entropy,
     fidelity,
     quantum_scissors,
-    split_with_phase_shifted,
     teleport_basic,
     teleport_enhanced,
 )
@@ -94,21 +87,18 @@ __all__ = [
     "InvalidResource", "NonRealOverlap", "ParitySimError", "SchemaError",
     "TruncationTooSevere", "ZeroProbabilityOutcome",
     # fock
-    "MultiModeState", "SingleModeState", "TruncationReport", "inner_product",
-    "normalize", "prepend_mode", "tensor", "truncation_check",
+    "SingleModeState", "TruncationReport", "inner_product", "normalize", "tensor",
+    "truncation_check",
     # measurement
-    "CountDistribution", "DetectorModel", "HeraldedRecord", "MeasurementOutcome",
-    "count_distribution", "lossy_count_distribution", "measure_modes",
-    "odd_parity_probability", "parity_flip_probability", "project_counts",
-    "sample_counts", "split_and_count", "thinned_distribution",
-    "total_variation_distance",
+    "CountDistribution", "DetectorModel", "count_distribution",
+    "lossy_count_distribution", "odd_parity_probability", "parity_flip_probability",
+    "sample_counts", "thinned_distribution", "total_variation_distance",
     # optics
     "BipartiteCoefficients", "beamsplitter_5050", "bipartite_coefficients",
     "phase_shift",
     # protocols
     "OutcomeRecord", "ProtocolReport", "entanglement_entropy", "fidelity",
-    "quantum_scissors", "split_with_phase_shifted", "teleport_basic",
-    "teleport_enhanced",
+    "quantum_scissors", "teleport_basic", "teleport_enhanced",
     # scenario
     "ResultsDocument", "Scenario", "ScenarioCheck", "Tolerances", "parse_scenario_text",
     "run_scenario", "scenario_to_wire", "validate_scenario",

@@ -1,35 +1,26 @@
 """Core representations of truncated bosonic pure states.
 
-Single modes are dense complex vectors indexed by photon number.  Multimode
-states are sparse maps from occupation tuples to amplitudes, because the
-operations in this package (beamsplitters, projections) conserve total photon
-number and never densely fill the product space.  The package's own paths
-build no multimode state beyond the entropy scenario's two-mode resource
-(``resource_from_states``), which ``entanglement_entropy`` decomposes.  The
-protocols and the parity facts build none at all: they pass their resources
-to the counting kernel as narrow factors (rank 2, and rank 1 for the facts'
-``psi (x) |0>``).  ``measurement.split_and_count``, which reads a two-mode
-state as a dense matrix, is called only by the tests.  The sparse
-multimode operations (``prepend_mode``, ``optics.beamsplitter_5050``,
-``measurement.measure_modes``, ``optics.bipartite_coefficients``) stay public
-for direct use, the demos, and as the references the kernel is tested
-against.
+A single mode is a ``SingleModeState``: a dense complex vector indexed by
+photon number.  A two-mode state is a plain read-only complex128 matrix
+``R[n, m]``, the amplitude of n photons in the first mode and m in the
+second; ``tensor`` builds the product one.  The package's own paths build
+no two-mode state beyond the entropy scenario's resource
+(``states.resource_from_states``), which ``entanglement_entropy``
+decomposes.  The protocols and the parity facts pass their resources to the
+counting kernel as narrow factors (rank 2, and rank 1 for the facts'
+``psi (x) |0>``), so the three-mode state is never built.
 
 All values are immutable after construction; every operation returns a new
-value.  Amplitudes with magnitude below ``SPARSITY_FLOOR`` are dropped on
-write so that rounding noise cannot accumulate as fill-in.
+value.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DegenerateState
-
-#: Amplitudes below this magnitude are discarded when a multimode state is built.
-SPARSITY_FLOOR = 1e-15
 
 #: Squared norms at or below this are considered degenerate (not normalizable).
 DEGENERACY_FLOOR = 1e-14
@@ -104,57 +95,6 @@ def _trusted_rows(rows: np.ndarray) -> list[SingleModeState]:
 
 
 @dataclass(frozen=True)
-class MultiModeState:
-    """A sparse pure state of several modes.
-
-    ``amplitudes`` maps occupation tuples (one entry per mode, each at most
-    ``per_mode_cutoff``) to complex amplitudes.  Entries below the sparsity
-    floor are dropped at construction.
-    """
-
-    mode_count: int
-    per_mode_cutoff: int
-    amplitudes: dict = field(repr=False)
-
-    def __post_init__(self):
-        if self.mode_count < 1:
-            raise ValueError("mode_count must be positive")
-        if self.per_mode_cutoff < 0:
-            raise ValueError("per_mode_cutoff must be non-negative")
-        kept: dict[tuple[int, ...], complex] = {}
-        for occ, amp in self.amplitudes.items():
-            amp = complex(amp)
-            if len(occ) != self.mode_count:
-                raise ValueError(f"occupation {occ} does not have {self.mode_count} entries")
-            if any(n < 0 or n > self.per_mode_cutoff for n in occ):
-                raise ValueError(f"occupation {occ} outside 0..{self.per_mode_cutoff}")
-            if not (np.isfinite(amp.real) and np.isfinite(amp.imag)):
-                raise ValueError(f"amplitude at {occ} is not finite")
-            if abs(amp) >= SPARSITY_FLOOR:
-                kept[tuple(occ)] = amp
-        object.__setattr__(self, "amplitudes", kept)
-
-    def norm_squared(self) -> float:
-        return float(sum(abs(a) ** 2 for a in self.amplitudes.values()))
-
-    def items(self):
-        return self.amplitudes.items()
-
-    def amplitude(self, occ: tuple[int, ...]) -> complex:
-        return self.amplitudes.get(tuple(occ), 0.0 + 0.0j)
-
-    def as_single_mode(self) -> SingleModeState:
-        """Convert a one-mode state to the dense representation."""
-        if self.mode_count != 1:
-            raise ValueError("as_single_mode requires exactly one mode")
-        top = max((occ[0] for occ in self.amplitudes), default=0)
-        amps = np.zeros(top + 1, dtype=np.complex128)
-        for occ, amp in self.amplitudes.items():
-            amps[occ[0]] = amp
-        return SingleModeState(amps)
-
-
-@dataclass(frozen=True)
 class TruncationReport:
     """Result of auditing the probability weight above a state's cutoff."""
 
@@ -162,29 +102,19 @@ class TruncationReport:
     within_tolerance: bool
 
 
-def normalize(state):
+def normalize(state: SingleModeState) -> SingleModeState:
     """Scale a state to unit norm, preserving amplitude ratios.
 
     Raises DegenerateState if the squared norm is at or below 1e-14, which is
     how a vanishing superposition (e.g. u - v with u = v) announces itself.
     """
-    if isinstance(state, SingleModeState):
-        ns = state.norm_squared()
-        if ns <= DEGENERACY_FLOOR:
-            raise DegenerateState(f"squared norm {ns:.3e} is below the degeneracy floor")
-        scale = 1.0 / np.sqrt(ns)
-        return SingleModeState(state.amplitudes * scale, tail_mass=min(1.0, state.tail_mass / ns))
-    if isinstance(state, MultiModeState):
-        ns = state.norm_squared()
-        if ns <= DEGENERACY_FLOOR:
-            raise DegenerateState(f"squared norm {ns:.3e} is below the degeneracy floor")
-        scale = 1.0 / np.sqrt(ns)
-        return MultiModeState(
-            state.mode_count,
-            state.per_mode_cutoff,
-            {occ: amp * scale for occ, amp in state.items()},
-        )
-    raise TypeError(f"cannot normalize {type(state).__name__}")
+    if not isinstance(state, SingleModeState):
+        raise TypeError(f"cannot normalize {type(state).__name__}")
+    ns = state.norm_squared()
+    if ns <= DEGENERACY_FLOOR:
+        raise DegenerateState(f"squared norm {ns:.3e} is below the degeneracy floor")
+    scale = 1.0 / np.sqrt(ns)
+    return SingleModeState(state.amplitudes * scale, tail_mass=min(1.0, state.tail_mass / ns))
 
 
 def inner_product(s1: SingleModeState, s2: SingleModeState) -> complex:
@@ -193,38 +123,19 @@ def inner_product(s1: SingleModeState, s2: SingleModeState) -> complex:
     return complex(np.vdot(s1.padded(cutoff), s2.padded(cutoff)))
 
 
-def tensor(s1: SingleModeState, s2: SingleModeState) -> MultiModeState:
-    """Product state of two modes; amplitude at (n, m) is s1_n * s2_m.
-
-    The per-mode cutoff of the result is the sum of the input cutoffs, which
-    is exactly the headroom a photon-number-conserving two-mode operation can
-    ever need.
-    """
+def tensor(s1: SingleModeState, s2: SingleModeState) -> np.ndarray:
+    """Product state of two modes: the read-only matrix R[n, m] = s1_n * s2_m,
+    of shape (s1.cutoff + 1, s2.cutoff + 1)."""
     for s in (s1, s2):
         if abs(s.norm_squared() - 1.0) > 1e-9:
             raise ValueError("tensor requires normalized inputs")
-    amps: dict[tuple[int, ...], complex] = {}
-    for n, a in enumerate(s1.amplitudes):
-        if abs(a) < SPARSITY_FLOOR:
-            continue
-        for m, b in enumerate(s2.amplitudes):
-            amp = a * b
-            if abs(amp) >= SPARSITY_FLOOR:
-                amps[(n, m)] = amp
-    return MultiModeState(2, s1.cutoff + s2.cutoff, amps)
+    return _read_only(np.outer(s1.amplitudes, s2.amplitudes))
 
 
-def prepend_mode(state: MultiModeState, s: SingleModeState) -> MultiModeState:
-    """Tensor one more mode onto a multimode state, as the new first mode."""
-    if abs(s.norm_squared() - 1.0) > 1e-9:
-        raise ValueError("prepend_mode requires a normalized single-mode state")
-    amps: dict[tuple[int, ...], complex] = {}
-    for occ, a in state.items():
-        for n, b in enumerate(s.amplitudes):
-            amp = a * b
-            if abs(amp) >= SPARSITY_FLOOR:
-                amps[(n,) + occ] = amp
-    return MultiModeState(state.mode_count + 1, state.per_mode_cutoff + s.cutoff, amps)
+def _read_only(matrix: np.ndarray) -> np.ndarray:
+    """``matrix``, which the caller owns, made read-only."""
+    matrix.flags.writeable = False
+    return matrix
 
 
 def truncation_check(state: SingleModeState, tolerance: float) -> TruncationReport:

@@ -8,20 +8,19 @@ never the source of any reported number.
 mixes an input mode with the first half of a two-mode resource, given as two
 narrow factors, on the 50/50 beamsplitter and enumerates the joint records of
 the two outputs one photon-total block at a time, without building the
-three-mode state.  ``split_and_count`` runs the same kernel on a resource
-given as a sparse two-mode state.
+three-mode state.  The public functions here count a two-mode state, the
+matrix R[n, m] of ``fock``, from its weights |R|^2.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidMode, ZeroProbabilityOutcome
-from .fock import MultiModeState, SingleModeState, _trusted_rows
-from .optics import _MINUS_I_POWERS, _check_mode, _real_band
+from .errors import InvalidMode
+from .fock import SingleModeState
+from .optics import _MINUS_I_POWERS, _real_band, _two_mode
 
 #: Outcomes with probability below this are treated as impossible.
 OUTCOME_FLOOR = 1e-14
@@ -55,25 +54,6 @@ class CountDistribution:
 
 
 @dataclass(frozen=True)
-class MeasurementOutcome:
-    """One photon-counting record with its probability and the collapsed state."""
-
-    counts: tuple
-    probability: float
-    post_state: MultiModeState
-
-
-@dataclass(frozen=True)
-class HeraldedRecord:
-    """One joint counting record of the two beamsplitter outputs, with the
-    normalized state it leaves on the resource's second mode."""
-
-    counts: tuple
-    probability: float
-    receiver: SingleModeState
-
-
-@dataclass(frozen=True)
 class DetectorModel:
     """Number-resolving detector that registers each photon with probability
     ``efficiency``; no dark counts."""
@@ -85,140 +65,19 @@ class DetectorModel:
             raise ValueError("efficiency must lie in [0, 1]")
 
 
-def count_distribution(state: MultiModeState, mode: int) -> CountDistribution:
-    """Marginal photon-count distribution of one mode."""
-    _check_mode(state, mode)
-    probs: dict[int, float] = {}
-    for occ, amp in state.items():
-        n = occ[mode]
-        probs[n] = probs.get(n, 0.0) + abs(amp) ** 2
-    return CountDistribution(probs)
+def _marginal(state, mode: int) -> np.ndarray:
+    """Sum over the other mode of |R|^2, for a two-mode matrix R."""
+    return (np.abs(_two_mode(state, mode)) ** 2).sum(axis=1 - mode)
 
 
-def odd_parity_probability(state: MultiModeState, mode: int) -> float:
+def count_distribution(state, mode: int) -> CountDistribution:
+    """Marginal photon-count distribution of one mode of a two-mode matrix."""
+    return CountDistribution(dict(enumerate(_marginal(state, mode).tolist())))
+
+
+def odd_parity_probability(state, mode: int) -> float:
     """Probability of finding an odd photon number in ``mode``."""
     return count_distribution(state, mode).odd_probability()
-
-
-def _split_occupation(occ, measured: tuple[int, ...]):
-    counts = tuple(occ[i] for i in measured)
-    rest = tuple(occ[i] for i in range(len(occ)) if i not in measured)
-    return counts, rest
-
-
-def project_counts(
-    state: MultiModeState, measured_modes, counts
-) -> MeasurementOutcome:
-    """Condition on specific photon counts in the measured modes.
-
-    The post-state lives on the remaining modes, renormalized.  Raises
-    ZeroProbabilityOutcome when the requested record has probability below
-    1e-14 (the post-state would be meaningless noise).  The state's own
-    amplitudes were cut at ``SPARSITY_FLOOR`` (1e-15), so a post-state of
-    probability P carries an error up to about 1e-15 / sqrt(P) per amplitude,
-    some 1e-8 near the 1e-14 floor; ``split_and_count`` keeps every amplitude
-    and its receivers carry no such error.
-    """
-    measured = tuple(measured_modes)
-    wanted = tuple(int(c) for c in counts)
-    if len(set(measured)) != len(measured):
-        raise InvalidMode("measured modes must be distinct")
-    for m in measured:
-        _check_mode(state, m)
-    if len(measured) >= state.mode_count:
-        raise InvalidMode("at least one mode must remain unmeasured")
-    if len(wanted) != len(measured):
-        raise ValueError("one count per measured mode is required")
-    if any(c < 0 or c > state.per_mode_cutoff for c in wanted):
-        raise ValueError(f"counts {wanted} outside 0..{state.per_mode_cutoff}")
-
-    post: dict[tuple[int, ...], complex] = {}
-    prob = 0.0
-    for occ, amp in state.items():
-        got, rest = _split_occupation(occ, measured)
-        if got != wanted:
-            continue
-        prob += abs(amp) ** 2
-        post[rest] = amp
-    if prob < OUTCOME_FLOOR:
-        raise ZeroProbabilityOutcome(f"counts {wanted} occur with probability {prob:.3e}")
-    scale = 1.0 / math.sqrt(prob)
-    post = {occ: amp * scale for occ, amp in post.items()}
-    return MeasurementOutcome(
-        counts=wanted,
-        probability=prob,
-        post_state=MultiModeState(state.mode_count - len(measured), state.per_mode_cutoff, post),
-    )
-
-
-def measure_modes(state: MultiModeState, modes) -> list[MeasurementOutcome]:
-    """Exhaustively enumerate every joint counting record on ``modes``.
-
-    Returns outcomes sorted by counts, each with its exact probability and
-    normalized post-state; records below the 1e-14 probability floor are
-    dropped as rounding noise.  As in ``project_counts``, post-states of
-    records near that floor carry the 1e-15 sparsity-floor error divided by
-    sqrt(P); ``split_and_count``'s receivers do not.
-    """
-    measured = tuple(modes)
-    if len(set(measured)) != len(measured):
-        raise InvalidMode("measured modes must be distinct")
-    for m in measured:
-        _check_mode(state, m)
-    if len(measured) >= state.mode_count:
-        raise InvalidMode("at least one mode must remain unmeasured")
-
-    buckets: dict[tuple, dict] = {}
-    weights: dict[tuple, float] = {}
-    for occ, amp in state.items():
-        got, rest = _split_occupation(occ, measured)
-        buckets.setdefault(got, {})[rest] = amp
-        weights[got] = weights.get(got, 0.0) + abs(amp) ** 2
-
-    outcomes = []
-    remaining = state.mode_count - len(measured)
-    for got in sorted(weights):
-        prob = weights[got]
-        if prob < OUTCOME_FLOOR:
-            continue
-        scale = 1.0 / math.sqrt(prob)
-        post = {occ: amp * scale for occ, amp in buckets[got].items()}
-        outcomes.append(MeasurementOutcome(
-            counts=got,
-            probability=prob,
-            post_state=MultiModeState(remaining, state.per_mode_cutoff, post),
-        ))
-    return outcomes
-
-
-def split_and_count(sent: SingleModeState, resource: MultiModeState) -> list[HeraldedRecord]:
-    """Mix ``sent`` with the first mode of ``resource`` on the 50/50
-    beamsplitter and enumerate every joint count (na, nb) of the two outputs.
-
-    The result is what ``measure_modes(beamsplitter_5050(prepend_mode(resource,
-    sent), 0, 1), (0, 1))`` gives, with each post-state read as a single mode,
-    but the three-mode state is never built.  The resource is read as a dense
-    matrix R and counted by ``_count_factored`` with the factors
-    ``left = R[:, levels]`` and ``right`` the identity's columns at the
-    receiver levels (the columns of R that are not all zero).
-
-    Records are sorted by counts; those below the 1e-14 probability floor are
-    dropped as rounding noise.  Receivers are read-only.
-    """
-    if resource.mode_count != 2:
-        raise InvalidMode(f"the resource must have two modes, got {resource.mode_count}")
-    size = resource.per_mode_cutoff + 1
-    matrix = np.zeros((size, size), dtype=np.complex128)
-    if resource.amplitudes:
-        occ = np.array(list(resource.amplitudes), dtype=np.intp)
-        matrix[occ[:, 0], occ[:, 1]] = list(resource.amplitudes.values())
-    levels = np.flatnonzero(np.any(matrix, axis=0))
-    records = [HeraldedRecord((a, total - a), p, state)
-               for total, na, probs, receivers in _count_factored(
-                   sent, matrix[:, levels], np.eye(size)[:, levels])
-               for a, p, state in zip(na.tolist(), probs.tolist(), _trusted_rows(receivers))]
-    records.sort(key=lambda r: r.counts)
-    return records
 
 
 def _count_factored(sent: SingleModeState, left: np.ndarray, right: np.ndarray):
@@ -249,7 +108,7 @@ def _count_factored(sent: SingleModeState, left: np.ndarray, right: np.ndarray):
     supports cheap.
     """
     if abs(sent.norm_squared() - 1.0) > 1e-9:
-        raise ValueError("split_and_count requires a normalized input state")
+        raise ValueError("the counting kernel requires a normalized input state")
     size = left.shape[0]
     right_t = np.ascontiguousarray(right.T)
     gram = right_t @ right.conj()
@@ -305,9 +164,7 @@ def thinned_distribution(dist: CountDistribution, det: DetectorModel) -> CountDi
     return CountDistribution(dict(enumerate(out.tolist())))
 
 
-def lossy_count_distribution(
-    state: MultiModeState, mode: int, det: DetectorModel
-) -> CountDistribution:
+def lossy_count_distribution(state, mode: int, det: DetectorModel) -> CountDistribution:
     """Observed-count distribution for a detector of efficiency eta:
     P(k) = sum_{n >= k} P(n) C(n, k) eta^k (1-eta)^(n-k)."""
     return thinned_distribution(count_distribution(state, mode), det)
@@ -326,16 +183,19 @@ def total_variation_distance(d1: CountDistribution, d2: CountDistribution) -> fl
     return 0.5 * sum(abs(d1.probability(n) - d2.probability(n)) for n in counts)
 
 
-def sample_counts(
-    state: MultiModeState, modes, rng: np.random.Generator, shots: int
-) -> list[tuple]:
-    """Draw joint counting records from the exact distribution.
+def sample_counts(state, modes, rng: np.random.Generator, shots: int) -> list[tuple]:
+    """Draw counting records of one mode of a two-mode matrix, named by the
+    1-tuple ``modes``, from the exact distribution: each record is the
+    1-tuple of that mode's count.
 
+    Counts are drawn from those at or above the 1e-14 probability floor.
     Purely a convenience for simulated experiments; takes the caller's seeded
     generator so there is no hidden randomness.
     """
-    outcomes = measure_modes(state, modes)
-    probs = np.array([o.probability for o in outcomes])
-    probs = probs / probs.sum()
-    picks = rng.choice(len(outcomes), size=shots, p=probs)
-    return [outcomes[i].counts for i in picks]
+    measured = tuple(modes)
+    if len(measured) != 1:
+        raise InvalidMode(f"one mode is counted and the other remains, got modes {measured}")
+    probs = _marginal(state, measured[0])
+    counts = np.flatnonzero(probs >= OUTCOME_FLOOR)
+    picks = rng.choice(counts.size, size=shots, p=probs[counts] / probs[counts].sum())
+    return [(n,) for n in counts[picks].tolist()]

@@ -1,4 +1,4 @@
-"""Single-mode phase shift and the 50/50 beamsplitter, plus coefficient analysis.
+"""Phase shifts and the 50/50 beamsplitter, plus coefficient analysis.
 
 The beamsplitter convention is frozen: the two output-port creation operators
 are (in1 + i*in2)/sqrt(2) and (i*in1 + in2)/sqrt(2).  Equivalently, the
@@ -18,8 +18,8 @@ binomials of the operator substitution: those expansions contain alternating
 Krawtchouk-type sums whose cancellation costs about 14 digits near total
 photon number 100, far beyond the 1e-12 tolerances this package guarantees.
 Each block is the spin-N/2 rotation exp(-i pi/2 Jx), and it factors exactly
-as ``_block(_FORWARD, N)[c, a] = (-i)^(c-a) D_N[c, a]`` with D_N real
-(c photons leave port 1, a enter it).  Writing
+as ``B_N[c, a] = (-i)^(c-a) D_N[c, a]`` with D_N real (c photons leave
+port 1, a enter it).  Writing
 |a, N-a> = (sqrt(a) in1^dag |a-1, N-a> + sqrt(N-a) in2^dag |a, N-a-1>)/N and
 substituting one creation operator grows D_N from D_(N-1):
 
@@ -33,18 +33,19 @@ reference in tests/test_optics.py) the blocks agree to 1e-14 entrywise and
 are unitary to 5e-14 for every N up to 300.
 
 Column a of D_N reads only columns a - 1 and a of D_(N-1), so a band of
-columns grows from a band.  The counting kernel reads columns
-max(0, N - rows_top)..min(N, cols_top) of D_N, rows_top being the resource's
-largest row index and cols_top the largest sent level; the same range for
-N - 1 holds every column that this band reads.  So ``_real_band`` keeps
-only that band of each block, for caps ``rows_top`` and ``cols_top`` that
-only grow: the largest any caller has asked for.  Raising a cap drops the blocks
-above the smaller old cap (those below it are full width) and rebuilds them
-on demand.  Each kept entry is computed by the same operations, in the same
-order, as in the full block, so a band holds the same bits whatever the
-caps were when it was built.  Held for every N up to 2 c with both caps at
-c, the bands take 8 (c + 1)^3 bytes, against about 8 (2 c)^3 / 3 for full
-blocks.
+columns grows from a band.  The counting kernel and ``beamsplitter_5050``
+read columns max(0, N - rows_top)..min(N, cols_top) of D_N, cols_top being
+the largest photon number entering port 1 and rows_top the largest entering
+port 2 (in the kernel, the largest sent level and the resource's largest
+row index); the same range for N - 1 holds every column that this band
+reads.  So ``_real_band`` keeps only that band of each block, for caps
+``rows_top`` and ``cols_top`` that only grow: the largest any caller has
+asked for.  Raising a cap drops the blocks above the smaller old cap (those
+below it are full width) and rebuilds them on demand.  Each kept entry is
+computed by the same operations, in the same order, as in the full block,
+so a band holds the same bits whatever the caps were when it was built.
+Held for every N up to 2 c with both caps at c, the bands take
+8 (c + 1)^3 bytes, against about 8 (2 c)^3 / 3 for full blocks.
 """
 
 from __future__ import annotations
@@ -54,22 +55,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CutoffOverflow, InvalidMode
-from .fock import SPARSITY_FLOOR, MultiModeState, SingleModeState
+from .errors import InvalidMode
+from .fock import SingleModeState, _read_only
 
 _SQ2 = math.sqrt(2.0)
-
-# substitution matrices: in1^dag -> m00*out1^dag + m01*out2^dag, etc.
-_FORWARD = (1 / _SQ2, -1j / _SQ2, -1j / _SQ2, 1 / _SQ2)
-_INVERSE = (1 / _SQ2, 1j / _SQ2, 1j / _SQ2, 1 / _SQ2)
-
 
 #: ``_BANDS[N]`` is ``(lo, D_N[:, lo : hi + 1])`` with lo = max(0, N - rows_top)
 #: and hi = min(N, cols_top) for the caps below; read-only.
 _BANDS: list[tuple[int, np.ndarray]] = [(0, np.ones((1, 1)))]
 _BANDS[0][1].flags.writeable = False
 
-#: [rows_top, cols_top]: the largest resource row index and sent level asked for.
+#: [rows_top, cols_top]: the largest port-2 and port-1 photon numbers asked for.
 _CAPS = [0, 0]
 
 #: (-i)^k for k mod 4, exact.
@@ -109,27 +105,15 @@ def _real_band(total: int, rows_top: int, cols_top: int) -> tuple[int, np.ndarra
     return _BANDS[total]
 
 
-def _block(key: tuple, total: int) -> np.ndarray:
-    """Unitary on the total-photon-number block, rows/cols indexed by the
-    photon count in the first mode (0..total), built from the full band of
-    ``_real_band`` on every call: the bands are the only store of
-    beamsplitter blocks."""
-    if key not in (_FORWARD, _INVERSE):
-        raise ValueError("unsupported substitution convention")
-    _, real = _real_band(total, total, total)  # lo = 0: all of D_N
-    counts = np.arange(total + 1)
-    phases = _MINUS_I_POWERS[(counts[:, None] - counts[None, :]) % 4]
-    # the inverse is the adjoint: (-i)^(c-a) D[a, c]
-    return phases * (real if key == _FORWARD else real.T)
-
-
-def _check_mode(state, mode: int):
-    if isinstance(state, SingleModeState):
-        if mode != 0:
-            raise InvalidMode(f"single-mode state has only mode 0, got {mode}")
-        return
-    if not (0 <= mode < state.mode_count):
-        raise InvalidMode(f"mode {mode} out of range for {state.mode_count} modes")
+def _two_mode(state, *modes: int) -> np.ndarray:
+    """``state`` as a complex matrix, after checking that it is a two-mode
+    state and that each of ``modes`` is one of its modes."""
+    if isinstance(state, SingleModeState) or np.ndim(state) != 2:
+        raise InvalidMode("a two-mode state is a matrix R[n, m]")
+    for mode in modes:
+        if mode not in (0, 1):
+            raise InvalidMode(f"mode {mode} out of range for 2 modes")
+    return np.asarray(state, dtype=np.complex128)
 
 
 def _phase_factors(phi: float, count: int) -> np.ndarray:
@@ -153,70 +137,58 @@ def _phase_factors(phi: float, count: int) -> np.ndarray:
 
 def phase_shift(state, phi: float, mode: int = 0):
     """Multiply the amplitude at photon number n (in ``mode``) by exp(i*phi*n)."""
-    _check_mode(state, mode)
     if isinstance(state, SingleModeState):
+        if mode != 0:
+            raise InvalidMode(f"single-mode state has only mode 0, got {mode}")
         factors = _phase_factors(phi, state.amplitudes.size)
         return SingleModeState(state.amplitudes * factors, tail_mass=state.tail_mass)
-    factors = _phase_factors(phi, state.per_mode_cutoff + 1)
-    amps = {occ: amp * factors[occ[mode]] for occ, amp in state.items()}
-    return MultiModeState(state.mode_count, state.per_mode_cutoff, amps)
+    matrix = _two_mode(state, mode)
+    factors = _phase_factors(phi, matrix.shape[mode])
+    return _read_only(matrix * (factors[:, None] if mode == 0 else factors))
 
 
-def _two_mode_substitution(
-    state: MultiModeState, mode_a: int, mode_b: int, key: tuple
-) -> MultiModeState:
+def _pair(state, mode_a: int, mode_b: int) -> np.ndarray:
+    """``state`` as a complex matrix with ``mode_a`` as its first index."""
     if mode_a == mode_b:
         raise InvalidMode("mode_a and mode_b must differ")
-    _check_mode(state, mode_a)
-    _check_mode(state, mode_b)
-
-    # group amplitudes by (total photons in the pair, spectator occupations)
-    groups: dict[tuple, np.ndarray] = {}
-    spectator_slots = [i for i in range(state.mode_count) if i not in (mode_a, mode_b)]
-    for occ, amp in state.items():
-        na, nb = occ[mode_a], occ[mode_b]
-        total = na + nb
-        rest = tuple(occ[i] for i in spectator_slots)
-        vec = groups.get((total, rest))
-        if vec is None:
-            vec = np.zeros(total + 1, dtype=np.complex128)
-            groups[(total, rest)] = vec
-        vec[na] += amp
-
-    out: dict[tuple[int, ...], complex] = {}
-    # _block builds its matrix on every call, so build each total's once here
-    blocks = {total: _block(key, total) for total, _ in groups if total <= state.per_mode_cutoff}
-    template = [0] * state.mode_count
-    for (total, rest), vec in groups.items():
-        if total > state.per_mode_cutoff:
-            raise CutoffOverflow(
-                f"total photon number {total} across modes ({mode_a}, {mode_b}) "
-                f"exceeds per-mode cutoff {state.per_mode_cutoff}"
-            )
-        result = blocks[total] @ vec
-        for i, slot in enumerate(spectator_slots):
-            template[slot] = rest[i]
-        for j in range(total + 1):
-            val = result[j]
-            if abs(val) < SPARSITY_FLOOR:
-                continue
-            template[mode_a] = j
-            template[mode_b] = total - j
-            occ_out = tuple(template)
-            prev_amp = out.get(occ_out)
-            out[occ_out] = val if prev_amp is None else prev_amp + val
-    return MultiModeState(state.mode_count, state.per_mode_cutoff, out)
+    matrix = _two_mode(state, mode_a, mode_b)
+    return matrix if mode_a == 0 else matrix.T
 
 
-def beamsplitter_5050(state: MultiModeState, mode_a: int, mode_b: int) -> MultiModeState:
-    """Apply the fixed-convention 50/50 beamsplitter to two modes.
+def _turn(matrix: np.ndarray) -> np.ndarray:
+    """The beamsplitter on a two-mode matrix, one photon total at a time.
+
+    Anti-diagonal N of ``matrix`` (rows 0..rows-1, columns 0..cols-1) holds
+    the amplitudes a, N - a that the block unitary (-i)^(c-a) D_N[c, a] of N
+    turns into anti-diagonal N of the output.  Only columns a that meet a
+    row and a column of ``matrix`` are read, max(0, N - (cols - 1))..
+    min(N, rows - 1), so the band caps never rise above the state's own
+    cutoffs.  The output is square with side rows + cols - 1, which holds
+    every total.
+    """
+    rows, cols = matrix.shape
+    side = rows + cols - 1
+    out = np.zeros((side, side), dtype=np.complex128)
+    levels = np.arange(side)
+    for total in range(side):
+        a = levels[max(0, total - cols + 1) : min(total, rows - 1) + 1]
+        lo, band = _real_band(total, cols - 1, rows - 1)
+        # (-i)^(c-a) = (-i)^c i^a, with i^a = conj((-i)^a)
+        twisted = matrix[a, total - a] * _MINUS_I_POWERS[a % 4].conj()
+        c = levels[: total + 1]
+        out[c, total - c] = _MINUS_I_POWERS[c % 4] * (band[:, a - lo] @ twisted)
+    return out
+
+
+def beamsplitter_5050(state, mode_a: int, mode_b: int) -> np.ndarray:
+    """Apply the fixed-convention 50/50 beamsplitter to a two-mode matrix.
 
     ``mode_a`` feeds input port 1 and receives output port A; ``mode_b``
-    feeds port 2 and receives B.  Norm and the total photon number in the
-    pair are preserved; CutoffOverflow is raised instead of silently
-    truncating when the output would not fit.
+    feeds port 2 and receives B.  Norm and every photon total are
+    preserved: the read-only output is square with side rows + cols - 1.
     """
-    return _two_mode_substitution(state, mode_a, mode_b, _FORWARD)
+    out = _turn(_pair(state, mode_a, mode_b))
+    return _read_only(out if mode_a == 0 else out.T)
 
 
 @dataclass(frozen=True)
@@ -246,25 +218,18 @@ class BipartiteCoefficients:
         return self.antisymmetric_weight() / self.total_weight()
 
 
-def bipartite_coefficients(
-    state: MultiModeState, mode_a: int = 0, mode_b: int = 1
-) -> BipartiteCoefficients:
+def bipartite_coefficients(state, mode_a: int = 0, mode_b: int = 1) -> BipartiteCoefficients:
     """Extract the coefficient matrix K of a two-mode state.
 
     K is defined so that feeding sum_{n,m} K[n,m] * i^n |n, m> through the
     beamsplitter reproduces ``state`` (mode_a as port A).  Computed by
-    applying the inverse beamsplitter and stripping the i^n twist.
+    applying the inverse beamsplitter and stripping the i^n twist.  Each
+    block unitary is symmetric (the exponential of a symmetric generator),
+    so its inverse is its complex conjugate, and the inverse turn is the
+    conjugate of ``_turn`` on the conjugate state: it reads the same band.
     """
-    if state.mode_count != 2:
-        raise InvalidMode("coefficient extraction requires exactly two modes")
-    if {mode_a, mode_b} != {0, 1}:
-        raise InvalidMode("mode_a and mode_b must be the two modes of the state")
-    pre = _two_mode_substitution(state, mode_a, mode_b, _INVERSE)
-    top = max((max(occ) for occ in pre.amplitudes), default=0)
-    matrix = np.zeros((top + 1, top + 1), dtype=np.complex128)
-    for occ, amp in pre.items():
-        n, m = occ[mode_a], occ[mode_b]
-        matrix[n, m] = amp * (-1j) ** n
+    pre = _turn(_pair(state, mode_a, mode_b).conj()).conj()
+    matrix = pre * _MINUS_I_POWERS[np.arange(pre.shape[0]) % 4][:, None]
     return BipartiteCoefficients(
         matrix=matrix,
         symmetric_part=(matrix + matrix.T) / 2.0,

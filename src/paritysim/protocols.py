@@ -41,16 +41,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateState, InvalidResource
-from .fock import (
-    MultiModeState,
-    SingleModeState,
-    _trusted_rows,
-    inner_product,
-    normalize,
-    tensor,
-)
+from .fock import SingleModeState, _trusted_rows, inner_product, normalize
 from .measurement import _count_factored
-from .optics import _phase_factors, beamsplitter_5050, phase_shift
+from .optics import _phase_factors, phase_shift
 from .states import (
     QubitAmplitudes,
     StateSpec,
@@ -106,37 +99,18 @@ def fidelity(actual: SingleModeState, target: SingleModeState) -> float:
     return abs(inner_product(target, actual)) ** 2
 
 
-def entanglement_entropy(state: MultiModeState) -> float:
-    """Entropy of entanglement (base 2) across the bipartition of a two-mode state.
+def entanglement_entropy(state) -> float:
+    """Entropy of entanglement (base 2) across the bipartition of a two-mode
+    matrix, from its singular values.
 
     Squared Schmidt coefficients below 1e-14 are excluded to avoid 0*log 0
     noise from truncation residue.
     """
-    if state.mode_count != 2:
+    if np.ndim(state) != 2:
         raise ValueError("entanglement entropy is defined here for two-mode states")
-    top = max((max(occ) for occ in state.amplitudes), default=0)
-    matrix = np.zeros((top + 1, top + 1), dtype=np.complex128)
-    for occ, amp in state.items():
-        matrix[occ[0], occ[1]] = amp
-    weights = np.linalg.svd(matrix, compute_uv=False) ** 2
+    weights = np.linalg.svd(state, compute_uv=False) ** 2
     weights = weights[weights > 1e-14]
     return float(-np.sum(weights * np.log2(weights)))
-
-
-def split_with_phase_shifted(
-    psi: SingleModeState, phi: SingleModeState | None = None
-) -> MultiModeState:
-    """Send a quarter-cycle-shifted state and a plain state through the beamsplitter.
-
-    The shifted copy of ``phi`` (or of ``psi`` itself when ``phi`` is omitted)
-    feeds port 1, ``psi`` feeds port 2.  With ``phi`` omitted the odd-count
-    probability in output A is exactly zero; with ``phi`` orthogonal to
-    ``psi`` it is exactly one half.  The sparse result keeps amplitudes down
-    to ``SPARSITY_FLOOR``; the facts scenarios count the same split with
-    the counting kernel, and the tests keep this as the sparse reference.
-    """
-    shifted = phase_shift(phi if phi is not None else psi, math.pi / 2)
-    return beamsplitter_5050(tensor(shifted, psi), 0, 1)
 
 
 def _run_heralded(protocol: str, sent: SingleModeState, factors: tuple,

@@ -19,8 +19,8 @@ Conventions fixed here:
   correspondence amplitude-wise.  The protocols take the second form as two
   rank-2 factors (``_resource_factors``), which keeps the digits that the
   difference of products loses when u and v are nearly parallel;
-  ``resource_from_states`` stays the dense two-mode state that
-  ``entanglement_entropy`` decomposes and the tests compare against.
+  ``resource_from_states`` builds the two-mode matrix that
+  ``entanglement_entropy`` decomposes.
 """
 
 from __future__ import annotations
@@ -38,13 +38,7 @@ from .errors import (
     NonRealOverlap,
     TruncationTooSevere,
 )
-from .fock import (
-    SPARSITY_FLOOR,
-    MultiModeState,
-    SingleModeState,
-    combined_tail,
-    inner_product,
-)
+from .fock import SingleModeState, _read_only, combined_tail, inner_product
 from .optics import phase_shift
 
 #: Imaginary residue allowed in <u|v> before the pair is rejected.
@@ -171,7 +165,7 @@ class QubitAmplitudes:
 class EntangledResource:
     """A normalized two-mode resource state carrying one ebit."""
 
-    two_mode_state: MultiModeState
+    two_mode_state: np.ndarray
     kind: str
     u_spec: StateSpec | None = None
     v_spec: StateSpec | None = None
@@ -377,8 +371,9 @@ def encode_qubit(
     return state
 
 
-def resource_from_states(u: SingleModeState, v: SingleModeState, kind: str) -> MultiModeState:
-    """Normalized two-mode resource built directly from the product-state difference."""
+def resource_from_states(u: SingleModeState, v: SingleModeState, kind: str) -> np.ndarray:
+    """Normalized two-mode resource built directly from the product-state
+    difference: a read-only (cutoff + 1) x (cutoff + 1) matrix."""
     if kind not in RESOURCE_KINDS:
         raise ValueError(f"unknown resource kind {kind!r}")
     _check_pair(u, v)
@@ -392,13 +387,7 @@ def resource_from_states(u: SingleModeState, v: SingleModeState, kind: str) -> M
     if ns <= 1e-14:
         raise DegenerateSuperposition("resource state vanishes; u and v coincide up to sign")
     matrix /= np.sqrt(ns)
-    amps = {
-        (n, m): matrix[n, m]
-        for n in range(cutoff + 1)
-        for m in range(cutoff + 1)
-        if abs(matrix[n, m]) >= SPARSITY_FLOOR
-    }
-    return MultiModeState(2, cutoff, amps)
+    return _read_only(matrix)
 
 
 def _resource_factors(u: SingleModeState, v: SingleModeState,

@@ -1,9 +1,12 @@
+import math
 import time
 
 import numpy as np
 import pytest
 
-from paritysim import MultiModeState, SingleModeState, normalize
+from paritysim import SingleModeState, beamsplitter_5050, normalize, phase_shift, tensor
+from paritysim.measurement import _count_factored
+from paritysim.optics import _MINUS_I_POWERS, _real_band
 
 SESSION_START = time.monotonic()
 
@@ -40,12 +43,40 @@ def random_qubit(rng):
     return QubitAmplitudes(pair[0], pair[1])
 
 
-def random_multimode(rng, modes: int, per_mode_cutoff: int, entries: int,
-                     max_total: int | None = None) -> MultiModeState:
-    amps = {}
-    while len(amps) < entries:
-        occ = tuple(int(x) for x in rng.integers(0, per_mode_cutoff + 1, size=modes))
-        if max_total is not None and sum(occ) > max_total:
+def shifted_split(psi: SingleModeState, phi: SingleModeState | None = None) -> np.ndarray:
+    """The quarter-cycle-shifted ``phi`` (``psi`` when omitted) into port 1 of
+    the beamsplitter, ``psi`` into port 2.  Output A never holds an odd count
+    when ``phi`` is omitted, and holds one with probability 1/2 when ``phi``
+    is orthogonal to ``psi``."""
+    shifted = phase_shift(phi if phi is not None else psi, math.pi / 2)
+    return beamsplitter_5050(tensor(shifted, psi), 0, 1)
+
+
+def random_two_mode(rng, rows: int, cols: int, entries: int,
+                    max_total: int | None = None) -> np.ndarray:
+    """A normalized rows x cols two-mode matrix with ``entries`` random
+    nonzero amplitudes, all at photon totals up to ``max_total``."""
+    matrix = np.zeros((rows, cols), dtype=complex)
+    while np.count_nonzero(matrix) < entries:
+        n, m = int(rng.integers(0, rows)), int(rng.integers(0, cols))
+        if max_total is not None and n + m > max_total:
             continue
-        amps[occ] = complex(rng.normal(), rng.normal())
-    return normalize(MultiModeState(modes, per_mode_cutoff, amps))
+        matrix[n, m] = complex(rng.normal(), rng.normal())
+    return matrix / np.linalg.norm(matrix)
+
+
+def full_block(total: int) -> np.ndarray:
+    """The beamsplitter's block unitary of ``total`` photons, (-i)^(c-a) D_N[c, a],
+    from the full-width band of ``optics._real_band``."""
+    _, real = _real_band(total, total, total)
+    counts = np.arange(total + 1)
+    return _MINUS_I_POWERS[(counts[:, None] - counts[None, :]) % 4] * real
+
+
+def kernel_records(sent: SingleModeState, resource: np.ndarray) -> dict:
+    """``{(na, nb): (probability, receiver)}`` from the counting kernel on a
+    two-mode resource matrix R, given as the factors R and the identity."""
+    return {(a, total - a): (p, receiver)
+            for total, na, probs, receivers in _count_factored(
+                sent, resource, np.eye(resource.shape[1]))
+            for a, p, receiver in zip(na.tolist(), probs.tolist(), receivers)}

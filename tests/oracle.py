@@ -3,16 +3,14 @@
 Everything here works on full state vectors over the complete product basis,
 with operators as explicit matrices (the beamsplitter from scipy's matrix
 exponential, phase shifts as explicit diagonals) and exhaustive index
-arithmetic.  It shares no code path with the sparse block implementation in
-the package, so agreement is meaningful.
+arithmetic.  It shares no code path with the package's banded block
+implementation, so agreement is meaningful.
 """
 
 import math
 
 import numpy as np
 from scipy.linalg import expm
-
-from paritysim import MultiModeState
 
 
 def destroy_matrix(dim: int) -> np.ndarray:
@@ -84,17 +82,18 @@ class DenseSpace:
         diag = np.exp(1j * phi * np.arange(self.dim))
         return self.single_mode_operator(np.diag(diag), mode)
 
-    def vector(self, state: MultiModeState) -> np.ndarray:
-        vec = np.zeros(self.size, dtype=complex)
-        for occ, amp in state.items():
-            vec[self.index(occ)] = amp
-        return vec
-
-    def from_vector(self, vec: np.ndarray, per_mode_cutoff: int) -> MultiModeState:
-        amps = {}
-        for idx in np.flatnonzero(np.abs(vec) > 0):
-            amps[self.occupation(int(idx))] = complex(vec[idx])
-        return MultiModeState(self.modes, per_mode_cutoff, amps)
+    def vector(self, matrix) -> np.ndarray:
+        """A two-mode matrix R[n, m] as a vector over this two-mode basis;
+        entries of R beyond the basis must be zero."""
+        if self.modes != 2:
+            raise ValueError("vector takes a two-mode matrix")
+        matrix = np.asarray(matrix, dtype=complex)
+        rows, cols = min(matrix.shape[0], self.dim), min(matrix.shape[1], self.dim)
+        if np.any(matrix[rows:]) or np.any(matrix[:, cols:]):
+            raise ValueError("the matrix has amplitudes beyond the basis")
+        vec = np.zeros((self.dim, self.dim), dtype=complex)
+        vec[:rows, :cols] = matrix[:rows, :cols]
+        return vec.ravel()
 
     def project(self, vec: np.ndarray, measured: tuple, counts: tuple):
         """Probability of the counting record and the normalized dense

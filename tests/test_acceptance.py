@@ -12,10 +12,11 @@ import pytest
 
 import conftest
 from conftest import (
+    kernel_records,
     orthogonal_partner,
-    random_multimode,
     random_qubit,
     random_single,
+    random_two_mode,
 )
 from oracle import DenseSpace, dense_scissors, dense_teleport
 from paritysim import (
@@ -29,13 +30,11 @@ from paritysim import (
     DetectorModel,
     entanglement_entropy,
     explicit_spec,
-    measure_modes,
     normalize,
     number_spec,
     odd_parity_probability,
     parity_flip_probability,
     phase_shift,
-    project_counts,
     quantum_scissors,
     squeezed_spec,
     teleport_basic,
@@ -140,10 +139,10 @@ def test_criterion_04_enhanced_protocol_half_success():
     v = phase_shift(u, math.pi)
     resource = resource_from_states(u, v, "phi_minus")
     expected = {(0, 1): 1 / math.sqrt(2), (1, 0): -1 / math.sqrt(2)}
-    sign = resource.amplitude((0, 1)) / expected[(0, 1)]
+    sign = resource[0, 1] / expected[(0, 1)]
     assert abs(abs(sign) - 1.0) < 1e-12
     for occ, amp in expected.items():
-        assert resource.amplitude(occ) == pytest.approx(sign * amp, abs=1e-12)
+        assert resource[occ] == pytest.approx(sign * amp, abs=1e-12)
 
     worst_fin_p, worst_fin_f = 0.0, 1.0
     for _ in range(5):
@@ -202,32 +201,35 @@ def test_criterion_06_one_ebit_resources():
 def test_criterion_07_dense_oracle_equivalence():
     worst = 0.0
 
-    # beamsplitter and phase shift on random states with at most 4 photons
-    for modes in (2, 3):
-        space = DenseSpace(modes, 5)
-        bs = space.beamsplitter(0, 1)
-        for _ in range(6):
-            st = random_multimode(RNG, modes, 4, 10, max_total=4)
-            vec = space.vector(st)
-            got = space.vector(beamsplitter_5050(st, 0, 1))
-            worst = max(worst, float(np.max(np.abs(got - bs @ vec))))
-            phi = float(RNG.uniform(0, 2 * math.pi))
-            got_p = space.vector(phase_shift(st, phi, mode=modes - 1))
-            worst = max(worst, float(np.max(np.abs(got_p - space.phase(modes - 1, phi) @ vec))))
+    # beamsplitter and phase shift on random two-mode matrices with at most 4 photons
+    space = DenseSpace(2, 5)
+    bs = space.beamsplitter(0, 1)
+    for _ in range(12):
+        st = random_two_mode(RNG, 5, 5, 10, max_total=4)
+        vec = space.vector(st)
+        got = space.vector(beamsplitter_5050(st, 0, 1))
+        worst = max(worst, float(np.max(np.abs(got - bs @ vec))))
+        phi = float(RNG.uniform(0, 2 * math.pi))
+        mode = int(RNG.integers(0, 2))
+        got_p = space.vector(phase_shift(st, phi, mode=mode))
+        worst = max(worst, float(np.max(np.abs(got_p - space.phase(mode, phi) @ vec))))
 
-    # projective counting
+    # projective counting: the kernel on sent (x) R, at most 4 photons in the split modes
     space3 = DenseSpace(3, 5)
+    bs3 = space3.beamsplitter(0, 1)
     for _ in range(6):
-        st = random_multimode(RNG, 3, 4, 12, max_total=4)
-        vec = space3.vector(st)
-        for outcome in measure_modes(st, (0, 1)):
-            prob, post = space3.project(vec, (0, 1), outcome.counts)
-            worst = max(worst, abs(prob - outcome.probability))
-            direct = project_counts(st, (0, 1), outcome.counts)
-            got_post = np.zeros(5, dtype=complex)
-            for occ, amp in direct.post_state.items():
-                got_post[occ[0]] = amp
-            worst = max(worst, float(np.max(np.abs(got_post - post))))
+        sent = random_single(RNG, 2)
+        resource = random_two_mode(RNG, 3, 5, 8)
+        vec = bs3 @ np.kron(np.pad(sent.amplitudes, (0, 2)), space.vector(resource))
+        records = kernel_records(sent, resource)
+        for na in range(5):
+            for nb in range(5):
+                prob, post = space3.project(vec, (0, 1), (na, nb))
+                if (na, nb) not in records:
+                    worst = max(worst, prob)
+                    continue
+                got_prob, receiver = records[(na, nb)]
+                worst = max(worst, abs(prob - got_prob), float(np.max(np.abs(receiver - post))))
 
     # all three protocols on finite states within the 4-photon sector
     q = random_qubit(RNG)
@@ -266,7 +268,7 @@ def test_criterion_07_dense_oracle_equivalence():
 def test_criterion_08_coefficient_ratio_equals_counting():
     worst = 0.0
     for _ in range(50):
-        st = random_multimode(RNG, 2, 10, int(RNG.integers(5, 30)), max_total=10)
+        st = random_two_mode(RNG, 11, 11, int(RNG.integers(5, 30)), max_total=10)
         ratio = bipartite_coefficients(st, 0, 1).odd_parity_probability()
         worst = max(worst, abs(ratio - odd_parity_probability(st, 0)))
     assert worst <= 1e-12

@@ -6,10 +6,11 @@ import pytest
 from conftest import random_single
 from paritysim import (
     DegenerateState,
-    MultiModeState,
+    InvalidMode,
     SingleModeState,
     build_state,
     coherent_spec,
+    count_distribution,
     inner_product,
     normalize,
     number_spec,
@@ -48,10 +49,9 @@ class TestNormalize:
             np.testing.assert_allclose(twice.amplitudes, once.amplitudes, atol=1e-14)
 
     def test_multimode(self):
-        st = MultiModeState(2, 3, {(0, 1): 2.0, (1, 0): -2.0})
-        out = normalize(st)
-        assert abs(out.norm_squared() - 1.0) < 1e-12
-        assert abs(out.amplitude((0, 1)) - 1 / math.sqrt(2)) < 1e-12
+        # normalize takes single modes only; a two-mode matrix is refused
+        with pytest.raises(TypeError):
+            normalize(np.array([[0.0, 2.0], [-2.0, 0.0]]))
 
 
 class TestInnerProduct:
@@ -95,29 +95,38 @@ class TestInnerProduct:
 class TestTensor:
     def test_vacuum(self):
         st = tensor(SingleModeState([1, 0]), SingleModeState([1, 0]))
-        assert st.amplitude((0, 0)) == pytest.approx(1)
-        assert len(st.amplitudes) == 1
+        assert st[0, 0] == pytest.approx(1)
+        assert np.count_nonzero(st) == 1
 
     def test_basis_case(self):
         st = tensor(SingleModeState([0, 1]), SingleModeState([1, 0]))
-        assert st.amplitude((1, 0)) == pytest.approx(1)
+        assert st[1, 0] == pytest.approx(1)
 
     def test_distributivity(self):
         plus = normalize(SingleModeState([1, 1]))
         st = tensor(plus, SingleModeState([0, 1]))
-        assert st.amplitude((0, 1)) == pytest.approx(1 / math.sqrt(2))
-        assert st.amplitude((1, 1)) == pytest.approx(1 / math.sqrt(2))
+        assert st[0, 1] == pytest.approx(1 / math.sqrt(2))
+        assert st[1, 1] == pytest.approx(1 / math.sqrt(2))
 
     def test_norm_multiplicative(self, rng):
         for _ in range(10):
             a = random_single(rng, 5)
             b = random_single(rng, 7)
             st = tensor(a, b)
-            assert st.norm_squared() == pytest.approx(a.norm_squared() * b.norm_squared(), abs=1e-12)
+            assert st.shape == (6, 8)
+            assert np.sum(np.abs(st) ** 2) == pytest.approx(
+                a.norm_squared() * b.norm_squared(), abs=1e-12)
 
     def test_rejects_unnormalized(self):
         with pytest.raises(ValueError):
             tensor(SingleModeState([2, 0]), SingleModeState([1, 0]))
+
+    def test_keeps_every_amplitude_read_only(self):
+        # no amplitude is dropped, however small, and the matrix cannot be written
+        st = tensor(normalize(SingleModeState([1.0, 1e-17])), SingleModeState([1.0]))
+        assert st[1, 0] == pytest.approx(1e-17, rel=1e-15)
+        with pytest.raises(ValueError):
+            st[0, 0] = 0.0
 
 
 class TestTruncationCheck:
@@ -157,18 +166,6 @@ class TestStateValidation:
             SingleModeState([float("nan"), 0])
 
     def test_rejects_bad_tuple_length(self):
-        with pytest.raises(ValueError):
-            MultiModeState(2, 3, {(0, 1, 2): 1.0})
-
-    def test_rejects_above_cutoff(self):
-        with pytest.raises(ValueError):
-            MultiModeState(2, 3, {(0, 4): 1.0})
-
-    def test_sparsity_floor_drops_noise(self):
-        st = MultiModeState(2, 3, {(0, 0): 1.0, (1, 1): 1e-16})
-        assert (1, 1) not in st.amplitudes
-
-    def test_single_mode_conversion(self):
-        st = MultiModeState(1, 3, {(2,): 1.0})
-        s = st.as_single_mode()
-        assert s.amplitudes[2] == pytest.approx(1)
+        # a two-mode state has exactly two indices per amplitude
+        with pytest.raises(InvalidMode):
+            count_distribution(np.ones((2, 2, 2)) / math.sqrt(8), 0)

@@ -1,23 +1,20 @@
-"""The block counting kernel against the sparse three-mode chain it replaces,
-and its factored form against the dense one.
+"""The block counting kernel against the public two-mode beamsplitter, and
+its factored form against the dense one.
 
-``split_and_count`` must give, record for record, what the public dict chain
-``prepend_mode -> beamsplitter_5050 -> measure_modes`` gives on the same input
-and resource: the same record set, probabilities to 1e-14 and receiver states
-to 1e-12.
-
-The chain drops three-mode amplitudes below its 1e-15 sparsity floor and the
-kernel does not, so a receiver state normalized by a small probability p
-carries the chain's floor error divided by sqrt(p).  Receiver states are
-therefore compared to 1e-12 for records with p >= 1e-6, and for every record
-as unnormalized amplitudes (sqrt(p) times the state) to 1e-14.
+The kernel mixes ``sent`` with the first mode of a two-mode resource R and
+counts the two outputs.  The reference builds the same three-mode state one
+receiver level k at a time: X_k = beamsplitter_5050(sent (x) R[:, k]), so
+record (na, nb) has probability sum_k |X_k[na, nb]|^2 and receiver
+X_k[na, nb] / sqrt(P).  Neither route drops any amplitude, so every record
+must agree: the same record set, probabilities to 1e-14 and receiver states
+to 1e-12, however small the record's probability.
 
 The protocols count through the same kernel with the resource as two rank-2
-factors read off the orthonormal pair (u + v, u - v); ``split_and_count``
-reads it as a dense matrix built from u and v.  The two must give the same
-record set, probabilities to 1e-14 and receivers to 1e-12 for p >= 1e-6, also
-for nearly parallel u and v, where factors taken from u and v themselves
-would lose digits to cancellation.
+factors read off the orthonormal pair (u + v, u - v); the dense form passes
+the matrix built from u and v with the identity as its second factor.  The
+two must give the same record set, probabilities to 1e-14 and receivers to
+1e-12 for p >= 1e-6, also for nearly parallel u and v, where factors taken
+from u and v themselves would lose digits to cancellation.
 """
 
 import cmath
@@ -28,7 +25,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from conftest import random_single
+from conftest import full_block, kernel_records, random_single
 from paritysim import (
     InvalidMode,
     QubitAmplitudes,
@@ -36,42 +33,41 @@ from paritysim import (
     beamsplitter_5050,
     build_state,
     coherent_spec,
+    count_distribution,
     encode_qubit,
     explicit_spec,
-    measure_modes,
     number_spec,
     phase_shift,
-    prepend_mode,
     resource_from_states,
-    split_and_count,
     squeezed_spec,
     tensor,
 )
-from paritysim.measurement import _count_factored
-from paritysim.optics import _FORWARD, _block
+from paritysim.measurement import OUTCOME_FLOOR, _count_factored
 from paritysim.states import _resource_factors, pi_shifted_spec
 
 
 def dict_chain(sent, resource):
-    after = beamsplitter_5050(prepend_mode(resource, sent), 0, 1)
-    return {o.counts: o for o in measure_modes(after, (0, 1))}
+    """The records of ``sent`` mixed with the first mode of ``resource``, by
+    counts: (probability, receiver) through the public beamsplitter, one
+    receiver level at a time."""
+    levels = [beamsplitter_5050(np.outer(sent.amplitudes, column), 0, 1)
+              for column in resource.T]
+    amplitudes = np.stack(levels, axis=-1)  # [na, nb, k]
+    weights = np.sum(np.abs(amplitudes) ** 2, axis=-1)
+    return {(na, nb): (weights[na, nb], amplitudes[na, nb] / math.sqrt(weights[na, nb]))
+            for na, nb in np.argwhere(weights >= OUTCOME_FLOOR).tolist()}
 
 
 def assert_same_records(sent, resource):
-    records = split_and_count(sent, resource)
+    records = kernel_records(sent, resource)
     expected = dict_chain(sent, resource)
-    assert [r.counts for r in records] == sorted(expected)
-    for record in records:
-        want = expected[record.counts]
-        assert abs(record.probability - want.probability) <= 1e-14
-        post = want.post_state.as_single_mode()
-        cutoff = max(post.cutoff, record.receiver.cutoff)
-        got, ref = record.receiver.padded(cutoff), post.padded(cutoff)
-        np.testing.assert_allclose(got * math.sqrt(record.probability),
-                                   ref * math.sqrt(want.probability), rtol=0, atol=1e-14)
-        if record.probability >= 1e-6:
-            np.testing.assert_allclose(got, ref, rtol=0, atol=1e-12)
-        assert record.receiver.norm_squared() == pytest.approx(1.0, abs=1e-12)
+    assert sorted(records) == sorted(expected)
+    for counts, (prob, receiver) in records.items():
+        want_prob, want_receiver = expected[counts]
+        assert abs(prob - want_prob) <= 1e-14, counts
+        np.testing.assert_allclose(receiver, want_receiver, rtol=0, atol=1e-12,
+                                   err_msg=str(counts))
+        assert np.sum(np.abs(receiver) ** 2) == pytest.approx(1.0, abs=1e-12)
     return records
 
 
@@ -80,13 +76,16 @@ def teleport_inputs(u, v, q=QubitAmplitudes(0.6, 0.8j)):
 
 
 class TestAgainstDictChain:
+    """Against ``dict_chain``: the records, keyed by counts, of the public
+    chain outer product -> ``beamsplitter_5050`` -> |amplitude|^2."""
+
     @pytest.mark.parametrize("alpha, cutoff", [(0.08, 4), (cmath.rect(1.0, 0.4), 14),
                                                (cmath.rect(2.5, 2.1), 32)])
     def test_coherent_enhanced_pair(self, alpha, cutoff):
         spec = coherent_spec(alpha, cutoff)
         u, v = build_state(spec), build_state(pi_shifted_spec(spec))
         records = assert_same_records(*teleport_inputs(u, v))
-        assert not any(na % 2 == 1 and nb % 2 == 1 for na, nb in (r.counts for r in records))
+        assert not any(na % 2 == 1 and nb % 2 == 1 for na, nb in records)
 
     @pytest.mark.parametrize("r, cutoff", [(0.01, 4), (0.4, 26), (0.8, 64)])
     def test_squeezed_even_only_support(self, r, cutoff):
@@ -95,7 +94,7 @@ class TestAgainstDictChain:
         assert not np.any(sent.amplitudes[1::2])
         records = assert_same_records(sent, resource)
         # even-only inputs and resource: the photon total is always even
-        assert all(sum(r.counts) % 2 == 0 for r in records)
+        assert all(sum(counts) % 2 == 0 for counts in records)
 
     @pytest.mark.parametrize("low, high", [(0, 1), (0, 2), (1, 3), (2, 5)])
     def test_number_state_scissors_resource(self, rng, low, high):
@@ -117,21 +116,23 @@ class TestAgainstDictChain:
 
 class TestKernelContract:
     def test_rejects_non_pair_resource(self):
-        three = prepend_mode(tensor(build_state(number_spec(0, 1)),
-                                    build_state(number_spec(1, 1))),
-                             build_state(number_spec(0, 0)))
+        # a resource of three modes is not a two-mode matrix
+        three = np.zeros((2, 2, 1))
+        three[0, 1, 0] = 1.0
         with pytest.raises(InvalidMode):
-            split_and_count(build_state(number_spec(1, 1)), three)
+            beamsplitter_5050(three, 0, 1)
+        with pytest.raises(InvalidMode):
+            count_distribution(three, 0)
 
     def test_rejects_unnormalized_input(self):
         resource = tensor(build_state(number_spec(0, 1)), build_state(number_spec(1, 1)))
-        with pytest.raises(ValueError):
-            split_and_count(SingleModeState([0.5, 0.5]), resource)
+        with pytest.raises(ValueError, match="requires a normalized input state"):
+            kernel_records(SingleModeState([0.5, 0.5]), resource)
 
     def test_records_sum_to_one(self):
         u, v = build_state(coherent_spec(1.5, 30)), build_state(coherent_spec(-1.5, 30))
-        records = split_and_count(*teleport_inputs(u, v))
-        assert sum(r.probability for r in records) == pytest.approx(1.0, abs=1e-12)
+        records = kernel_records(*teleport_inputs(u, v))
+        assert sum(p for p, _ in records.values()) == pytest.approx(1.0, abs=1e-12)
 
 
 def assert_factored_matches_dense(sent, u, v, kind):
@@ -139,13 +140,14 @@ def assert_factored_matches_dense(sent, u, v, kind):
                 for total, na, probs, receivers in _count_factored(
                     sent, *_resource_factors(u, v, kind))
                 for a, prob, receiver in zip(na.tolist(), probs.tolist(), receivers)}
-    dense = split_and_count(sent, resource_from_states(u, v, kind))
-    assert sorted(factored) == [r.counts for r in dense]
-    for record in dense:
-        prob, receiver = factored[record.counts]
-        assert abs(prob - record.probability) <= 1e-14, record.counts
-        if record.probability >= 1e-6:
-            np.testing.assert_allclose(receiver, record.receiver.amplitudes, rtol=0, atol=1e-12)
+    resource = resource_from_states(u, v, kind)
+    dense = kernel_records(sent, resource)
+    assert sorted(factored) == sorted(dense)
+    for counts, (dense_prob, dense_receiver) in dense.items():
+        prob, receiver = factored[counts]
+        assert abs(prob - dense_prob) <= 1e-14, counts
+        if dense_prob >= 1e-6:
+            np.testing.assert_allclose(receiver, dense_receiver, rtol=0, atol=1e-12)
 
 
 def coherent_pair(alpha, cutoff):
@@ -201,6 +203,6 @@ class TestFactoredAgainstDense:
 def test_every_block_up_to_120_is_unitary():
     worst = 0.0
     for total in range(121):
-        block = _block(_FORWARD, total)
+        block = full_block(total)
         worst = max(worst, float(np.max(np.abs(block.conj().T @ block - np.eye(total + 1)))))
     assert worst <= 1e-12

@@ -3,37 +3,32 @@ import math
 import numpy as np
 import pytest
 
-from conftest import random_multimode
+from conftest import kernel_records, random_single, random_two_mode, shifted_split
 from paritysim import (
     CountDistribution,
     DetectorModel,
     InvalidMode,
-    MultiModeState,
     SingleModeState,
-    ZeroProbabilityOutcome,
-    beamsplitter_5050,
     build_state,
     coherent_spec,
     count_distribution,
     explicit_spec,
     lossy_count_distribution,
-    measure_modes,
     number_spec,
     odd_parity_probability,
     parity_flip_probability,
     phase_shift,
-    prepend_mode,
-    project_counts,
     resource_from_states,
     sample_counts,
     tensor,
     thinned_distribution,
     total_variation_distance,
 )
+from paritysim.measurement import OUTCOME_FLOOR
 
 
 def single_photon_pair():
-    return MultiModeState(2, 1, {(0, 1): 1 / math.sqrt(2), (1, 0): -1 / math.sqrt(2)})
+    return np.array([[0.0, 1.0], [-1.0, 0.0]]) / math.sqrt(2)
 
 
 class TestCountDistribution:
@@ -43,7 +38,7 @@ class TestCountDistribution:
         assert dist.probability(1) == pytest.approx(0.5)
 
     def test_vacuum(self):
-        dist = count_distribution(MultiModeState(2, 1, {(0, 0): 1.0}), 0)
+        dist = count_distribution(np.array([[1.0, 0.0], [0.0, 0.0]]), 0)
         assert dist.probabilities == {0: pytest.approx(1.0)}
 
     def test_coherent_marginal_is_poisson(self):
@@ -58,82 +53,66 @@ class TestCountDistribution:
             count_distribution(single_photon_pair(), 2)
 
     def test_rejects_unnormalized(self):
-        st = MultiModeState(2, 1, {(0, 0): 0.5})
+        st = np.array([[0.5]])
         with pytest.raises(ValueError):
             count_distribution(st, 0)
 
 
 class TestOddParity:
     def test_vacuum_is_even(self):
-        assert odd_parity_probability(MultiModeState(2, 1, {(0, 0): 1.0}), 0) == 0.0
+        assert odd_parity_probability(np.array([[1.0, 0.0], [0.0, 0.0]]), 0) == 0.0
 
     def test_shifted_pair_gives_zero(self):
-        from paritysim import split_with_phase_shifted
-
         for spec in (coherent_spec(0.9, 16), explicit_spec([0.2, 0.4, 0.1, 0.7])):
-            out = split_with_phase_shifted(build_state(spec))
+            out = shifted_split(build_state(spec))
             assert odd_parity_probability(out, 0) <= 1e-12
 
     def test_orthogonal_pair_gives_half(self):
-        from paritysim import split_with_phase_shifted
-
-        out = split_with_phase_shifted(build_state(number_spec(0, 2)), build_state(number_spec(1, 2)))
+        out = shifted_split(build_state(number_spec(0, 2)), build_state(number_spec(1, 2)))
         assert odd_parity_probability(out, 0) == pytest.approx(0.5, abs=1e-12)
 
 
 class TestProjectCounts:
+    """Conditioning on counts, through the counting kernel: ``sent`` mixed
+    with the first mode of a two-mode resource, both outputs counted."""
+
     def test_schmidt_form(self):
-        outcome = project_counts(single_photon_pair(), [0], [0])
-        assert outcome.probability == pytest.approx(0.5)
-        post = outcome.post_state.as_single_mode()
-        assert abs(post.amplitudes[1]) == pytest.approx(1.0)
+        # vacuum sent: a count of zero photons in both outputs finds the
+        # pair's first mode empty and leaves its second with one photon
+        records = kernel_records(SingleModeState([1.0]), single_photon_pair())
+        prob, receiver = records[(0, 0)]
+        assert prob == pytest.approx(0.5)
+        assert abs(receiver[1]) == pytest.approx(1.0)
 
     def test_scissors_pre_measurement_state(self):
-        # assemble the truncation-protocol state right before counting and
-        # project onto one photon at each splitter output
+        # the truncation protocol's state right before counting, projected
+        # onto one photon at each splitter output
         alpha = np.array([0.5, 0.5, 0.5, 0.5], dtype=complex)
         sent = phase_shift(SingleModeState(alpha), math.pi / 2)
         resource = resource_from_states(
             build_state(number_spec(0, 2)), build_state(number_spec(2, 2)), "phi_minus")
-        full = prepend_mode(resource, sent)
-        after = beamsplitter_5050(full, 0, 1)
-        outcome = project_counts(after, [0, 1], [1, 1])
+        prob, receiver = kernel_records(sent, resource)[(1, 1)]
         expected_prob = (abs(alpha[0]) ** 2 + abs(alpha[2]) ** 2) / 4
-        assert outcome.probability == pytest.approx(expected_prob, abs=1e-12)
-        post = outcome.post_state.as_single_mode()
+        assert prob == pytest.approx(expected_prob, abs=1e-12)
         expected = np.zeros(3, dtype=complex)
         expected[0], expected[2] = alpha[0], alpha[2]
         expected /= np.linalg.norm(expected)
-        overlap = abs(np.vdot(expected, post.padded(2)))
+        overlap = abs(np.vdot(expected, receiver))
         assert overlap == pytest.approx(1.0, abs=1e-12)
 
     def test_impossible_outcome(self):
-        st = MultiModeState(3, 1, {(0, 0, 0): 1.0})
-        with pytest.raises(ZeroProbabilityOutcome):
-            project_counts(st, [0, 1], [1, 0])
+        # vacuum in, vacuum resource: the only record is (0, 0)
+        records = kernel_records(SingleModeState([1.0, 0.0]), np.array([[1.0, 0.0], [0.0, 0.0]]))
+        assert list(records) == [(0, 0)]
 
     def test_all_outcomes_sum_to_one(self, rng):
         for _ in range(5):
-            st = random_multimode(rng, 3, 5, 20)
-            outcomes = measure_modes(st, (0, 1))
-            assert sum(o.probability for o in outcomes) == pytest.approx(1.0, abs=1e-10)
-            for o in outcomes:
-                assert o.post_state.norm_squared() == pytest.approx(1.0, abs=1e-12)
-
-    def test_agrees_with_measure_modes(self, rng):
-        st = random_multimode(rng, 2, 4, 10)
-        for outcome in measure_modes(st, (0,)):
-            direct = project_counts(st, (0,), outcome.counts)
-            assert direct.probability == pytest.approx(outcome.probability, abs=1e-15)
-
-    def test_guard_rails(self, rng):
-        st = random_multimode(rng, 2, 4, 6)
-        with pytest.raises(InvalidMode):
-            project_counts(st, [0, 0], [1, 1])
-        with pytest.raises(InvalidMode):
-            project_counts(st, [0, 1], [0, 0])  # nothing left unmeasured
-        with pytest.raises(ValueError):
-            project_counts(st, [0], [9])
+            resource = random_two_mode(rng, 6, 6, 20)
+            records = kernel_records(random_single(rng, 5), resource)
+            assert sum(p for p, _ in records.values()) == pytest.approx(1.0, abs=1e-10)
+            for p, receiver in records.values():
+                assert p >= OUTCOME_FLOOR
+                assert np.sum(np.abs(receiver) ** 2) == pytest.approx(1.0, abs=1e-12)
 
 
 class TestLossyDetector:
@@ -199,7 +178,7 @@ class TestLossyDetector:
 
 class TestSampler:
     def test_reproducible_and_consistent(self, rng):
-        st = random_multimode(rng, 2, 4, 8)
+        st = random_two_mode(rng, 5, 5, 8)
         draws1 = sample_counts(st, (0,), np.random.default_rng(5), 2000)
         draws2 = sample_counts(st, (0,), np.random.default_rng(5), 2000)
         assert draws1 == draws2
@@ -207,6 +186,15 @@ class TestSampler:
         dist = count_distribution(st, 0)
         for counts, f in freq.items():
             assert abs(f - dist.probability(counts[0])) < 0.06
+
+    def test_one_mode_at_a_time(self, rng):
+        st = random_two_mode(rng, 3, 4, 6)
+        draws = sample_counts(st, (1,), np.random.default_rng(9), 200)
+        assert draws == sample_counts(st.T, (0,), np.random.default_rng(9), 200)
+        assert all(count_distribution(st, 1).probability(n) > 0 for (n,) in draws)
+        for modes in ((0, 1), (0, 0), ()):
+            with pytest.raises(InvalidMode):
+                sample_counts(st, modes, np.random.default_rng(9), 1)
 
 
 class TestCountDistributionType:

@@ -3,12 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from conftest import random_multimode, random_single
+from conftest import full_block, random_single, random_two_mode, shifted_split
 from oracle import DenseSpace, exact_block_matrix
 from paritysim import (
-    CutoffOverflow,
     InvalidMode,
-    MultiModeState,
     QubitAmplitudes,
     SingleModeState,
     beamsplitter_5050,
@@ -17,12 +15,22 @@ from paritysim import (
     coherent_spec,
     odd_parity_probability,
     phase_shift,
-    split_with_phase_shifted,
     teleport_enhanced,
     tensor,
 )
 from paritysim import optics
-from paritysim.optics import _FORWARD, _INVERSE, _block
+
+
+def weight(state) -> float:
+    return float(np.sum(np.abs(state) ** 2))
+
+
+def weight_by_total(state) -> dict:
+    """Squared norm of each anti-diagonal n + m = N of a two-mode matrix."""
+    out = {}
+    for (n, m), amp in np.ndenumerate(state):
+        out[n + m] = out.get(n + m, 0.0) + abs(amp) ** 2
+    return out
 
 
 class TestPhaseShift:
@@ -41,66 +49,64 @@ class TestPhaseShift:
         assert out.amplitudes[1] == 1j
 
     def test_norm_exactly_preserved(self, rng):
-        st = random_multimode(rng, 2, 6, 12)
-        out = phase_shift(st, 0.7321, mode=1)
-        assert out.norm_squared() == pytest.approx(st.norm_squared(), abs=1e-15)
+        st = random_two_mode(rng, 7, 7, 12)
+        for mode in (0, 1):
+            out = phase_shift(st, 0.7321, mode=mode)
+            assert weight(out) == pytest.approx(weight(st), abs=1e-15)
+            assert not out.flags.writeable
+        factors = np.exp(0.7321j * np.arange(7))
+        np.testing.assert_allclose(phase_shift(st, 0.7321, mode=1), st * factors, atol=1e-15)
 
     def test_invalid_mode(self, rng):
         with pytest.raises(InvalidMode):
-            phase_shift(random_multimode(rng, 2, 4, 5), 0.3, mode=2)
+            phase_shift(random_two_mode(rng, 5, 5, 5), 0.3, mode=2)
 
     @pytest.mark.parametrize("phi", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("multimode", [False, True])
     def test_non_finite_phase_refused(self, rng, phi, multimode):
-        state = random_multimode(rng, 2, 4, 5) if multimode else random_single(rng, 4)
+        state = random_two_mode(rng, 5, 5, 5) if multimode else random_single(rng, 4)
         with pytest.raises(ValueError, match="phi must be finite"):
             phase_shift(state, phi)
 
 
 class TestBeamsplitter:
     def test_vacuum_invariance(self):
-        st = MultiModeState(2, 2, {(0, 0): 1.0})
-        out = beamsplitter_5050(st, 0, 1)
-        assert out.amplitude((0, 0)) == pytest.approx(1.0)
-        assert len(out.amplitudes) == 1
+        out = beamsplitter_5050(np.ones((1, 1)), 0, 1)
+        assert out[0, 0] == pytest.approx(1.0)
+        assert np.count_nonzero(out) == 1
 
     def test_single_photon_split(self):
         # frozen from inverting the output-port operator relations by hand
-        st = MultiModeState(2, 1, {(1, 0): 1.0})
-        out = beamsplitter_5050(st, 0, 1)
-        assert out.amplitude((1, 0)) == pytest.approx(1 / math.sqrt(2), abs=1e-15)
-        assert out.amplitude((0, 1)) == pytest.approx(-1j / math.sqrt(2), abs=1e-15)
+        out = beamsplitter_5050(np.array([[0.0], [1.0]]), 0, 1)
+        assert out[1, 0] == pytest.approx(1 / math.sqrt(2), abs=1e-15)
+        assert out[0, 1] == pytest.approx(-1j / math.sqrt(2), abs=1e-15)
 
     def test_even_parity_for_shifted_pair(self):
         psi = build_state(coherent_spec(1.0, 16))
-        out = split_with_phase_shifted(psi)
+        out = shifted_split(psi)
         assert odd_parity_probability(out, 0) <= 1e-12
 
     def test_unitarity_randomized(self, rng):
         for _ in range(10):
-            st = random_multimode(rng, 2, 12, 25, max_total=12)
+            st = random_two_mode(rng, 13, 13, 25, max_total=12)
             out = beamsplitter_5050(st, 0, 1)
-            assert out.norm_squared() == pytest.approx(st.norm_squared(), abs=1e-12)
+            assert weight(out) == pytest.approx(weight(st), abs=1e-12)
 
     def test_total_photon_conservation(self, rng):
-        st = random_multimode(rng, 3, 8, 20, max_total=8)
-        out = beamsplitter_5050(st, 0, 2)
-        totals_in = {occ[0] + occ[2] for occ in st.amplitudes}
-        for occ in out.amplitudes:
-            assert occ[0] + occ[2] in totals_in
+        st = random_two_mode(rng, 9, 9, 20, max_total=8)
+        totals_in = {n + m for n, m in np.argwhere(st)}
+        for mode_a, mode_b in ((0, 1), (1, 0)):
+            out = beamsplitter_5050(st, mode_a, mode_b)
+            for n, m in np.argwhere(np.abs(out) > 1e-15):
+                assert n + m in totals_in
 
     def test_block_sectors_do_not_mix(self, rng):
         # amplitude entering the N-sector stays in the N-sector
-        st = random_multimode(rng, 2, 10, 15, max_total=10)
-        out = beamsplitter_5050(st, 0, 1)
-        weight_in = {}
-        for occ, amp in st.items():
-            weight_in[sum(occ)] = weight_in.get(sum(occ), 0.0) + abs(amp) ** 2
-        weight_out = {}
-        for occ, amp in out.items():
-            weight_out[sum(occ)] = weight_out.get(sum(occ), 0.0) + abs(amp) ** 2
-        for total, w in weight_in.items():
-            assert weight_out.get(total, 0.0) == pytest.approx(w, abs=1e-12)
+        st = random_two_mode(rng, 11, 11, 15, max_total=10)
+        weight_in = weight_by_total(st)
+        weight_out = weight_by_total(beamsplitter_5050(st, 0, 1))
+        for total, w in weight_out.items():
+            assert w == pytest.approx(weight_in.get(total, 0.0), abs=1e-12)
 
     def test_parity_moves_to_second_port_when_inputs_interchanged(self, rng):
         # with the shifted state fed to port 2 instead of port 1, the
@@ -110,14 +116,23 @@ class TestBeamsplitter:
         out = beamsplitter_5050(tensor(psi, shifted), 0, 1)
         assert odd_parity_probability(out, 1) <= 1e-12
         assert odd_parity_probability(out, 0) > 1e-3  # generic state: no accident
+        # naming the ports the other way round is the transposed split
+        swapped = beamsplitter_5050(tensor(shifted, psi), 1, 0)
+        np.testing.assert_allclose(swapped, out.T, rtol=0, atol=1e-15)
 
-    def test_cutoff_overflow(self):
-        st = MultiModeState(2, 2, {(2, 2): 1.0})
-        with pytest.raises(CutoffOverflow):
-            beamsplitter_5050(st, 0, 1)
+    def test_output_holds_every_total(self):
+        # |2, 2> has total 4, which a 3 x 3 matrix cannot hold everywhere;
+        # the output grows to 5 x 5 and keeps the whole norm
+        st = np.zeros((3, 3))
+        st[2, 2] = 1.0
+        out = beamsplitter_5050(st, 0, 1)
+        assert out.shape == (5, 5)
+        assert weight(out) == pytest.approx(1.0, abs=1e-15)
+        assert abs(out[4, 0]) > 0.1 and abs(out[0, 4]) > 0.1
+        assert not out.flags.writeable
 
     def test_invalid_modes(self, rng):
-        st = random_multimode(rng, 2, 4, 5)
+        st = random_two_mode(rng, 5, 5, 5)
         with pytest.raises(InvalidMode):
             beamsplitter_5050(st, 0, 0)
         with pytest.raises(InvalidMode):
@@ -129,13 +144,13 @@ class TestBlockMatrices:
         # the spectral construction must reproduce the exact binomial
         # expansion (evaluated in integer arithmetic) entry for entry
         for total in (1, 2, 3, 5, 8, 13, 21, 34, 40):
-            spectral = np.asarray(_block(_FORWARD, total))
+            spectral = full_block(total)
             exact = exact_block_matrix(total)
             assert np.max(np.abs(spectral - exact)) < 1e-13
 
     def test_unitary_at_large_sizes(self):
         for total in (60, 90, 120):
-            T = np.asarray(_block(_FORWARD, total))
+            T = full_block(total)
             assert np.max(np.abs(T.conj().T @ T - np.eye(total + 1))) < 1e-13
 
 
@@ -147,9 +162,9 @@ class TestDoubleApplication:
         space = DenseSpace(2, dim)
         U = space.beamsplitter(0, 1)
         for _ in range(5):
-            st = random_multimode(rng, 2, 4, 8, max_total=4)
+            st = random_two_mode(rng, 5, 5, 8, max_total=4)
             twice = beamsplitter_5050(beamsplitter_5050(st, 0, 1), 0, 1)
-            assert twice.norm_squared() == pytest.approx(st.norm_squared(), abs=1e-12)
+            assert weight(twice) == pytest.approx(weight(st), abs=1e-12)
             expected = U @ (U @ space.vector(st))
             got = space.vector(twice)
             assert np.max(np.abs(got - expected)) < 1e-12
@@ -158,7 +173,7 @@ class TestDoubleApplication:
 class TestBipartiteCoefficients:
     def test_product_input_gives_rank_one_symmetric(self, rng):
         psi = random_single(rng, 5)
-        out = split_with_phase_shifted(psi)
+        out = shifted_split(psi)
         K = bipartite_coefficients(out, 0, 1)
         p = psi.amplitudes
         size = K.matrix.shape[0]
@@ -172,14 +187,13 @@ class TestBipartiteCoefficients:
 
         psi = random_single(rng, 6)
         phi = orthogonal_partner(rng, psi)
-        out = split_with_phase_shifted(psi, phi)
+        out = shifted_split(psi, phi)
         K = bipartite_coefficients(out, 0, 1)
         assert K.antisymmetric_weight() == pytest.approx(K.symmetric_weight(), abs=1e-12)
 
     def test_purely_antisymmetric_matrix(self):
         # build the state from a given K, then recover it
-        amps = {(0, 1): 1.0, (1, 0): -1.0 * 1j}  # K01=1, K10=-1, each twisted by i^n
-        pre = MultiModeState(2, 2, {occ: amp / math.sqrt(2) for occ, amp in amps.items()})
+        pre = np.array([[0.0, 1.0], [-1.0 * 1j, 0.0]]) / math.sqrt(2)  # K01=1, K10=-1, twisted by i^n
         st = beamsplitter_5050(pre, 0, 1)
         K = bipartite_coefficients(st, 0, 1)
         assert K.symmetric_weight() < 1e-24
@@ -188,7 +202,7 @@ class TestBipartiteCoefficients:
 
     def test_weight_decomposition(self, rng):
         for _ in range(5):
-            st = random_multimode(rng, 2, 9, 20, max_total=9)
+            st = random_two_mode(rng, 10, 10, 20, max_total=9)
             K = bipartite_coefficients(st, 0, 1)
             assert K.total_weight() == pytest.approx(
                 K.symmetric_weight() + K.antisymmetric_weight(), abs=1e-12)
@@ -199,14 +213,14 @@ class TestBipartiteCoefficients:
 
     def test_ratio_equals_counting(self, rng):
         for _ in range(10):
-            st = random_multimode(rng, 2, 10, 25, max_total=10)
+            st = random_two_mode(rng, 11, 11, 25, max_total=10)
             K = bipartite_coefficients(st, 0, 1)
             assert K.odd_parity_probability() == pytest.approx(
                 odd_parity_probability(st, 0), abs=1e-12)
 
     def test_requires_two_modes(self, rng):
         with pytest.raises(InvalidMode):
-            bipartite_coefficients(random_multimode(rng, 3, 4, 5), 0, 1)
+            bipartite_coefficients(np.ones((2, 2, 2)), 0, 1)
 
 
 def spectral_block(total: int) -> np.ndarray:
@@ -223,17 +237,27 @@ class TestBlockRecurrence:
     # totals to 220 occur at alpha = 6 with cutoff 110
     def test_agrees_with_spectral_construction(self):
         for total in range(251):
-            block = np.asarray(_block(_FORWARD, total))
+            block = full_block(total)
             assert np.max(np.abs(block - spectral_block(total))) <= 5e-14, total
 
     def test_unitary_up_to_250(self):
         for total in range(251):
-            block = np.asarray(_block(_FORWARD, total))
+            block = full_block(total)
             assert np.max(np.abs(block.conj().T @ block - np.eye(total + 1))) <= 1e-13, total
 
-    def test_inverse_is_exact_adjoint(self):
+    def test_inverse_is_exact_adjoint(self, rng):
+        # bipartite_coefficients turns back with the conjugate block, which is
+        # the adjoint because each block is symmetric: a state split and
+        # recovered is the state itself, twisted by i^n
         for total in range(251):
-            assert np.array_equal(_block(_INVERSE, total), _block(_FORWARD, total).conj().T)
+            block = full_block(total)
+            assert np.max(np.abs(block - block.T)) <= 1e-15, total
+        for size, entries in ((2, 3), (9, 20), (40, 120)):
+            pre = random_two_mode(rng, size, size, entries)
+            K = bipartite_coefficients(beamsplitter_5050(pre, 0, 1), 0, 1).matrix
+            twisted = np.zeros_like(K)
+            twisted[:size, :size] = pre * (-1j) ** np.arange(size)[:, None]
+            np.testing.assert_allclose(K, twisted, rtol=0, atol=1e-14)
 
 
 def full_recurrence(top: int) -> list:
@@ -281,7 +305,7 @@ class TestBandStore:
             for _ in range(6):
                 rows_top, cols_top = (int(k) for k in rng.integers(0, 80, size=2))
                 total = int(rng.integers(0, rows_top + cols_top + 1))
-                if rng.random() < 0.25:  # what _block asks for
+                if rng.random() < 0.25:  # what full_block asks for
                     rows_top = cols_top = total
                 lo, band = optics._real_band(total, rows_top, cols_top)
                 # the band covers the columns the counting kernel slices out
@@ -296,7 +320,7 @@ class TestBandStore:
         optics._real_band(140, 20, 120)
         optics._real_band(150, 100, 50)
         for total in (0, 1, 37, 70, 101, 150, 160):
-            block = _block(_FORWARD, total)
+            block = full_block(total)
             counts = np.arange(total + 1)
             phases = (-1j) ** ((counts[:, None] - counts[None, :]) % 4)
             np.testing.assert_array_equal(block, phases * REFERENCE[total])
@@ -311,3 +335,14 @@ class TestBandStore:
         direct = sum((n + 1) * (min(n, cutoff) - max(0, n - cutoff) + 1)
                      for n in range(2 * cutoff + 1))
         assert band_entries(cutoff) == direct
+
+    def test_beamsplitter_keeps_the_caps_of_its_state(self, fresh_bands):
+        # a split of two cutoff-40 states reads only the bands an enhanced
+        # run at cutoff 40 already built, so the store does not grow
+        teleport_enhanced(QubitAmplitudes(0.6, 0.8), coherent_spec(1.0, 40))
+        before = sum(band.nbytes for _, band in optics._BANDS)
+        s40 = build_state(coherent_spec(1.0, 40))
+        t40 = build_state(coherent_spec(-0.5, 40))
+        beamsplitter_5050(tensor(s40, t40), 0, 1)
+        assert optics._CAPS == [40, 40]
+        assert sum(band.nbytes for _, band in optics._BANDS) == before == 8 * band_entries(40)

@@ -1,14 +1,18 @@
 import json
+import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from paritysim import (
     SchemaError,
+    beamsplitter_5050,
     build_state,
+    phase_shift,
     run_scenario,
     scenario_to_wire,
-    split_with_phase_shifted,
+    tensor,
     validate_scenario,
 )
 from paritysim import cli
@@ -366,8 +370,8 @@ class TestNonFiniteNumbers:
 
 
 class TestFactsRowsAreKernelRecords:
-    # the sparse split keeps amplitudes down to 1e-15; the rows must be
-    # exactly its records at or above the outcome floor
+    # the public two-mode split (the reference) keeps every amplitude; the
+    # rows must be exactly its records at or above the outcome floor
     CASES = {
         "facts_squeezed": json.loads((DEMO_SCENARIOS / "facts_squeezed.json").read_text()),
         "lossy_facts_coherent":
@@ -384,8 +388,9 @@ class TestFactsRowsAreKernelRecords:
     def test_rows_match_sparse_reference(self, name):
         scenario = validate_scenario(self.CASES[name])
         rows = run_scenario(scenario).outcomes
-        reference = {occ: abs(amp) ** 2
-                     for occ, amp in split_with_phase_shifted(build_state(scenario.u)).items()}
+        psi = build_state(scenario.u)
+        split = beamsplitter_5050(tensor(phase_shift(psi, math.pi / 2), psi), 0, 1)
+        reference = {(na, nb): abs(amp) ** 2 for (na, nb), amp in np.ndenumerate(split)}
         counts = {tuple(row["counts"]) for row in rows}
         assert len(counts) == len(rows)
         for row in rows:
