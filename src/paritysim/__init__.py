@@ -19,7 +19,6 @@ from .errors import (
     ParitySimError,
     SchemaError,
     TruncationTooSevere,
-    ZeroProbabilityOutcome,
 )
 from .fock import (
     SingleModeState,
@@ -85,7 +84,7 @@ __all__ = [
     # errors
     "CutoffOverflow", "DegenerateState", "DegenerateSuperposition", "InvalidMode",
     "InvalidResource", "NonRealOverlap", "ParitySimError", "SchemaError",
-    "TruncationTooSevere", "ZeroProbabilityOutcome",
+    "TruncationTooSevere",
     # fock
     "SingleModeState", "TruncationReport", "inner_product", "normalize", "tensor",
     "truncation_check",

@@ -29,10 +29,6 @@ class CutoffOverflow(ParitySimError):
     """An operation would populate an occupation above the per-mode cutoff."""
 
 
-class ZeroProbabilityOutcome(ParitySimError):
-    """Conditioning on an outcome whose probability is below 1e-14."""
-
-
 class InvalidResource(ParitySimError):
     """A resource specification that cannot define an entangled pair (e.g. N == M)."""
 

@@ -11,12 +11,13 @@ counting kernel as narrow factors (rank 2, and rank 1 for the facts'
 ``psi (x) |0>``), so the three-mode state is never built.
 
 All values are immutable after construction; every operation returns a new
-value.
+value.  Values that hold arrays compare with ``==`` field by field, arrays
+by ``np.array_equal``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -27,6 +28,18 @@ DEGENERACY_FLOOR = 1e-14
 
 #: |norm^2 - 1| within this counts as normalized.
 NORM_TOL = 1e-12
+
+
+def _fields_equal(self, other) -> bool:
+    """``==`` for a dataclass with array fields: arrays compare by
+    ``np.array_equal``, other fields by ``==``."""
+    if other.__class__ is not self.__class__:
+        return NotImplemented
+    for field in fields(self):
+        mine, theirs = getattr(self, field.name), getattr(other, field.name)
+        if not (np.array_equal(mine, theirs) if isinstance(mine, np.ndarray) else mine == theirs):
+            return False
+    return True
 
 
 @dataclass(frozen=True)
@@ -41,6 +54,8 @@ class SingleModeState:
 
     amplitudes: np.ndarray
     tail_mass: float = 0.0
+
+    __eq__ = _fields_equal
 
     def __post_init__(self):
         amps = np.asarray(self.amplitudes, dtype=np.complex128).copy()

@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import InvalidMode
 from .fock import SingleModeState
-from .optics import _MINUS_I_POWERS, _real_band, _two_mode
+from .optics import _MINUS_I_POWERS, _SIGNS, _real_band, _two_mode
 
 #: Outcomes with probability below this are treated as impossible.
 OUTCOME_FLOOR = 1e-14
@@ -84,10 +84,12 @@ def _count_factored(sent: SingleModeState, left: np.ndarray, right: np.ndarray):
     """The counting kernel: ``sent`` mixed with the first mode of the two-mode
     resource R[m, k] = sum_j left[m, j] right[k, j] on the 50/50 beamsplitter.
 
-    Returns ``(N, na, probabilities, receivers)`` for every photon total N
-    = na + nb with a record at or above ``OUTCOME_FLOOR``, totals and na
-    ascending; row i of the writable ``receivers`` is the normalized state
-    record (na[i], N - na[i]) leaves on the resource's second mode.
+    Returns four flat arrays, one entry per record (na, N - na) at or above
+    ``OUTCOME_FLOOR``: the photon totals N, the counts na, the probabilities
+    and, as the rows of a writable matrix, the normalized states each record
+    leaves on the resource's second mode.  Records are ordered by total and,
+    within a total, by na; a resource that reaches no record gives four empty
+    arrays.
 
     The beamsplitter conserves the total N = na + nb, so the amplitudes of
     total N are the slab X[i, k] = sent[i] R[N - i, k] turned by the block
@@ -99,13 +101,18 @@ def _count_factored(sent: SingleModeState, left: np.ndarray, right: np.ndarray):
     out of the band it gets.  With R factored, X = S Q^T for the narrow
     S[i, j] = sent[i] left[N - i, j] and Q = ``right``, so D_N acts on the r
     columns of S only: the column phases i^a are folded into ``sent`` once,
-    and one real product on the real and imaginary parts of S gives
-    Y = D_N S.  Record (na, N - na)'s amplitudes are row na of Y Q^T times
-    (-i)^na, so its probability is Re sum (Y G) * conj(Y) over that row,
-    with the r x r Gram matrix G = Q^T conj(Q), and receivers are built for
-    kept rows only.  Totals that no nonzero level of ``sent`` and row of
-    ``left`` reach are skipped, which is what keeps even-only (squeezed)
-    supports cheap.
+    and real products on the real and imaginary parts of S give Y = D_N S.
+    The band holds rows 0..ceil(N/2) of D_N only; row c > N/2 is (-1)^a times
+    row N - c, so rows 0..floor(N/2) of Y come from the band times S and the
+    rest, reversed, from the band times S with (-1)^a folded in as well.
+    Totals that no nonzero level of ``sent`` and row of ``left`` reach are
+    skipped, which is what keeps even-only (squeezed) supports cheap.
+
+    The Y of every total are then scored together.  Record (na, N - na)'s
+    amplitudes are row na of Y Q^T times (-i)^na, so its probability is
+    Re sum (Y G) * conj(Y) over that row, with the r x r Gram matrix
+    G = Q^T conj(Q); rows below the floor are dropped, and receivers are
+    built for kept rows only.
     """
     if abs(sent.norm_squared() - 1.0) > 1e-9:
         raise ValueError("the counting kernel requires a normalized input state")
@@ -116,30 +123,41 @@ def _count_factored(sent: SingleModeState, left: np.ndarray, right: np.ndarray):
     top = sent_amps.size - 1
     # the totals i + m reachable from a nonzero sent[i] and a nonzero row m of R
     totals = np.flatnonzero(np.convolve(sent_amps != 0, np.any(left, axis=1)))
-    # the blocks' column phases i^a = conj((-i)^a), folded into the input once
-    twisted = sent_amps * _MINUS_I_POWERS[np.arange(sent_amps.size) % 4].conj()
+    levels = np.arange(sent_amps.size)
+    # the blocks' column phases i^a = conj((-i)^a), folded into the input once,
+    # and with the row reflection's (-1)^a too for the rows below N/2
+    twisted = sent_amps * _MINUS_I_POWERS[levels % 4].conj()
+    reflected = twisted * _SIGNS[levels % 2]
 
     # row m of left is row size - 1 - m of flipped, so that sent levels
     # lo..hi meet rows total - lo..total - hi of left in one forward slice
     flipped = np.ascontiguousarray(left[::-1])
-    blocks = []
-    for total in totals.tolist():
+    # Y of each total fills rows starts[k]..starts[k] + totals[k] of out
+    starts = np.cumsum(totals) + np.arange(totals.size) - totals
+    out = np.empty((int(np.sum(totals + 1)), 2 * left.shape[1]))
+    for total, start in zip(totals.tolist(), starts.tolist()):
         lo, hi = max(0, total - size + 1), min(total, top)
         shift = size - 1 - total
-        slab = twisted[lo : hi + 1, None] * flipped[lo + shift : hi + shift + 1]
-        # a real product on the interleaved (re, im) columns: D Re S + i D Im S
+        rows = flipped[lo + shift : hi + shift + 1]
         band_lo, band = _real_band(total, size - 1, top)
         columns = band[:, lo - band_lo : hi - band_lo + 1]
-        out = (columns @ slab.view(np.float64)).view(np.complex128)
-        # Re(a conj(b)) = Re a Re b + Im a Im b, summed over the (re, im) pairs
-        probs = np.einsum("ij,ij->i", (out @ gram).view(np.float64), out.view(np.float64))
-        na = np.flatnonzero(probs >= OUTCOME_FLOOR)
-        if na.size:
-            probs = probs[na]
-            # each kept row scaled to a unit-norm receiver, with its (-i)^na phase
-            rows = out[na] * (_MINUS_I_POWERS[na % 4] / np.sqrt(probs))[:, None]
-            blocks.append((total, na, probs, rows @ right_t))
-    return blocks
+        # real products on the interleaved (re, im) columns: D Re S + i D Im S
+        upper = columns @ (twisted[lo : hi + 1, None] * rows).view(np.float64)
+        lower = columns @ (reflected[lo : hi + 1, None] * rows).view(np.float64)
+        middle = start + total // 2 + 1
+        out[start:middle] = upper[: total // 2 + 1]
+        out[middle : start + total + 1] = lower[: total - total // 2][::-1]
+    out = out.view(np.complex128)
+    # Re(a conj(b)) = Re a Re b + Im a Im b, summed over the (re, im) pairs
+    probs = np.einsum("ij,ij->i", (out @ gram).view(np.float64), out.view(np.float64))
+    kept = np.flatnonzero(probs >= OUTCOME_FLOOR)
+    # row kept[i] of out lies in the block of the last total starting at or before it
+    block = np.searchsorted(starts, kept, side="right") - 1
+    na = kept - starts[block]
+    probs = probs[kept]
+    # each kept row scaled to a unit-norm receiver, with its (-i)^na phase
+    rows = out[kept] * (_MINUS_I_POWERS[na % 4] / np.sqrt(probs))[:, None]
+    return totals[block], na, probs, rows @ right_t
 
 
 def thinned_distribution(dist: CountDistribution, det: DetectorModel) -> CountDistribution:

@@ -41,11 +41,29 @@ row index); the same range for N - 1 holds every column that this band
 reads.  So ``_real_band`` keeps only that band of each block, for caps
 ``rows_top`` and ``cols_top`` that only grow: the largest any caller has
 asked for.  Raising a cap drops the blocks above the smaller old cap (those
-below it are full width) and rebuilds them on demand.  Each kept entry is
+below it are full width) and rebuilds them on demand.
+
+Each block also carries the parity structure exactly, as the row reflection
+
+    D_N[N - c, a] = (-1)^a D_N[c, a]
+
+(a Wigner-d reflection of the rotation by pi/2).  The recurrence preserves
+it, since mirrored entries are the same products summed in the same order up
+to exact negations, so it holds bit for bit on every nonzero entry.  Only the
+signs of some exact zeros do not follow it (D_6[5, 3] is -0.0 where
+-D_6[1, 3] is +0.0), and a zero's sign cannot reach a nonzero sum.  The
+store therefore keeps only rows 0..ceil(N/2) of each band, and a reader
+gets row c > ceil(N/2) as (-1)^a times row N - c.  Rows 0..ceil(N/2) of D_N
+read rows 0..ceil(N/2) of D_(N-1); at odd N the last of those is row
+(N+1)/2, past the stored half, and is (-1)^a times row (N-3)/2 (a zero row
+at N = 1).  ceil(N/2) rather than floor(N/2) keeps two rows at N = 1 and 2,
+so no product on a band of N >= 1 has a single row, which BLAS would route
+through another code path and so round differently.  Each kept entry is
 computed by the same operations, in the same order, as in the full block,
 so a band holds the same bits whatever the caps were when it was built.
 Held for every N up to 2 c with both caps at c, the bands take
-8 (c + 1)^3 bytes, against about 8 (2 c)^3 / 3 for full blocks.
+8 ceil((c + 2)^2 (2 c + 1) / 4) bytes, about 4 c^3, against 8 (c + 1)^3
+for full-height bands and about 8 (2 c)^3 / 3 for full blocks.
 """
 
 from __future__ import annotations
@@ -56,12 +74,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidMode
-from .fock import SingleModeState, _read_only
+from .fock import SingleModeState, _fields_equal, _read_only
 
 _SQ2 = math.sqrt(2.0)
 
-#: ``_BANDS[N]`` is ``(lo, D_N[:, lo : hi + 1])`` with lo = max(0, N - rows_top)
-#: and hi = min(N, cols_top) for the caps below; read-only.
+#: ``_BANDS[N]`` is ``(lo, D_N[: N - N // 2 + 1, lo : hi + 1])``, rows 0..ceil(N/2),
+#: with lo = max(0, N - rows_top) and hi = min(N, cols_top) for the caps
+#: below; read-only.
 _BANDS: list[tuple[int, np.ndarray]] = [(0, np.ones((1, 1)))]
 _BANDS[0][1].flags.writeable = False
 
@@ -71,28 +90,36 @@ _CAPS = [0, 0]
 #: (-i)^k for k mod 4, exact.
 _MINUS_I_POWERS = np.array([1.0, -1j, -1.0, 1j])
 
+#: (-1)^k for k mod 2: the signs of the row reflection.
+_SIGNS = np.array([1.0, -1.0])
+
 
 def _real_band(total: int, rows_top: int, cols_top: int) -> tuple[int, np.ndarray]:
-    """``(lo, band)``: columns lo.. of the real matrix D_N of the module
-    docstring for N = ``total``, rows indexed by the photon count in the first
-    mode (0..total); the band covers at least columns
-    max(0, total - rows_top)..min(total, cols_top) and is read-only."""
+    """``(lo, band)``: rows 0..ceil(N/2) and columns lo.. of the real matrix
+    D_N of the module docstring for N = ``total``, rows indexed by the photon
+    count in the first mode; the band covers at least columns
+    max(0, total - rows_top)..min(total, cols_top) and is read-only.  Row
+    c > ceil(N/2) is (-1)^a times row N - c."""
     if rows_top > _CAPS[0] or cols_top > _CAPS[1]:
         del _BANDS[min(_CAPS) + 1 :]  # blocks up to the smaller cap are full width
         _CAPS[:] = max(rows_top, _CAPS[0]), max(cols_top, _CAPS[1])
     while len(_BANDS) <= total:
         n = len(_BANDS)
+        half = n - n // 2  # ceil(N/2): rows 0..half are kept
         lo, hi = max(0, n - _CAPS[0]), min(n, _CAPS[1])
         # columns first..hi have an a - 1 term and lo..last an a term
         first, last = max(lo, 1), min(hi, n - 1)
-        _, prev = _BANDS[-1]  # exactly columns first - 1..last of D_(N-1)
+        _, prev = _BANDS[-1]  # rows 0..ceil((N-1)/2), columns first - 1..last of D_(N-1)
+        if n % 2:  # row (N+1)/2 of D_(N-1) is (-1)^a times its row (N-3)/2
+            mirrored = (prev[half - 2] * _SIGNS[np.arange(first - 1, last + 1) % 2]
+                        if n > 1 else np.zeros(prev.shape[1]))
+            prev = np.vstack([prev, mirrored])
         roots = np.sqrt(np.arange(n + 1.0))  # sqrt(c) and, reversed, sqrt(N - c)
-        raised = np.zeros((n + 1, prev.shape[1]))  # sqrt(c) D[c-1, :]
-        np.multiply(prev, roots[1:, None], out=raised[1:])
-        kept = np.zeros((n + 1, prev.shape[1]))  # sqrt(N-c) D[c, :]
-        np.multiply(prev, roots[:0:-1, None], out=kept[:-1])
+        raised = np.zeros((half + 1, prev.shape[1]))  # sqrt(c) D[c-1, :]
+        np.multiply(prev[:half], roots[1 : half + 1, None], out=raised[1:])
+        kept = prev * roots[::-1][: half + 1, None]  # sqrt(N-c) D[c, :]
         weights = roots * (1.0 / (n * _SQ2))  # sqrt(a) / (N sqrt 2)
-        band = np.empty((n + 1, hi - lo + 1))
+        band = np.empty((half + 1, hi - lo + 1))
         band[:, : first - lo] = 0.0
         np.multiply((raised - kept)[:, : hi - first + 1], weights[first : hi + 1],
                     out=band[:, first - lo :])
@@ -163,8 +190,10 @@ def _turn(matrix: np.ndarray) -> np.ndarray:
     turns into anti-diagonal N of the output.  Only columns a that meet a
     row and a column of ``matrix`` are read, max(0, N - (cols - 1))..
     min(N, rows - 1), so the band caps never rise above the state's own
-    cutoffs.  The output is square with side rows + cols - 1, which holds
-    every total.
+    cutoffs.  As in the counting kernel, rows 0..floor(N/2) of the output
+    come from the stored half and the rest, reversed, from the same rows
+    applied to the input times (-1)^a.  The output is square with side
+    rows + cols - 1, which holds every total.
     """
     rows, cols = matrix.shape
     side = rows + cols - 1
@@ -175,8 +204,12 @@ def _turn(matrix: np.ndarray) -> np.ndarray:
         lo, band = _real_band(total, cols - 1, rows - 1)
         # (-i)^(c-a) = (-i)^c i^a, with i^a = conj((-i)^a)
         twisted = matrix[a, total - a] * _MINUS_I_POWERS[a % 4].conj()
+        columns = band[:, a - lo]
+        upper = columns @ twisted
+        lower = columns @ (twisted * _SIGNS[a % 2])
         c = levels[: total + 1]
-        out[c, total - c] = _MINUS_I_POWERS[c % 4] * (band[:, a - lo] @ twisted)
+        out[c, total - c] = _MINUS_I_POWERS[c % 4] * np.concatenate(
+            [upper[: total // 2 + 1], lower[: total - total // 2][::-1]])
     return out
 
 
@@ -203,6 +236,8 @@ class BipartiteCoefficients:
     matrix: np.ndarray
     symmetric_part: np.ndarray
     antisymmetric_part: np.ndarray
+
+    __eq__ = _fields_equal
 
     def total_weight(self) -> float:
         return float(np.sum(np.abs(self.matrix) ** 2))

@@ -7,8 +7,8 @@ the two beamsplitter outputs.  Every resource here has rank 2, so it is
 passed as two narrow factors read off the orthonormal pair
 (``states._resource_factors``), and ``measurement._count_factored`` does
 both steps in one pass, one photon-total block at a time, so neither the
-resource matrix nor the three-mode state is built.  The records of each
-photon total are then scored as one array.  The protocols differ in the resource and in the rule
+resource matrix nor the three-mode state is built.  All records are then
+scored as one array.  The protocols differ in the resource and in the rule
 that maps the counts (na, nb) to a classification and a correction phase for
 the receiver (``_basic_rule``, ``_enhanced_rule`` and ``_scissors_rule``):
 
@@ -119,41 +119,36 @@ def _run_heralded(protocol: str, sent: SingleModeState, factors: tuple,
     (``left``, ``right``; see ``measurement._count_factored``) and score it.
 
     ``rule(na, nb)`` gives the record's classification and the phase shift
-    that corrects the receiver, or None when no correction is defined.  Each
-    photon total is scored as one array: the rows of each distinct non-zero
+    that corrects the receiver, or None when no correction is defined.  All
+    records are scored as one array: the rows of each distinct non-zero
     phase are shifted together, every fidelity |<target|receiver>|^2 comes
     from one product with the target, and the corrected rows, checked finite
-    once, become the records' read-only states.  Records are then sorted by
-    counts.  ``audits`` names the single-mode states whose cutoff and tail
-    the report records.
+    once, become the records' read-only states, in order of their counts.
+    ``audits`` names the single-mode states whose cutoff and tail the report
+    records.
     """
     size = factors[1].shape[0]
-    conj_target = target.padded(size - 1).conj()
-    shifts = {}  # phase -> its factors exp(i phase n)
-    outcomes = []
-    for total, na, probs, receivers in _count_factored(sent, *factors):
-        verdicts = [rule(a, total - a) for a in na.tolist()]
-        corrections = [correction for _, correction in verdicts]
-        for phase in set(corrections) - {None, 0.0}:
-            if phase not in shifts:
-                shifts[phase] = _phase_factors(phase, size)
-            rows = [i for i, correction in enumerate(corrections) if correction == phase]
-            receivers[rows] *= shifts[phase]
-        fidelities = np.abs(receivers @ conj_target) ** 2
-        outcomes.extend(
-            OutcomeRecord(
-                counts=(a, total - a),
-                probability=p,
-                classification=classification,
-                corrected_post_state=state,
-                fidelity_to_target=fid,
-                correction_phase=correction,
-            )
-            for a, p, (classification, correction), state, fid in zip(
-                na.tolist(), probs.tolist(), verdicts, _trusted_rows(receivers),
-                fidelities.tolist())
+    totals, na, probs, receivers = _count_factored(sent, *factors)
+    counts = list(zip(na.tolist(), (totals - na).tolist()))
+    verdicts = [rule(a, b) for a, b in counts]
+    corrections = [correction for _, correction in verdicts]
+    for phase in set(corrections) - {None, 0.0}:
+        rows = [i for i, correction in enumerate(corrections) if correction == phase]
+        receivers[rows] *= _phase_factors(phase, size)
+    fidelities = np.abs(receivers @ target.padded(size - 1).conj()) ** 2
+    outcomes = [
+        OutcomeRecord(
+            counts=pair,
+            probability=p,
+            classification=classification,
+            corrected_post_state=state,
+            fidelity_to_target=fid,
+            correction_phase=correction,
         )
-    outcomes.sort(key=lambda o: o.counts)
+        for pair, p, (classification, correction), state, fid in zip(
+            counts, probs.tolist(), verdicts, _trusted_rows(receivers), fidelities.tolist())
+    ]
+    outcomes = [outcomes[i] for i in np.lexsort((totals - na, na)).tolist()]  # by counts
 
     success_prob = 0.0
     weighted_fidelity = 0.0

@@ -13,8 +13,8 @@ outcome rows, aggregates, checks and state audits, and ``run_scenario`` adds
 the detector aggregates and builds the document.  The heralded protocols'
 rows are their reports' records.  The parity facts count ``psi`` and ``phi``
 against the rank-1 resource ``psi (x) |0>`` with the protocols' kernel
-(``measurement._count_factored``), and rows are built straight from each
-photon total's arrays.
+(``measurement._count_factored``), and rows are built straight from the
+kernel's flat arrays.
 """
 
 from __future__ import annotations
@@ -489,9 +489,9 @@ def _heralded_results(s: Scenario) -> tuple:
 def _parity_rows(sent, psi) -> list:
     """Every record of ``sent`` split against the resource psi (x) |0>, whose
     receiver stays in vacuum, as rows sorted by counts."""
-    blocks = _count_factored(sent, psi.amplitudes[:, None], np.ones((1, 1)))
+    totals, na, probs, _ = _count_factored(sent, psi.amplitudes[:, None], np.ones((1, 1)))
     rows = [_row((a, total - a), p, "odd_count_a" if a % 2 else "even_count_a")
-            for total, na, probs, _ in blocks for a, p in zip(na.tolist(), probs.tolist())]
+            for total, a, p in zip(totals.tolist(), na.tolist(), probs.tolist())]
     rows.sort(key=lambda row: row["counts"])
     return rows
 

@@ -38,7 +38,7 @@ from .errors import (
     NonRealOverlap,
     TruncationTooSevere,
 )
-from .fock import SingleModeState, _read_only, combined_tail, inner_product
+from .fock import SingleModeState, _fields_equal, _read_only, combined_tail, inner_product
 from .optics import phase_shift
 
 #: Imaginary residue allowed in <u|v> before the pair is rejected.
@@ -169,6 +169,8 @@ class EntangledResource:
     kind: str
     u_spec: StateSpec | None = None
     v_spec: StateSpec | None = None
+
+    __eq__ = _fields_equal
 
 
 def build_state(spec: StateSpec) -> SingleModeState:

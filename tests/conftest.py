@@ -67,16 +67,19 @@ def random_two_mode(rng, rows: int, cols: int, entries: int,
 
 def full_block(total: int) -> np.ndarray:
     """The beamsplitter's block unitary of ``total`` photons, (-i)^(c-a) D_N[c, a],
-    from the full-width band of ``optics._real_band``."""
-    _, real = _real_band(total, total, total)
+    from the full-width band of ``optics._real_band``: its rows 0..ceil(N/2),
+    and row c above that as (-1)^a times row N - c."""
+    _, half = _real_band(total, total, total)
     counts = np.arange(total + 1)
+    lower = half[: total - half.shape[0] + 1][::-1] * (-1.0) ** (counts % 2)
+    real = np.vstack([half, lower])
     return _MINUS_I_POWERS[(counts[:, None] - counts[None, :]) % 4] * real
 
 
 def kernel_records(sent: SingleModeState, resource: np.ndarray) -> dict:
     """``{(na, nb): (probability, receiver)}`` from the counting kernel on a
     two-mode resource matrix R, given as the factors R and the identity."""
+    totals, na, probs, receivers = _count_factored(sent, resource, np.eye(resource.shape[1]))
     return {(a, total - a): (p, receiver)
-            for total, na, probs, receivers in _count_factored(
-                sent, resource, np.eye(resource.shape[1]))
-            for a, p, receiver in zip(na.tolist(), probs.tolist(), receivers)}
+            for total, a, p, receiver in zip(totals.tolist(), na.tolist(), probs.tolist(),
+                                             receivers)}

@@ -7,13 +7,17 @@ from conftest import random_single
 from paritysim import (
     DegenerateState,
     InvalidMode,
+    QubitAmplitudes,
     SingleModeState,
+    bipartite_coefficients,
+    build_resource,
     build_state,
     coherent_spec,
     count_distribution,
     inner_product,
     normalize,
     number_spec,
+    teleport_enhanced,
     tensor,
     truncation_check,
 )
@@ -169,3 +173,32 @@ class TestStateValidation:
         # a two-mode state has exactly two indices per amplitude
         with pytest.raises(InvalidMode):
             count_distribution(np.ones((2, 2, 2)) / math.sqrt(8), 0)
+
+
+class TestEquality:
+    """Values that hold arrays compare by their arrays' contents."""
+
+    def test_single_mode_states(self):
+        state = build_state(number_spec(1, 2))
+        assert state == build_state(number_spec(1, 2))
+        assert state != build_state(number_spec(0, 2))
+        assert state != build_state(number_spec(1, 3))  # same photon, longer basis
+        assert state != SingleModeState([0, 1, 0], tail_mass=1e-3)
+
+    def test_resources_and_coefficients(self):
+        u, v = number_spec(0, 2), number_spec(1, 2)
+        resource = build_resource(u, v, "phi_minus")
+        assert resource == build_resource(u, v, "phi_minus")
+        assert resource != build_resource(u, v, "psi_minus")
+        coefficients = bipartite_coefficients(resource.two_mode_state)
+        assert coefficients == bipartite_coefficients(resource.two_mode_state)
+        assert coefficients != bipartite_coefficients(
+            build_resource(u, v, "psi_minus").two_mode_state)
+
+    def test_reports_compare_through_their_records(self):
+        q = QubitAmplitudes(0.6, 0.8)
+        report = teleport_enhanced(q, coherent_spec(1.0, 14))
+        assert report == teleport_enhanced(q, coherent_spec(1.0, 14))
+        assert report.outcomes[0] == teleport_enhanced(q, coherent_spec(1.0, 14)).outcomes[0]
+        assert report.outcomes[0] != report.outcomes[1]
+        assert report != teleport_enhanced(QubitAmplitudes(0.8, 0.6), coherent_spec(1.0, 14))

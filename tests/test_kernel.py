@@ -75,6 +75,15 @@ def teleport_inputs(u, v, q=QubitAmplitudes(0.6, 0.8j)):
     return encode_qubit(q, u, v, tilde=True), resource_from_states(u, v, "phi_minus")
 
 
+def coherent_pair(alpha, cutoff):
+    spec = coherent_spec(alpha, cutoff)
+    return build_state(spec), build_state(pi_shifted_spec(spec))
+
+
+def squeezed_pair(r, cutoff):
+    return build_state(squeezed_spec(r, cutoff)), build_state(squeezed_spec(-r, cutoff))
+
+
 class TestAgainstDictChain:
     """Against ``dict_chain``: the records, keyed by counts, of the public
     chain outer product -> ``beamsplitter_5050`` -> |amplitude|^2."""
@@ -134,12 +143,34 @@ class TestKernelContract:
         records = kernel_records(*teleport_inputs(u, v))
         assert sum(p for p, _ in records.values()) == pytest.approx(1.0, abs=1e-12)
 
+    @pytest.mark.parametrize("pair, parameter, cutoff", [
+        (coherent_pair, cmath.rect(2.0, 0.9), 25), (squeezed_pair, 0.8, 64)])
+    def test_flat_records(self, pair, parameter, cutoff):
+        u, v = pair(parameter, cutoff)
+        sent = encode_qubit(QubitAmplitudes(0.6, 0.8j), u, v, tilde=True)
+        totals, na, probs, receivers = _count_factored(sent, *_resource_factors(u, v, "phi_minus"))
+        assert totals.shape == na.shape == probs.shape == receivers.shape[:1]
+        assert receivers.shape[1] == cutoff + 1 and receivers.flags.writeable
+        # ascending by total, and by na within a total
+        steps = np.diff(totals)
+        assert np.all(steps >= 0)
+        assert np.all(np.diff(na)[steps == 0] > 0)
+        assert np.all((0 <= na) & (na <= totals))
+        assert np.all(probs >= OUTCOME_FLOOR)
+        np.testing.assert_allclose(np.sum(np.abs(receivers) ** 2, axis=1), 1.0, rtol=0, atol=1e-12)
+
+    def test_unreachable_resource_gives_empty_arrays(self):
+        sent = build_state(number_spec(1, 3))
+        totals, na, probs, receivers = _count_factored(sent, np.zeros((4, 2)), np.ones((3, 2)))
+        assert totals.size == na.size == probs.size == 0
+        assert receivers.shape == (0, 3)
+
 
 def assert_factored_matches_dense(sent, u, v, kind):
+    totals, na, probs, receivers = _count_factored(sent, *_resource_factors(u, v, kind))
     factored = {(a, total - a): (prob, receiver)
-                for total, na, probs, receivers in _count_factored(
-                    sent, *_resource_factors(u, v, kind))
-                for a, prob, receiver in zip(na.tolist(), probs.tolist(), receivers)}
+                for total, a, prob, receiver in zip(totals.tolist(), na.tolist(), probs.tolist(),
+                                                    receivers)}
     resource = resource_from_states(u, v, kind)
     dense = kernel_records(sent, resource)
     assert sorted(factored) == sorted(dense)
@@ -148,15 +179,6 @@ def assert_factored_matches_dense(sent, u, v, kind):
         assert abs(prob - dense_prob) <= 1e-14, counts
         if dense_prob >= 1e-6:
             np.testing.assert_allclose(receiver, dense_receiver, rtol=0, atol=1e-12)
-
-
-def coherent_pair(alpha, cutoff):
-    spec = coherent_spec(alpha, cutoff)
-    return build_state(spec), build_state(pi_shifted_spec(spec))
-
-
-def squeezed_pair(r, cutoff):
-    return build_state(squeezed_spec(r, cutoff)), build_state(squeezed_spec(-r, cutoff))
 
 
 class TestFactoredAgainstDense:

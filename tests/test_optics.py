@@ -281,7 +281,7 @@ def full_recurrence(top: int) -> list:
     return blocks
 
 
-REFERENCE = full_recurrence(160)
+REFERENCE = full_recurrence(200)
 
 
 @pytest.fixture
@@ -293,11 +293,28 @@ def fresh_bands(monkeypatch):
 
 def band_entries(c: int) -> int:
     """Entries of the bands of every total to 2 c with both caps at c:
-    sum over N of (N + 1) (min(N, c) - max(0, N - c) + 1), which is (c + 1)^3."""
-    return (c + 1) ** 3
+    sum over N of (ceil(N/2) + 1) (min(N, c) - max(0, N - c) + 1), which is
+    ceil((c + 2)^2 (2 c + 1) / 4)."""
+    return -(-(c + 2) ** 2 * (2 * c + 1) // 4)
 
 
 class TestBandStore:
+    def test_full_recurrence_has_the_row_reflection(self):
+        # D_N[N - c, a] = (-1)^a D_N[c, a]: by value everywhere, bit for bit on
+        # every nonzero entry, and with the signs of zeros too on row N/2 + 1 of
+        # even N > 0, the mirrored row that _real_band reads to grow D_(N+1).  The
+        # signs of other zeros do not follow it (D_6[5, 3] is -0.0 and
+        # -D_6[1, 3] is +0.0), and a zero's sign cannot reach a nonzero product
+        for n, block in enumerate(REFERENCE):
+            mirrored = block[::-1] * (-1.0) ** (np.arange(n + 1) % 2)
+            np.testing.assert_array_equal(mirrored, block)
+            nonzero = block != 0
+            assert mirrored[nonzero].tobytes() == block[nonzero].tobytes(), n
+            if n % 2 == 0 and n > 0:
+                read = n // 2 + 1
+                np.testing.assert_array_equal(np.signbit(mirrored[read]),
+                                              np.signbit(block[read]))
+
     def test_bands_equal_the_full_recurrence_under_any_history(self, rng, fresh_bands):
         for _ in range(25):
             optics._BANDS[1:] = []
@@ -312,7 +329,8 @@ class TestBandStore:
                 assert lo <= max(0, total - rows_top)
                 assert lo + band.shape[1] - 1 >= min(total, cols_top)
                 for n, (band_lo, stored) in enumerate(optics._BANDS):
-                    columns = REFERENCE[n][:, band_lo : band_lo + stored.shape[1]]
+                    # rows 0..ceil(N/2) of the band's columns
+                    columns = REFERENCE[n][: n - n // 2 + 1, band_lo : band_lo + stored.shape[1]]
                     assert stored.tobytes() == columns.tobytes(), n
                     assert not stored.flags.writeable
 
@@ -332,7 +350,7 @@ class TestBandStore:
         assert optics._CAPS == [cutoff, cutoff]
         assert len(optics._BANDS) == 2 * cutoff + 1
         assert sum(band.nbytes for _, band in optics._BANDS) == 8 * band_entries(cutoff)
-        direct = sum((n + 1) * (min(n, cutoff) - max(0, n - cutoff) + 1)
+        direct = sum((n - n // 2 + 1) * (min(n, cutoff) - max(0, n - cutoff) + 1)
                      for n in range(2 * cutoff + 1))
         assert band_entries(cutoff) == direct
 
