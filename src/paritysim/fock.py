@@ -32,12 +32,17 @@ NORM_TOL = 1e-12
 
 def _fields_equal(self, other) -> bool:
     """``==`` for a dataclass with array fields: arrays compare by
-    ``np.array_equal``, other fields by ``==``."""
+    ``np.array_equal``, a NaN in a float array equal to a NaN, and other
+    fields by ``==``."""
     if other.__class__ is not self.__class__:
         return NotImplemented
     for field in fields(self):
         mine, theirs = getattr(self, field.name), getattr(other, field.name)
-        if not (np.array_equal(mine, theirs) if isinstance(mine, np.ndarray) else mine == theirs):
+        if isinstance(mine, np.ndarray):
+            same = np.array_equal(mine, theirs, equal_nan=mine.dtype.kind in "fc")
+        else:
+            same = mine == theirs
+        if not same:
             return False
     return True
 
@@ -72,7 +77,7 @@ class SingleModeState:
     def _trusted(cls, amplitudes: np.ndarray) -> "SingleModeState":
         """Wrap a 1-D complex128 array that the caller already checked finite
         and made read-only, with zero tail mass, without the copy and the
-        scan of construction; see ``_trusted_rows``."""
+        scan of construction: a row of a protocol report's receivers."""
         state = object.__new__(cls)
         object.__setattr__(state, "amplitudes", amplitudes)
         object.__setattr__(state, "tail_mass", 0.0)
@@ -95,18 +100,6 @@ class SingleModeState:
         out = np.zeros(cutoff + 1, dtype=np.complex128)
         out[: self.amplitudes.size] = self.amplitudes
         return out
-
-
-def _trusted_rows(rows: np.ndarray) -> list[SingleModeState]:
-    """One state per row of a 2-D complex128 array the caller owns.
-
-    The whole array is checked finite once and made read-only, so every row
-    is a read-only view that ``SingleModeState._trusted`` can wrap as is.
-    """
-    if not np.isfinite(rows).all():
-        raise ValueError("amplitudes must be finite (no NaN/Inf)")
-    rows.flags.writeable = False
-    return [SingleModeState._trusted(row) for row in rows]
 
 
 @dataclass(frozen=True)

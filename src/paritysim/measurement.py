@@ -84,12 +84,12 @@ def _count_factored(sent: SingleModeState, left: np.ndarray, right: np.ndarray):
     """The counting kernel: ``sent`` mixed with the first mode of the two-mode
     resource R[m, k] = sum_j left[m, j] right[k, j] on the 50/50 beamsplitter.
 
-    Returns four flat arrays, one entry per record (na, N - na) at or above
-    ``OUTCOME_FLOOR``: the photon totals N, the counts na, the probabilities
-    and, as the rows of a writable matrix, the normalized states each record
-    leaves on the resource's second mode.  Records are ordered by total and,
-    within a total, by na; a resource that reaches no record gives four empty
-    arrays.
+    Returns three arrays, one row per record (na, nb) at or above
+    ``OUTCOME_FLOOR``: the counts as an integer matrix of two columns, the
+    probabilities and, as the rows of a writable matrix, the normalized
+    states each record leaves on the resource's second mode.  Records are in
+    counts order, by na and then by nb; a resource that reaches no record
+    gives three empty arrays.
 
     The beamsplitter conserves the total N = na + nb, so the amplitudes of
     total N are the slab X[i, k] = sent[i] R[N - i, k] turned by the block
@@ -111,8 +111,8 @@ def _count_factored(sent: SingleModeState, left: np.ndarray, right: np.ndarray):
     The Y of every total are then scored together.  Record (na, N - na)'s
     amplitudes are row na of Y Q^T times (-i)^na, so its probability is
     Re sum (Y G) * conj(Y) over that row, with the r x r Gram matrix
-    G = Q^T conj(Q); rows below the floor are dropped, and receivers are
-    built for kept rows only.
+    G = Q^T conj(Q); rows below the floor are dropped, the kept rows are put
+    in counts order, and receivers are built for them only.
     """
     if abs(sent.norm_squared() - 1.0) > 1e-9:
         raise ValueError("the counting kernel requires a normalized input state")
@@ -154,10 +154,13 @@ def _count_factored(sent: SingleModeState, left: np.ndarray, right: np.ndarray):
     # row kept[i] of out lies in the block of the last total starting at or before it
     block = np.searchsorted(starts, kept, side="right") - 1
     na = kept - starts[block]
+    nb = totals[block] - na
+    order = np.lexsort((nb, na))
+    kept, counts = kept[order], np.column_stack((na[order], nb[order]))
     probs = probs[kept]
     # each kept row scaled to a unit-norm receiver, with its (-i)^na phase
-    rows = out[kept] * (_MINUS_I_POWERS[na % 4] / np.sqrt(probs))[:, None]
-    return totals[block], na, probs, rows @ right_t
+    rows = out[kept] * (_MINUS_I_POWERS[counts[:, 0] % 4] / np.sqrt(probs))[:, None]
+    return counts, probs, rows @ right_t
 
 
 def thinned_distribution(dist: CountDistribution, det: DetectorModel) -> CountDistribution:

@@ -8,9 +8,10 @@ passed as two narrow factors read off the orthonormal pair
 (``states._resource_factors``), and ``measurement._count_factored`` does
 both steps in one pass, one photon-total block at a time, so neither the
 resource matrix nor the three-mode state is built.  All records are then
-scored as one array.  The protocols differ in the resource and in the rule
-that maps the counts (na, nb) to a classification and a correction phase for
-the receiver (``_basic_rule``, ``_enhanced_rule`` and ``_scissors_rule``):
+scored as columns, and the report keeps the columns.  The protocols differ
+in the resource and in the rule that maps the counts (na, nb) to a
+classification and a correction phase for the receiver (``_basic_rule``,
+``_enhanced_rule`` and ``_scissors_rule``, each applied to whole arrays):
 
 * basic: any pair (u, v) with real overlap; success iff the count in output
   A is odd; no correction needed; success probability 1/4.
@@ -36,12 +37,13 @@ for inspection but nothing is claimed about them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from functools import cached_property
 
 import numpy as np
 
 from .errors import DegenerateState, InvalidResource
-from .fock import SingleModeState, _trusted_rows, inner_product, normalize
+from .fock import SingleModeState, _fields_equal, inner_product, normalize
 from .measurement import _count_factored
 from .optics import _phase_factors, phase_shift
 from .states import (
@@ -73,25 +75,69 @@ class OutcomeRecord:
 
 @dataclass(frozen=True)
 class ProtocolReport:
-    """Full accounting of one protocol run.
+    """Full accounting of one protocol run, its records stored as columns.
+
+    Row i of each column belongs to one counting record, and rows are in
+    counts order (by na, then by nb): ``counts`` holds (na, nb), then come
+    the record's ``probabilities``, ``classifications``, ``fidelities`` to
+    the target, ``corrections`` (the phase shift applied to the receiver, NaN
+    where none is defined) and, as the rows of ``receivers``, the corrected
+    receiver states.  Every column is read-only.  ``outcomes`` gives the same
+    records as ``OutcomeRecord``s, built on first read.
 
     ``state_audits`` records the cutoff and truncation tail of every
     single-mode state that entered the run, so reports stay auditable.
     """
 
     protocol: str
-    outcomes: tuple
+    counts: np.ndarray
+    probabilities: np.ndarray
+    classifications: np.ndarray
+    fidelities: np.ndarray
+    corrections: np.ndarray
+    receivers: np.ndarray
     success_probability: float
     mean_conditional_fidelity: float | None
     total_probability: float
     state_audits: dict
 
+    __eq__ = _fields_equal
+
+    def __init__(self, protocol, counts, probabilities, classifications, fidelities,
+                 corrections, receivers, success_probability, mean_conditional_fidelity,
+                 total_probability, state_audits, outcomes=None):
+        """The fields in order; ``outcomes``, when given, is kept as the
+        records as it is, which is how ``dataclasses.replace`` makes a copy
+        with edited records."""
+        values = locals()
+        for field in fields(self):
+            object.__setattr__(self, field.name, values[field.name])
+        if outcomes is not None:
+            self.__dict__["outcomes"] = tuple(outcomes)
+
+    def _record_values(self):
+        """Each record's counts, probability, classification, fidelity and
+        correction phase (None where none is defined), as Python values."""
+        return zip(self.counts.tolist(), self.probabilities.tolist(),
+                   self.classifications.tolist(), self.fidelities.tolist(),
+                   [None if math.isnan(phase) else phase for phase in self.corrections.tolist()])
+
+    @cached_property
+    def outcomes(self) -> tuple:
+        """One ``OutcomeRecord`` per row, in counts order; each corrected state
+        wraps its row of the read-only ``receivers``."""
+        return tuple(
+            OutcomeRecord(tuple(counts), probability, classification,
+                          SingleModeState._trusted(receiver), fid, phase)
+            for (counts, probability, classification, fid, phase), receiver in zip(
+                self._record_values(), self.receivers))
+
     def success_outcomes(self) -> list[OutcomeRecord]:
         return [o for o in self.outcomes if o.classification == SUCCESS]
 
     def min_success_fidelity(self) -> float:
-        fids = [o.fidelity_to_target for o in self.success_outcomes()]
-        return min(fids) if fids else float("nan")
+        fids = self.fidelities[self.classifications == SUCCESS]
+        return float(fids.min()) if fids.size else float("nan")
 
 
 def fidelity(actual: SingleModeState, target: SingleModeState) -> float:
@@ -118,50 +164,40 @@ def _run_heralded(protocol: str, sent: SingleModeState, factors: tuple,
     """Count every record of ``sent`` mixed with the resource of ``factors``
     (``left``, ``right``; see ``measurement._count_factored``) and score it.
 
-    ``rule(na, nb)`` gives the record's classification and the phase shift
-    that corrects the receiver, or None when no correction is defined.  All
-    records are scored as one array: the rows of each distinct non-zero
-    phase are shifted together, every fidelity |<target|receiver>|^2 comes
-    from one product with the target, and the corrected rows, checked finite
-    once, become the records' read-only states, in order of their counts.
-    ``audits`` names the single-mode states whose cutoff and tail the report
-    records.
+    ``rule(na, nb)`` maps the arrays of counts to the arrays of the records'
+    classifications and of the phase shifts that correct their receivers,
+    NaN where no correction is defined.  No step works record by record: the
+    rows of each distinct non-zero phase are shifted together, every
+    fidelity |<target|receiver>|^2 comes from one product with the target,
+    and the receivers are checked finite once.  The aggregates add the
+    columns left to right in counts order.  The report keeps the columns;
+    ``audits`` names the single-mode states whose cutoff and tail it records.
     """
     size = factors[1].shape[0]
-    totals, na, probs, receivers = _count_factored(sent, *factors)
-    counts = list(zip(na.tolist(), (totals - na).tolist()))
-    verdicts = [rule(a, b) for a, b in counts]
-    corrections = [correction for _, correction in verdicts]
-    for phase in set(corrections) - {None, 0.0}:
-        rows = [i for i, correction in enumerate(corrections) if correction == phase]
-        receivers[rows] *= _phase_factors(phase, size)
+    counts, probabilities, receivers = _count_factored(sent, *factors)
+    classifications, corrections = rule(counts[:, 0], counts[:, 1])
+    for phase in set(corrections[~np.isnan(corrections) & (corrections != 0.0)].tolist()):
+        receivers[corrections == phase] *= _phase_factors(phase, size)
+    if not np.isfinite(receivers).all():
+        raise ValueError("amplitudes must be finite (no NaN/Inf)")
     fidelities = np.abs(receivers @ target.padded(size - 1).conj()) ** 2
-    outcomes = [
-        OutcomeRecord(
-            counts=pair,
-            probability=p,
-            classification=classification,
-            corrected_post_state=state,
-            fidelity_to_target=fid,
-            correction_phase=correction,
-        )
-        for pair, p, (classification, correction), state, fid in zip(
-            counts, probs.tolist(), verdicts, _trusted_rows(receivers), fidelities.tolist())
-    ]
-    outcomes = [outcomes[i] for i in np.lexsort((totals - na, na)).tolist()]  # by counts
 
+    total_prob = 0.0
+    for p in probabilities.tolist():
+        total_prob += p
+    success = classifications == SUCCESS
     success_prob = 0.0
     weighted_fidelity = 0.0
-    total_prob = 0.0
-    for o in outcomes:
-        total_prob += o.probability
-        if o.classification == SUCCESS:
-            success_prob += o.probability
-            weighted_fidelity += o.probability * o.fidelity_to_target
+    for p, fid in zip(probabilities[success].tolist(), fidelities[success].tolist()):
+        success_prob += p
+        weighted_fidelity += p * fid
 
+    columns = (counts, probabilities, classifications, fidelities, corrections, receivers)
+    for column in columns:
+        column.flags.writeable = False
     return ProtocolReport(
-        protocol=protocol,
-        outcomes=tuple(outcomes),
+        protocol,
+        *columns,
         success_probability=success_prob,
         mean_conditional_fidelity=(weighted_fidelity / success_prob) if success_prob > 0 else None,
         total_probability=total_prob,
@@ -176,28 +212,29 @@ def _state_audits(states: dict) -> dict:
 
 
 def _basic_rule(quarter: float):
-    def rule(na: int, nb: int):
-        if na % 2:
-            return SUCCESS, quarter
-        return (FAILURE if nb % 2 else FILTERED), None
+    def rule(na: np.ndarray, nb: np.ndarray):
+        odd_a = na % 2 == 1
+        classifications = np.where(odd_a, SUCCESS, np.where(nb % 2 == 1, FAILURE, FILTERED))
+        return classifications, np.where(odd_a, quarter, np.nan)
     return rule
 
 
 def _enhanced_rule(quarter: float):
-    def rule(na: int, nb: int):
-        if na % 2 == nb % 2:
-            return (FAILURE if na % 2 else FILTERED), None
+    def rule(na: np.ndarray, nb: np.ndarray):
+        odd_a, odd_b = na % 2 == 1, nb % 2 == 1
+        success = odd_a != odd_b
+        classifications = np.where(success, SUCCESS, np.where(odd_a, FAILURE, FILTERED))
         # an odd count in B leaves the receiver with the odd-support basis
         # state negated; a half-cycle shift undoes exactly that sign
-        return SUCCESS, (math.pi if nb % 2 else 0.0) + quarter
+        return classifications, np.where(success, np.where(odd_b, math.pi, 0.0) + quarter, np.nan)
     return rule
 
 
 def _scissors_rule(herald_total: int, correction_even_a: float):
-    def rule(na: int, nb: int):
-        if na + nb != herald_total:
-            return FILTERED, None
-        return SUCCESS, (0.0 if na % 2 else correction_even_a)
+    def rule(na: np.ndarray, nb: np.ndarray):
+        success = na + nb == herald_total
+        corrections = np.where(na % 2 == 1, 0.0, correction_even_a)
+        return np.where(success, SUCCESS, FILTERED), np.where(success, corrections, np.nan)
     return rule
 
 

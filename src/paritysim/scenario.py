@@ -11,10 +11,10 @@ optional fields, ``_STATE_PARAMETERS`` each state kind's parameters.  Every
 protocol's results come from one builder: a per-protocol function yields the
 outcome rows, aggregates, checks and state audits, and ``run_scenario`` adds
 the detector aggregates and builds the document.  The heralded protocols'
-rows are their reports' records.  The parity facts count ``psi`` and ``phi``
-against the rank-1 resource ``psi (x) |0>`` with the protocols' kernel
-(``measurement._count_factored``), and rows are built straight from the
-kernel's flat arrays.
+rows are built from their reports' columns.  The parity facts count ``psi``
+and ``phi`` against the rank-1 resource ``psi (x) |0>`` with the protocols'
+kernel (``measurement._count_factored``), and rows are built straight from
+the kernel's arrays.  Both come in counts order.
 """
 
 from __future__ import annotations
@@ -72,7 +72,8 @@ PROTOCOLS = tuple(_FIELDS)
 #: ``scissors_n`` or ``scissors_m`` (and at most MAX_CUTOFF + 1
 #: ``input_coefficients``).  Photon totals then stay within 2 * MAX_CUTOFF
 #: and both band caps of ``optics._real_band`` within MAX_CUTOFF, so the
-#: beamsplitter bands take at most 8 (MAX_CUTOFF + 1)^3 bytes, about 492 MiB.
+#: beamsplitter bands, rows 0..ceil(N/2) of each, take at most
+#: 8 ceil((c + 2)^2 (2c + 1) / 4) bytes at c = MAX_CUTOFF, about 247 MiB.
 MAX_CUTOFF = 400
 
 #: Each state kind's parameter, then its optional ones: a coherent state's
@@ -471,8 +472,7 @@ def _heralded_results(s: Scenario) -> tuple:
             if n <= state.cutoff:
                 kept += float(abs(state.amplitudes[n]) ** 2)
         nominal = kept / 2.0
-    rows = [_row(o.counts, o.probability, o.classification, o.fidelity_to_target,
-                 o.correction_phase) for o in report.outcomes]
+    rows = [_row(*values) for values in report._record_values()]
     checks = [
         _check("success_probability", nominal, report.success_probability,
                s.tolerances.probability),
@@ -488,12 +488,10 @@ def _heralded_results(s: Scenario) -> tuple:
 
 def _parity_rows(sent, psi) -> list:
     """Every record of ``sent`` split against the resource psi (x) |0>, whose
-    receiver stays in vacuum, as rows sorted by counts."""
-    totals, na, probs, _ = _count_factored(sent, psi.amplitudes[:, None], np.ones((1, 1)))
-    rows = [_row((a, total - a), p, "odd_count_a" if a % 2 else "even_count_a")
-            for total, a, p in zip(totals.tolist(), na.tolist(), probs.tolist())]
-    rows.sort(key=lambda row: row["counts"])
-    return rows
+    receiver stays in vacuum, as rows in counts order."""
+    counts, probs, _ = _count_factored(sent, psi.amplitudes[:, None], np.ones((1, 1)))
+    return [_row(pair, p, "odd_count_a" if pair[0] % 2 else "even_count_a")
+            for pair, p in zip(counts.tolist(), probs.tolist())]
 
 
 def _odd_probability(rows: list) -> float:

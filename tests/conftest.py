@@ -79,7 +79,6 @@ def full_block(total: int) -> np.ndarray:
 def kernel_records(sent: SingleModeState, resource: np.ndarray) -> dict:
     """``{(na, nb): (probability, receiver)}`` from the counting kernel on a
     two-mode resource matrix R, given as the factors R and the identity."""
-    totals, na, probs, receivers = _count_factored(sent, resource, np.eye(resource.shape[1]))
-    return {(a, total - a): (p, receiver)
-            for total, a, p, receiver in zip(totals.tolist(), na.tolist(), probs.tolist(),
-                                             receivers)}
+    counts, probs, receivers = _count_factored(sent, resource, np.eye(resource.shape[1]))
+    return {tuple(pair): (p, receiver)
+            for pair, p, receiver in zip(counts.tolist(), probs.tolist(), receivers)}

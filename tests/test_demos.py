@@ -1,6 +1,7 @@
 """The demo scenarios' results documents: every check passes, and a rerun
 gives the same bytes, whatever ran before in the process.  The demo scripts
-run to completion with numpy's RuntimeWarnings as errors."""
+run to completion with numpy's RuntimeWarnings as errors, and the protocols
+do not import ``numpy.ma``."""
 
 import json
 import os
@@ -35,6 +36,18 @@ for total in range(0, 71, 7):
     full_block(total)
 after_full = document()
 print(json.dumps([cold, after_larger, after_full]))
+"""
+
+#: Runs ``teleport_basic`` and ``paritysim run`` on the scenario named by the
+#: first argument, writing the second, and prints the exit code and whether
+#: ``numpy.ma`` got imported: importing it raises peak memory by about a MiB.
+FOOTPRINT = """
+import sys
+from paritysim import QubitAmplitudes, squeezed_spec, teleport_basic
+from paritysim.cli import main
+teleport_basic(QubitAmplitudes(0.6, 0.8j), squeezed_spec(0.4, 32), squeezed_spec(-0.4, 32))
+code = main(["run", "--scenario", sys.argv[1], "--out", sys.argv[2], "--quiet"])
+print(code, "numpy.ma" in sys.modules)
 """
 
 
@@ -74,3 +87,12 @@ def test_document_does_not_depend_on_run_history(path):
     assert after_larger == cold
     assert after_full == cold
     assert run_scenario(parse_scenario_text(path.read_text())).to_json() == cold
+
+
+def test_protocol_runs_leave_numpy_ma_unimported(tmp_path):
+    scenario = ROOT / "demos" / "scenarios" / "basic_squeezed.json"
+    done = subprocess.run([sys.executable, "-c", FOOTPRINT, str(scenario),
+                           str(tmp_path / "out.json")],
+                          capture_output=True, text=True, env=source_env(), timeout=120,
+                          check=True)
+    assert done.stdout.split() == ["0", "False"]

@@ -198,6 +198,7 @@ class TestEquality:
     def test_reports_compare_through_their_records(self):
         q = QubitAmplitudes(0.6, 0.8)
         report = teleport_enhanced(q, coherent_spec(1.0, 14))
+        assert np.isnan(report.corrections).any()  # NaN marks records without a correction
         assert report == teleport_enhanced(q, coherent_spec(1.0, 14))
         assert report.outcomes[0] == teleport_enhanced(q, coherent_spec(1.0, 14)).outcomes[0]
         assert report.outcomes[0] != report.outcomes[1]

@@ -148,29 +148,27 @@ class TestKernelContract:
     def test_flat_records(self, pair, parameter, cutoff):
         u, v = pair(parameter, cutoff)
         sent = encode_qubit(QubitAmplitudes(0.6, 0.8j), u, v, tilde=True)
-        totals, na, probs, receivers = _count_factored(sent, *_resource_factors(u, v, "phi_minus"))
-        assert totals.shape == na.shape == probs.shape == receivers.shape[:1]
+        counts, probs, receivers = _count_factored(sent, *_resource_factors(u, v, "phi_minus"))
+        assert counts.shape == (probs.size, 2) and probs.shape == receivers.shape[:1]
         assert receivers.shape[1] == cutoff + 1 and receivers.flags.writeable
-        # ascending by total, and by na within a total
-        steps = np.diff(totals)
-        assert np.all(steps >= 0)
-        assert np.all(np.diff(na)[steps == 0] > 0)
-        assert np.all((0 <= na) & (na <= totals))
+        # strictly ascending in counts order: by na, and by nb within an na
+        pairs = [tuple(record) for record in counts.tolist()]
+        assert pairs == sorted(set(pairs))
+        assert np.all(counts >= 0)
         assert np.all(probs >= OUTCOME_FLOOR)
         np.testing.assert_allclose(np.sum(np.abs(receivers) ** 2, axis=1), 1.0, rtol=0, atol=1e-12)
 
     def test_unreachable_resource_gives_empty_arrays(self):
         sent = build_state(number_spec(1, 3))
-        totals, na, probs, receivers = _count_factored(sent, np.zeros((4, 2)), np.ones((3, 2)))
-        assert totals.size == na.size == probs.size == 0
+        counts, probs, receivers = _count_factored(sent, np.zeros((4, 2)), np.ones((3, 2)))
+        assert counts.shape == (0, 2) and probs.size == 0
         assert receivers.shape == (0, 3)
 
 
 def assert_factored_matches_dense(sent, u, v, kind):
-    totals, na, probs, receivers = _count_factored(sent, *_resource_factors(u, v, kind))
-    factored = {(a, total - a): (prob, receiver)
-                for total, a, prob, receiver in zip(totals.tolist(), na.tolist(), probs.tolist(),
-                                                    receivers)}
+    counts, probs, receivers = _count_factored(sent, *_resource_factors(u, v, kind))
+    factored = {tuple(pair): (prob, receiver)
+                for pair, prob, receiver in zip(counts.tolist(), probs.tolist(), receivers)}
     resource = resource_from_states(u, v, kind)
     dense = kernel_records(sent, resource)
     assert sorted(factored) == sorted(dense)

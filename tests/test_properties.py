@@ -13,6 +13,7 @@ from paritysim import (
     coherent_spec,
     explicit_spec,
     inner_product,
+    squeezed_spec,
     teleport_basic,
     teleport_enhanced,
 )
@@ -60,3 +61,33 @@ def test_coherent_u_gives_half_enhanced_success(q, magnitude, phase):
     assert report.success_probability == pytest.approx(0.5, abs=1e-10)
     assert report.min_success_fidelity() == pytest.approx(1.0, abs=1e-10)
     assert not any(o.counts[0] % 2 == 1 and o.counts[1] % 2 == 1 for o in report.outcomes)
+
+
+@PROPERTY_SETTINGS
+@given(q=qubits(), squeezed=st.booleans(), enhanced=st.booleans(), retilde=st.booleans(),
+       magnitude=st.floats(0.05, 2.0), phase=st.floats(0.0, 6.283185307179586))
+def test_aggregates_are_left_to_right_sums_over_the_records(q, squeezed, enhanced, retilde,
+                                                            magnitude, phase):
+    if squeezed:  # the pair (r, -r), squeezing r up to 1
+        r = magnitude / 2
+        report = teleport_basic(q, squeezed_spec(r, 96), squeezed_spec(-r, 96), retilde=retilde)
+    else:  # the pair (alpha, -alpha)
+        alpha = cmath.rect(magnitude, phase)
+        u = coherent_spec(alpha, int(magnitude * magnitude + 10 * magnitude + 20))
+        if enhanced:
+            report = teleport_enhanced(q, u, retilde=retilde)
+        else:
+            report = teleport_basic(q, u, coherent_spec(-alpha, u.cutoff), retilde=retilde)
+    total = success = weighted = 0.0
+    for o in report.outcomes:
+        total += o.probability
+        if o.classification == "success":
+            success += o.probability
+            weighted += o.probability * o.fidelity_to_target
+    assert report.total_probability == total
+    assert report.success_probability == success
+    assert report.mean_conditional_fidelity == weighted / success
+    assert report.min_success_fidelity() == min(o.fidelity_to_target
+                                                for o in report.success_outcomes())
+    counts = [o.counts for o in report.outcomes]
+    assert all(a < b for a, b in zip(counts, counts[1:]))

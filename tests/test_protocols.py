@@ -1,4 +1,6 @@
+import dataclasses
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -30,6 +32,7 @@ from paritysim import (
     teleport_enhanced,
     tensor,
 )
+from paritysim.protocols import _basic_rule, _enhanced_rule, _scissors_rule
 from paritysim.states import pi_shifted_spec
 
 
@@ -342,6 +345,25 @@ class TestEntanglementEntropy:
             entanglement_entropy(np.ones((1, 1, 1)))
 
 
+# the rules as they read record by record, for the array rules to match
+def reference_basic(quarter, na, nb):
+    if na % 2:
+        return "success", quarter
+    return ("failure" if nb % 2 else "filtered"), None
+
+
+def reference_enhanced(quarter, na, nb):
+    if na % 2 == nb % 2:
+        return ("failure" if na % 2 else "filtered"), None
+    return "success", (math.pi if nb % 2 else 0.0) + quarter
+
+
+def reference_scissors(herald_total, keep_low, keep_high, na, nb):
+    if na + nb != herald_total:
+        return "filtered", None
+    return "success", (0.0 if na % 2 else math.pi / (keep_high - keep_low))
+
+
 class TestRuleTables:
     """Classification and correction phase of every record, by count parity.
 
@@ -387,9 +409,31 @@ class TestRuleTables:
     @pytest.mark.parametrize("retilde", [False, True])
     def test_enhanced_both_odd_is_failure(self, retilde):
         # no enhanced run produces this record, so the rule is asked directly
-        from paritysim.protocols import _enhanced_rule
+        classifications, corrections = _enhanced_rule(math.pi / 2 if retilde else 0.0)(
+            np.array([3]), np.array([1]))
+        assert classifications.tolist() == ["failure"]
+        assert np.isnan(corrections).all()
 
-        assert _enhanced_rule(math.pi / 2 if retilde else 0.0)(3, 1) == ("failure", None)
+    @pytest.mark.parametrize("rule, reference", [
+        (_basic_rule(0.0), partial(reference_basic, 0.0)),
+        (_basic_rule(math.pi / 2), partial(reference_basic, math.pi / 2)),
+        (_enhanced_rule(0.0), partial(reference_enhanced, 0.0)),
+        (_enhanced_rule(math.pi / 2), partial(reference_enhanced, math.pi / 2)),
+        (_scissors_rule(1 + 3, math.pi / (3 - 1)), partial(reference_scissors, 1 + 3, 1, 3)),
+        (_scissors_rule(0 + 5, math.pi / (5 - 0)), partial(reference_scissors, 0 + 5, 0, 5)),
+    ], ids=["basic", "basic_retilde", "enhanced", "enhanced_retilde", "scissors_1_3",
+            "scissors_0_5"])
+    def test_every_count_up_to_12(self, rule, reference):
+        na, nb = (grid.ravel() for grid in np.meshgrid(np.arange(13), np.arange(13)))
+        classifications, corrections = rule(na, nb)
+        for a, b, classification, phase in zip(na.tolist(), nb.tolist(),
+                                               classifications.tolist(), corrections.tolist()):
+            want_classification, want_phase = reference(a, b)
+            assert classification == want_classification, (a, b)
+            if want_phase is None:
+                assert math.isnan(phase), (a, b)
+            else:
+                assert phase == want_phase, (a, b)
 
 
 def _teleport_case(enhanced, retilde):
@@ -455,3 +499,46 @@ class TestReceiverContract:
                 np.testing.assert_allclose(back.amplitudes, want, rtol=0, atol=1e-12)
         # some photon total mixes records of different correction phases
         assert max(len(phases) for phases in phases_by_total.values()) >= 2
+
+
+class TestColumnarReport:
+    """A report stores its records as read-only columns in counts order, and
+    ``outcomes`` is one cached view of the same records."""
+
+    @pytest.mark.parametrize("name", sorted(RECEIVER_CASES))
+    def test_records_are_the_columns(self, name):
+        report, _ = RECEIVER_CASES[name]()
+        assert report.outcomes is report.outcomes
+        columns = (report.counts, report.probabilities, report.classifications,
+                   report.fidelities, report.corrections, report.receivers)
+        for column in columns:
+            assert column.shape[0] == len(report.outcomes)
+            assert not column.flags.writeable
+        with pytest.raises(ValueError):
+            report.receivers[0, 0] = 0.0
+        for i, o in enumerate(report.outcomes):
+            assert o.counts == tuple(report.counts[i].tolist())
+            assert [type(n) for n in o.counts] == [int, int]
+            assert type(o.probability) is float and o.probability == report.probabilities[i]
+            assert type(o.classification) is str
+            assert o.classification == report.classifications[i]
+            assert type(o.fidelity_to_target) is float
+            assert o.fidelity_to_target == report.fidelities[i]
+            if o.correction_phase is None:
+                assert np.isnan(report.corrections[i])
+            else:
+                assert type(o.correction_phase) is float
+                assert o.correction_phase == report.corrections[i]
+            amplitudes = o.corrected_post_state.amplitudes
+            assert np.shares_memory(amplitudes, report.receivers)
+            assert np.array_equal(amplitudes, report.receivers[i])
+        counts = [o.counts for o in report.outcomes]
+        assert counts == sorted(set(counts))
+
+    def test_replace_keeps_edited_records(self):
+        report, _ = RECEIVER_CASES["enhanced"]()
+        edited = list(report.outcomes)
+        edited[0] = dataclasses.replace(edited[0], probability=0.5)
+        assert dataclasses.replace(report, outcomes=edited).outcomes == tuple(edited)
+        rebuilt = dataclasses.replace(report, success_probability=0.0)
+        assert rebuilt.outcomes == report.outcomes and rebuilt.outcomes[0].probability != 0.5
