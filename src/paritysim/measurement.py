@@ -86,10 +86,12 @@ def _count_factored(sent: SingleModeState, left: np.ndarray, right: np.ndarray):
 
     Returns three arrays, one row per record (na, nb) at or above
     ``OUTCOME_FLOOR``: the counts as an integer matrix of two columns, the
-    probabilities and, as the rows of a writable matrix, the normalized
-    states each record leaves on the resource's second mode.  Records are in
-    counts order, by na and then by nb; a resource that reaches no record
-    gives three empty arrays.
+    probabilities and the records' ``coordinates``, a records x r matrix.
+    The normalized state a record leaves on the resource's second mode is
+    its row of ``coordinates @ right.T``: it lies in the span of the r
+    columns of ``right``, so the kernel keeps its r coordinates and builds
+    no receiver vector.  Records are in counts order, by na and then by nb;
+    a resource that reaches no record gives three empty arrays.
 
     The beamsplitter conserves the total N = na + nb, so the amplitudes of
     total N are the slab X[i, k] = sent[i] R[N - i, k] turned by the block
@@ -111,14 +113,13 @@ def _count_factored(sent: SingleModeState, left: np.ndarray, right: np.ndarray):
     The Y of every total are then scored together.  Record (na, N - na)'s
     amplitudes are row na of Y Q^T times (-i)^na, so its probability is
     Re sum (Y G) * conj(Y) over that row, with the r x r Gram matrix
-    G = Q^T conj(Q); rows below the floor are dropped, the kept rows are put
-    in counts order, and receivers are built for them only.
+    G = Q^T conj(Q); rows below the floor are dropped, and the kept rows are
+    put in counts order and scaled by (-i)^na / sqrt(p) into coordinates.
     """
     if abs(sent.norm_squared() - 1.0) > 1e-9:
         raise ValueError("the counting kernel requires a normalized input state")
     size = left.shape[0]
-    right_t = np.ascontiguousarray(right.T)
-    gram = right_t @ right.conj()
+    gram = np.ascontiguousarray(right.T) @ right.conj()
     sent_amps = sent.amplitudes
     top = sent_amps.size - 1
     # the totals i + m reachable from a nonzero sent[i] and a nonzero row m of R
@@ -158,9 +159,8 @@ def _count_factored(sent: SingleModeState, left: np.ndarray, right: np.ndarray):
     order = np.lexsort((nb, na))
     kept, counts = kept[order], np.column_stack((na[order], nb[order]))
     probs = probs[kept]
-    # each kept row scaled to a unit-norm receiver, with its (-i)^na phase
-    rows = out[kept] * (_MINUS_I_POWERS[counts[:, 0] % 4] / np.sqrt(probs))[:, None]
-    return counts, probs, rows @ right_t
+    # each kept row scaled to the coordinates of a unit-norm receiver, with its (-i)^na phase
+    return counts, probs, out[kept] * (_MINUS_I_POWERS[counts[:, 0] % 4] / np.sqrt(probs))[:, None]
 
 
 def thinned_distribution(dist: CountDistribution, det: DetectorModel) -> CountDistribution:

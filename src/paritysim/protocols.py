@@ -7,11 +7,14 @@ the two beamsplitter outputs.  Every resource here has rank 2, so it is
 passed as two narrow factors read off the orthonormal pair
 (``states._resource_factors``), and ``measurement._count_factored`` does
 both steps in one pass, one photon-total block at a time, so neither the
-resource matrix nor the three-mode state is built.  All records are then
-scored as columns, and the report keeps the columns.  The protocols differ
-in the resource and in the rule that maps the counts (na, nb) to a
-classification and a correction phase for the receiver (``_basic_rule``,
-``_enhanced_rule`` and ``_scissors_rule``, each applied to whole arrays):
+resource matrix nor the three-mode state is built.  Each record leaves the
+receiver mode in the span of the resource's two second-mode factors, so the
+kernel gives its two coordinates there rather than a Fock vector.  All
+records are then scored as columns, and the report keeps the columns.  The
+protocols differ in the resource and in the rule that maps the counts
+(na, nb) to a classification and a correction phase for the receiver
+(``_basic_rule``, ``_enhanced_rule`` and ``_scissors_rule``, each applied to
+whole arrays):
 
 * basic: any pair (u, v) with real overlap; success iff the count in output
   A is odd; no correction needed; success probability 1/4.
@@ -50,9 +53,11 @@ from .states import (
     QubitAmplitudes,
     StateSpec,
     build_state,
-    encode_qubit,
     number_spec,
     pi_shifted_spec,
+    plus_minus,
+    _encode_on_pair,
+    _factors_on_pair,
     _resource_factors,
 )
 
@@ -81,9 +86,11 @@ class ProtocolReport:
     counts order (by na, then by nb): ``counts`` holds (na, nb), then come
     the record's ``probabilities``, ``classifications``, ``fidelities`` to
     the target, ``corrections`` (the phase shift applied to the receiver, NaN
-    where none is defined) and, as the rows of ``receivers``, the corrected
-    receiver states.  Every column is read-only.  ``outcomes`` gives the same
-    records as ``OutcomeRecord``s, built on first read.
+    where none is defined) and ``coordinates``, the receiver state before its
+    correction in the columns of ``basis``, the resource's second-mode
+    factor.  Every column is read-only.  ``receivers``, whose rows are the
+    corrected receiver states, and ``outcomes``, the same records as
+    ``OutcomeRecord``s, are built on first read.
 
     ``state_audits`` records the cutoff and truncation tail of every
     single-mode state that entered the run, so reports stay auditable.
@@ -95,7 +102,8 @@ class ProtocolReport:
     classifications: np.ndarray
     fidelities: np.ndarray
     corrections: np.ndarray
-    receivers: np.ndarray
+    coordinates: np.ndarray
+    basis: np.ndarray
     success_probability: float
     mean_conditional_fidelity: float | None
     total_probability: float
@@ -104,7 +112,7 @@ class ProtocolReport:
     __eq__ = _fields_equal
 
     def __init__(self, protocol, counts, probabilities, classifications, fidelities,
-                 corrections, receivers, success_probability, mean_conditional_fidelity,
+                 corrections, coordinates, basis, success_probability, mean_conditional_fidelity,
                  total_probability, state_audits, outcomes=None):
         """The fields in order; ``outcomes``, when given, is kept as the
         records as it is, which is how ``dataclasses.replace`` makes a copy
@@ -123,9 +131,18 @@ class ProtocolReport:
                    [None if math.isnan(phase) else phase for phase in self.corrections.tolist()])
 
     @cached_property
+    def receivers(self) -> np.ndarray:
+        """The corrected receiver states as the rows of a read-only matrix:
+        ``coordinates @ basis.T``, each row shifted by its correction."""
+        receivers = _corrected_rows(self.coordinates, np.ascontiguousarray(self.basis.T),
+                                    _phase_rows(self.corrections, self.basis.shape[0]))
+        receivers.flags.writeable = False
+        return receivers
+
+    @cached_property
     def outcomes(self) -> tuple:
         """One ``OutcomeRecord`` per row, in counts order; each corrected state
-        wraps its row of the read-only ``receivers``."""
+        wraps its row of ``receivers``."""
         return tuple(
             OutcomeRecord(tuple(counts), probability, classification,
                           SingleModeState._trusted(receiver), fid, phase)
@@ -159,6 +176,32 @@ def entanglement_entropy(state) -> float:
     return float(-np.sum(weights * np.log2(weights)))
 
 
+#: Bytes of receiver rows that ``_run_heralded`` builds at a time to score them.
+_CHUNK_BYTES = 256 * 1024
+
+
+def _phase_rows(corrections: np.ndarray, size: int):
+    """For each distinct non-zero correction phase, its factors exp(i phase n)
+    for n < ``size`` and the mask of the rows it corrects."""
+    for phase in set(corrections[~np.isnan(corrections) & (corrections != 0.0)].tolist()):
+        yield _phase_factors(phase, size), corrections == phase
+
+
+def _corrected_rows(coordinates: np.ndarray, basis_t: np.ndarray, phases,
+                    rows: slice = slice(None)) -> np.ndarray:
+    """The corrected receivers of ``rows``: those rows of ``coordinates``
+    times ``basis_t``, each shifted by its phase of ``phases`` (``_phase_rows``)."""
+    receivers = coordinates[rows] @ basis_t
+    for factors, mask in phases:
+        np.multiply(receivers, factors, out=receivers, where=mask[rows, None])
+    return receivers
+
+
+def _sum_in_order(values: np.ndarray) -> float:
+    """values[0] + values[1] + ..., added left to right (0.0 for none)."""
+    return float(np.add.accumulate(values)[-1]) if values.size else 0.0
+
+
 def _run_heralded(protocol: str, sent: SingleModeState, factors: tuple,
                   target: SingleModeState, rule, audits: dict) -> ProtocolReport:
     """Count every record of ``sent`` mixed with the resource of ``factors``
@@ -166,33 +209,44 @@ def _run_heralded(protocol: str, sent: SingleModeState, factors: tuple,
 
     ``rule(na, nb)`` maps the arrays of counts to the arrays of the records'
     classifications and of the phase shifts that correct their receivers,
-    NaN where no correction is defined.  No step works record by record: the
-    rows of each distinct non-zero phase are shifted together, every
-    fidelity |<target|receiver>|^2 comes from one product with the target,
-    and the receivers are checked finite once.  The aggregates add the
-    columns left to right in counts order.  The report keeps the columns;
-    ``audits`` names the single-mode states whose cutoff and tail it records.
+    NaN where no correction is defined.  No step works record by record.
+    The kernel's coordinates are checked finite once.  The fidelities
+    |<target|receiver>|^2 are scored on receivers built a chunk of rows at a
+    time, at most ``_CHUNK_BYTES`` of them, with the rows of each distinct
+    non-zero phase shifted together; the report keeps only the coordinates,
+    so a run holds O(records * r) numbers rather than O(records * cutoff).
+    No chunk is a single row unless the report has one record: a one-row
+    product takes another BLAS path, whose last bits can differ from the
+    receivers the report builds on demand.  The aggregates add the columns
+    left to right in counts order.  ``audits`` names the single-mode states
+    whose cutoff and tail the report records.
     """
-    size = factors[1].shape[0]
-    counts, probabilities, receivers = _count_factored(sent, *factors)
+    basis = factors[1]
+    size = basis.shape[0]
+    counts, probabilities, coordinates = _count_factored(sent, *factors)
     classifications, corrections = rule(counts[:, 0], counts[:, 1])
-    for phase in set(corrections[~np.isnan(corrections) & (corrections != 0.0)].tolist()):
-        receivers[corrections == phase] *= _phase_factors(phase, size)
-    if not np.isfinite(receivers).all():
+    if not np.isfinite(coordinates).all():
         raise ValueError("amplitudes must be finite (no NaN/Inf)")
-    fidelities = np.abs(receivers @ target.padded(size - 1).conj()) ** 2
 
-    total_prob = 0.0
-    for p in probabilities.tolist():
-        total_prob += p
+    basis_t = np.ascontiguousarray(basis.T)
+    conj_target = target.padded(size - 1).conj()
+    phases = list(_phase_rows(corrections, size))
+    records = probabilities.size
+    fidelities = np.empty(records)
+    step = max(2, _CHUNK_BYTES // (16 * size))
+    lo = 0
+    while lo < records:
+        # a remainder of one row joins this chunk
+        hi = lo + step if lo + step < records - 1 else records
+        receivers = _corrected_rows(coordinates, basis_t, phases, slice(lo, hi))
+        fidelities[lo:hi] = np.abs(receivers @ conj_target) ** 2
+        lo = hi
+
     success = classifications == SUCCESS
-    success_prob = 0.0
-    weighted_fidelity = 0.0
-    for p, fid in zip(probabilities[success].tolist(), fidelities[success].tolist()):
-        success_prob += p
-        weighted_fidelity += p * fid
-
-    columns = (counts, probabilities, classifications, fidelities, corrections, receivers)
+    success_probs = probabilities[success]
+    success_prob = _sum_in_order(success_probs)
+    weighted_fidelity = _sum_in_order(success_probs * fidelities[success])
+    columns = (counts, probabilities, classifications, fidelities, corrections, coordinates, basis)
     for column in columns:
         column.flags.writeable = False
     return ProtocolReport(
@@ -200,7 +254,7 @@ def _run_heralded(protocol: str, sent: SingleModeState, factors: tuple,
         *columns,
         success_probability=success_prob,
         mean_conditional_fidelity=(weighted_fidelity / success_prob) if success_prob > 0 else None,
-        total_probability=total_prob,
+        total_probability=_sum_in_order(probabilities),
         state_audits=_state_audits(audits),
     )
 
@@ -246,12 +300,13 @@ def _run_teleport(
     rule,
     retilde: bool,
 ) -> ProtocolReport:
-    sent = encode_qubit(q, u, v, tilde=True)
+    pair = plus_minus(u, v)
+    sent = _encode_on_pair(q, pair, tilde=True)
     return _run_heralded(
         protocol,
         sent,
-        _resource_factors(u, v, "phi_minus"),
-        encode_qubit(q, u, v, tilde=retilde),
+        _factors_on_pair(pair, "phi_minus"),
+        _encode_on_pair(q, pair, tilde=retilde),
         rule(math.pi / 2 if retilde else 0.0),
         {"u": u, "v": v, "input": sent},
     )

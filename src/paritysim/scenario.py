@@ -74,6 +74,9 @@ PROTOCOLS = tuple(_FIELDS)
 #: and both band caps of ``optics._real_band`` within MAX_CUTOFF, so the
 #: beamsplitter bands, rows 0..ceil(N/2) of each, take at most
 #: 8 ceil((c + 2)^2 (2c + 1) / 4) bytes at c = MAX_CUTOFF, about 247 MiB.
+#: A protocol report holds O(records * r) numbers, r = 2 coordinates per
+#: record, not O(records * cutoff): with at most (2c + 1)(c + 1) records
+#: (totals to 2c), its coordinates take at most about 10 MiB at c = MAX_CUTOFF.
 MAX_CUTOFF = 400
 
 #: Each state kind's parameter, then its optional ones: a coherent state's

@@ -360,7 +360,12 @@ def encode_qubit(
     With ``tilde`` the encoding is done in the quarter-cycle-shifted basis,
     i.e. the whole state is passed through a pi/2 phase shift.
     """
-    plus, minus = plus_minus(u, v)
+    return _encode_on_pair(q, plus_minus(u, v), tilde)
+
+
+def _encode_on_pair(q: QubitAmplitudes, pair: tuple, tilde: bool) -> SingleModeState:
+    """``encode_qubit`` on the orthonormal ``pair`` that ``plus_minus`` returns."""
+    plus, minus = pair
     cutoff = max(plus.cutoff, minus.cutoff)
     raw = q.eps_plus * plus.padded(cutoff) + q.eps_minus * minus.padded(cutoff)
     ns = float(np.sum(np.abs(raw) ** 2))
@@ -406,8 +411,13 @@ def _resource_factors(u: SingleModeState, v: SingleModeState,
     """
     if kind not in RESOURCE_KINDS:
         raise ValueError(f"unknown resource kind {kind!r}")
-    plus, minus = plus_minus(u, v)
-    p, m = plus.amplitudes, minus.amplitudes
+    return _factors_on_pair(plus_minus(u, v), kind)
+
+
+def _factors_on_pair(pair: tuple, kind: str) -> tuple[np.ndarray, np.ndarray]:
+    """``_resource_factors`` read off the orthonormal ``pair`` that
+    ``plus_minus`` returns, for a ``kind`` already checked."""
+    p, m = (state.amplitudes for state in pair)
     if kind == "psi_minus":
         left, right = np.stack([p, m], axis=1), np.stack([m, p], axis=1)
     else:

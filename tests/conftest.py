@@ -78,7 +78,8 @@ def full_block(total: int) -> np.ndarray:
 
 def kernel_records(sent: SingleModeState, resource: np.ndarray) -> dict:
     """``{(na, nb): (probability, receiver)}`` from the counting kernel on a
-    two-mode resource matrix R, given as the factors R and the identity."""
+    two-mode resource matrix R, given as the factors R and the identity, in
+    whose columns a receiver's coordinates are its amplitudes."""
     counts, probs, receivers = _count_factored(sent, resource, np.eye(resource.shape[1]))
     return {tuple(pair): (p, receiver)
             for pair, p, receiver in zip(counts.tolist(), probs.tolist(), receivers)}

@@ -12,9 +12,12 @@ to 1e-12, however small the record's probability.
 The protocols count through the same kernel with the resource as two rank-2
 factors read off the orthonormal pair (u + v, u - v); the dense form passes
 the matrix built from u and v with the identity as its second factor.  The
-two must give the same record set, probabilities to 1e-14 and receivers to
-1e-12 for p >= 1e-6, also for nearly parallel u and v, where factors taken
-from u and v themselves would lose digits to cancellation.
+kernel gives each record's receiver as its coordinates in the columns of
+the second factor, so the receivers are rebuilt as ``coordinates @ right.T``
+(the identity leaves them as they are).  The two must give the same record
+set, probabilities to 1e-14 and receivers to 1e-12 for p >= 1e-6, also for
+nearly parallel u and v, where factors taken from u and v themselves would
+lose digits to cancellation.
 """
 
 import cmath
@@ -148,9 +151,11 @@ class TestKernelContract:
     def test_flat_records(self, pair, parameter, cutoff):
         u, v = pair(parameter, cutoff)
         sent = encode_qubit(QubitAmplitudes(0.6, 0.8j), u, v, tilde=True)
-        counts, probs, receivers = _count_factored(sent, *_resource_factors(u, v, "phi_minus"))
-        assert counts.shape == (probs.size, 2) and probs.shape == receivers.shape[:1]
-        assert receivers.shape[1] == cutoff + 1 and receivers.flags.writeable
+        left, right = _resource_factors(u, v, "phi_minus")
+        counts, probs, coordinates = _count_factored(sent, left, right)
+        assert counts.shape == (probs.size, 2) and coordinates.shape == (probs.size, 2)
+        receivers = coordinates @ right.T
+        assert receivers.shape[1] == cutoff + 1
         # strictly ascending in counts order: by na, and by nb within an na
         pairs = [tuple(record) for record in counts.tolist()]
         assert pairs == sorted(set(pairs))
@@ -160,15 +165,18 @@ class TestKernelContract:
 
     def test_unreachable_resource_gives_empty_arrays(self):
         sent = build_state(number_spec(1, 3))
-        counts, probs, receivers = _count_factored(sent, np.zeros((4, 2)), np.ones((3, 2)))
+        right = np.ones((3, 2))
+        counts, probs, coordinates = _count_factored(sent, np.zeros((4, 2)), right)
         assert counts.shape == (0, 2) and probs.size == 0
-        assert receivers.shape == (0, 3)
+        assert coordinates.shape == (0, 2)
+        assert (coordinates @ right.T).shape == (0, 3)
 
 
 def assert_factored_matches_dense(sent, u, v, kind):
-    counts, probs, receivers = _count_factored(sent, *_resource_factors(u, v, kind))
-    factored = {tuple(pair): (prob, receiver)
-                for pair, prob, receiver in zip(counts.tolist(), probs.tolist(), receivers)}
+    left, right = _resource_factors(u, v, kind)
+    counts, probs, coordinates = _count_factored(sent, left, right)
+    factored = {tuple(pair): (prob, receiver) for pair, prob, receiver
+                in zip(counts.tolist(), probs.tolist(), coordinates @ right.T)}
     resource = resource_from_states(u, v, kind)
     dense = kernel_records(sent, resource)
     assert sorted(factored) == sorted(dense)

@@ -32,6 +32,8 @@ from paritysim import (
     teleport_enhanced,
     tensor,
 )
+from paritysim import protocols
+from paritysim.optics import _phase_factors
 from paritysim.protocols import _basic_rule, _enhanced_rule, _scissors_rule
 from paritysim.states import pi_shifted_spec
 
@@ -510,12 +512,12 @@ class TestColumnarReport:
         report, _ = RECEIVER_CASES[name]()
         assert report.outcomes is report.outcomes
         columns = (report.counts, report.probabilities, report.classifications,
-                   report.fidelities, report.corrections, report.receivers)
+                   report.fidelities, report.corrections, report.coordinates)
         for column in columns:
             assert column.shape[0] == len(report.outcomes)
             assert not column.flags.writeable
-        with pytest.raises(ValueError):
-            report.receivers[0, 0] = 0.0
+        assert report.coordinates.shape[1] == report.basis.shape[1] == 2
+        assert not report.basis.flags.writeable
         for i, o in enumerate(report.outcomes):
             assert o.counts == tuple(report.counts[i].tolist())
             assert [type(n) for n in o.counts] == [int, int]
@@ -542,3 +544,60 @@ class TestColumnarReport:
         assert dataclasses.replace(report, outcomes=edited).outcomes == tuple(edited)
         rebuilt = dataclasses.replace(report, success_probability=0.0)
         assert rebuilt.outcomes == report.outcomes and rebuilt.outcomes[0].probability != 0.5
+
+
+class TestLazyReceivers:
+    """A report keeps each receiver as its coordinates in the resource's
+    second-mode factor ``basis``; the receiver vectors are built on first
+    read, and the fidelities are scored on them a chunk of rows at a time."""
+
+    @pytest.mark.parametrize("name", sorted(RECEIVER_CASES))
+    def test_built_on_first_read_as_one_product(self, name):
+        report, _ = RECEIVER_CASES[name]()
+        assert "receivers" not in report.__dict__
+        # one product over all rows, then each row shifted by its correction
+        expected = report.coordinates @ np.ascontiguousarray(report.basis.T)
+        for phase in set(report.corrections[~np.isnan(report.corrections)].tolist()) - {0.0}:
+            expected[report.corrections == phase] *= _phase_factors(phase, expected.shape[1])
+        receivers = report.receivers
+        assert receivers is report.receivers
+        assert receivers.shape == expected.shape and receivers.tobytes() == expected.tobytes()
+        assert not receivers.flags.writeable
+        with pytest.raises(ValueError):
+            receivers[0, 0] = 0.0
+        for i, o in enumerate(report.outcomes):
+            assert np.shares_memory(o.corrected_post_state.amplitudes, receivers)
+            assert np.array_equal(o.corrected_post_state.amplitudes, receivers[i])
+
+    @staticmethod
+    def _scored(enhanced: bool, retilde: bool):
+        """A report of many records and the conjugate of its target's amplitudes."""
+        q = QubitAmplitudes(0.6, 0.8j)
+        if enhanced:
+            u_spec = coherent_spec(4.0 * np.exp(2.2j), 52)
+            v_spec = pi_shifted_spec(u_spec)
+            report = teleport_enhanced(q, u_spec, retilde=retilde)
+        else:
+            u_spec, v_spec = squeezed_spec(1.0, 96), squeezed_spec(-1.0, 96)
+            report = teleport_basic(q, u_spec, v_spec, retilde=retilde)
+        target = encode_qubit(q, build_state(u_spec), build_state(v_spec), tilde=retilde)
+        return report, target.padded(report.basis.shape[0] - 1).conj()
+
+    @pytest.mark.parametrize("enhanced", [False, True], ids=["squeezed", "coherent"])
+    @pytest.mark.parametrize("retilde", [False, True])
+    def test_chunked_fidelities_equal_one_shot(self, enhanced, retilde, monkeypatch):
+        report, conj_target = self._scored(enhanced, retilde)
+        one_shot = np.abs(report.receivers @ conj_target) ** 2
+        records, size = report.probabilities.size, report.basis.shape[0]
+        # the squeezed report spans several chunks of the default size
+        assert enhanced or records > 2 * protocols._CHUNK_BYTES // (16 * size)
+        assert np.array_equal(report.fidelities, one_shot)
+        # smaller chunks, some of whose counts leave a remainder of one row
+        steps = (2, 3, 5, 7)
+        remainders = {records % step for step in steps}
+        assert 1 in remainders and len(remainders) > 1
+        for step in steps:
+            monkeypatch.setattr(protocols, "_CHUNK_BYTES", 16 * size * step)
+            again, _ = self._scored(enhanced, retilde)
+            assert np.array_equal(again.fidelities, one_shot), step
+            assert again == report

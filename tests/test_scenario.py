@@ -15,7 +15,7 @@ from paritysim import (
     tensor,
     validate_scenario,
 )
-from paritysim import cli
+from paritysim import cli, protocols
 from paritysim.cli import main
 from paritysim.measurement import OUTCOME_FLOOR
 from paritysim.scenario import MAX_CUTOFF, ResultsDocument
@@ -175,6 +175,31 @@ class TestRunScenario:
         assert not results.all_passed
         failing = [c for c in results.checks if not c.passed]
         assert failing and failing[0].name == "success_probability"
+
+
+class TestReceiversOnDemand:
+    """A heralded run scores its fidelities without keeping receiver vectors,
+    and neither the results builder nor ``paritysim run`` reads them."""
+
+    @pytest.mark.parametrize("doc", [ENHANCED_DOC, BASIC_DOC, SCISSORS_DOC],
+                             ids=["enhanced", "basic", "scissors"])
+    def test_runs_build_no_receivers(self, doc, tmp_path, monkeypatch):
+        reports = []
+        run_heralded = protocols._run_heralded
+
+        def recording(*args):
+            reports.append(run_heralded(*args))
+            return reports[-1]
+
+        monkeypatch.setattr(protocols, "_run_heralded", recording)
+        assert run_scenario(validate_scenario(doc)).all_passed
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(doc))
+        assert main(["run", "--scenario", str(path), "--out", str(tmp_path / "out.json"),
+                     "--quiet"]) == 0
+        assert len(reports) == 2
+        for report in reports:
+            assert "receivers" not in report.__dict__ and "outcomes" not in report.__dict__
 
 
 class TestCli:
