@@ -26,10 +26,15 @@ EXIT_INTERNAL = 3
 
 
 def _write_atomic(path: Path, text: str) -> None:
+    """Write ``text`` to ``path`` by replacing it with a temporary file, given
+    the mode a plain write creates (0o666 less the umask, not mkstemp's 0o600)."""
     path.parent.mkdir(parents=True, exist_ok=True)
+    umask = os.umask(0)  # the only way to read it is to set it
+    os.umask(umask)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as handle:
+            os.fchmod(handle.fileno(), 0o666 & ~umask)
             handle.write(text)
         os.replace(tmp, path)
     except BaseException:

@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import InvalidMode
 from .fock import SingleModeState
-from .optics import _MINUS_I_POWERS, _SIGNS, _real_band, _two_mode
+from .optics import _MINUS_I_POWERS, _turn_total, _two_mode
 
 #: Outcomes with probability below this are treated as impossible.
 OUTCOME_FLOOR = 1e-14
@@ -98,17 +98,13 @@ def _count_factored(sent: SingleModeState, left: np.ndarray, right: np.ndarray):
     unitary of N, whose entries are (-i)^(c-a) D_N[c, a] with D_N real.
     Only columns a = i of D_N that meet a sent level i and a resource row
     N - i are needed, max(0, N - (size - 1))..min(N, top) for ``left`` of
-    ``size`` rows and ``sent`` of levels 0..top, so the kernel asks
-    ``optics._real_band`` for ``(N, size - 1, top)`` and slices that range
-    out of the band it gets.  With R factored, X = S Q^T for the narrow
-    S[i, j] = sent[i] left[N - i, j] and Q = ``right``, so D_N acts on the r
-    columns of S only: the column phases i^a are folded into ``sent`` once,
-    and real products on the real and imaginary parts of S give Y = D_N S.
-    The band holds rows 0..ceil(N/2) of D_N only; row c > N/2 is (-1)^a times
-    row N - c, so rows 0..floor(N/2) of Y come from the band times S and the
-    rest, reversed, from the band times S with (-1)^a folded in as well.
-    Totals that no nonzero level of ``sent`` and row of ``left`` reach are
-    skipped, which is what keeps even-only (squeezed) supports cheap.
+    ``size`` rows and ``sent`` of levels 0..top.  With R factored, X = S Q^T
+    for the narrow S[i, j] = sent[i] left[N - i, j] and Q = ``right``, so
+    D_N acts on the r columns of S only: the column phases i^a are folded
+    into ``sent`` once, and ``optics._turn_total`` gives Y = D_N S from real
+    products on the interleaved real and imaginary parts of S.  Totals that
+    no nonzero level of ``sent`` and row of ``left`` reach are skipped, which
+    is what keeps even-only (squeezed) supports cheap.
 
     The Y of every total are then scored together.  Record (na, N - na)'s
     amplitudes are row na of Y Q^T times (-i)^na, so its probability is
@@ -125,10 +121,8 @@ def _count_factored(sent: SingleModeState, left: np.ndarray, right: np.ndarray):
     # the totals i + m reachable from a nonzero sent[i] and a nonzero row m of R
     totals = np.flatnonzero(np.convolve(sent_amps != 0, np.any(left, axis=1)))
     levels = np.arange(sent_amps.size)
-    # the blocks' column phases i^a = conj((-i)^a), folded into the input once,
-    # and with the row reflection's (-1)^a too for the rows below N/2
+    # the blocks' column phases i^a = conj((-i)^a), folded into the input once
     twisted = sent_amps * _MINUS_I_POWERS[levels % 4].conj()
-    reflected = twisted * _SIGNS[levels % 2]
 
     # row m of left is row size - 1 - m of flipped, so that sent levels
     # lo..hi meet rows total - lo..total - hi of left in one forward slice
@@ -140,14 +134,9 @@ def _count_factored(sent: SingleModeState, left: np.ndarray, right: np.ndarray):
         lo, hi = max(0, total - size + 1), min(total, top)
         shift = size - 1 - total
         rows = flipped[lo + shift : hi + shift + 1]
-        band_lo, band = _real_band(total, size - 1, top)
-        columns = band[:, lo - band_lo : hi - band_lo + 1]
         # real products on the interleaved (re, im) columns: D Re S + i D Im S
-        upper = columns @ (twisted[lo : hi + 1, None] * rows).view(np.float64)
-        lower = columns @ (reflected[lo : hi + 1, None] * rows).view(np.float64)
-        middle = start + total // 2 + 1
-        out[start:middle] = upper[: total // 2 + 1]
-        out[middle : start + total + 1] = lower[: total - total // 2][::-1]
+        slab = (twisted[lo : hi + 1, None] * rows).view(np.float64)
+        _turn_total(total, size - 1, top, lo, slab, out[start : start + total + 1])
     out = out.view(np.complex128)
     # Re(a conj(b)) = Re a Re b + Im a Im b, summed over the (re, im) pairs
     probs = np.einsum("ij,ij->i", (out @ gram).view(np.float64), out.view(np.float64))

@@ -34,14 +34,15 @@ are unitary to 5e-14 for every N up to 300.
 
 Column a of D_N reads only columns a - 1 and a of D_(N-1), so a band of
 columns grows from a band.  The counting kernel and ``beamsplitter_5050``
-read columns max(0, N - rows_top)..min(N, cols_top) of D_N, cols_top being
-the largest photon number entering port 1 and rows_top the largest entering
-port 2 (in the kernel, the largest sent level and the resource's largest
-row index); the same range for N - 1 holds every column that this band
-reads.  So ``_real_band`` keeps only that band of each block, for caps
-``rows_top`` and ``cols_top`` that only grow: the largest any caller has
-asked for.  Raising a cap drops the blocks above the smaller old cap (those
-below it are full width) and rebuilds them on demand.
+turn each photon total through ``_turn_total``, which reads columns
+max(0, N - rows_top)..min(N, cols_top) of D_N, cols_top being the largest
+photon number entering port 1 and rows_top the largest entering port 2 (in
+the kernel, the largest sent level and the resource's largest row index);
+the same range for N - 1 holds every column that this band reads.  So
+``_real_band`` keeps only that band of each block, for caps ``rows_top``
+and ``cols_top`` that only grow: the largest any caller has asked for.
+Raising a cap drops the blocks above the smaller old cap (those below it
+are full width) and rebuilds them on demand.
 
 Each block also carries the parity structure exactly, as the row reflection
 
@@ -52,8 +53,8 @@ it, since mirrored entries are the same products summed in the same order up
 to exact negations, so it holds bit for bit on every nonzero entry.  Only the
 signs of some exact zeros do not follow it (D_6[5, 3] is -0.0 where
 -D_6[1, 3] is +0.0), and a zero's sign cannot reach a nonzero sum.  The
-store therefore keeps only rows 0..ceil(N/2) of each band, and a reader
-gets row c > ceil(N/2) as (-1)^a times row N - c.  Rows 0..ceil(N/2) of D_N
+store therefore keeps only rows 0..ceil(N/2) of each band, and
+``_turn_total`` gets row c > ceil(N/2) as (-1)^a times row N - c.  Rows 0..ceil(N/2) of D_N
 read rows 0..ceil(N/2) of D_(N-1); at odd N the last of those is row
 (N+1)/2, past the stored half, and is (-1)^a times row (N-3)/2 (a zero row
 at N = 1).  ceil(N/2) rather than floor(N/2) keeps two rows at N = 1 and 2,
@@ -137,6 +138,8 @@ def _two_mode(state, *modes: int) -> np.ndarray:
     state and that each of ``modes`` is one of its modes."""
     if isinstance(state, SingleModeState) or np.ndim(state) != 2:
         raise InvalidMode("a two-mode state is a matrix R[n, m]")
+    if 0 in np.shape(state):
+        raise InvalidMode("a two-mode state needs at least one level in each mode")
     for mode in modes:
         if mode not in (0, 1):
             raise InvalidMode(f"mode {mode} out of range for 2 modes")
@@ -182,6 +185,21 @@ def _pair(state, mode_a: int, mode_b: int) -> np.ndarray:
     return matrix if mode_a == 0 else matrix.T
 
 
+def _turn_total(total: int, rows_top: int, cols_top: int, lo: int,
+                slab: np.ndarray, out: np.ndarray) -> None:
+    """Rows 0..N of D_N X into ``out``, N = ``total``, for the slab X whose
+    row k belongs to column a = lo + k of D_N, read from the band that
+    ``_real_band(total, rows_top, cols_top)`` keeps.  Row c > N/2 of D_N is
+    (-1)^a times row N - c, so those rows, reversed, are the stored half
+    times X with its odd-a rows negated: ``slab`` is negated in place."""
+    band_lo, band = _real_band(total, rows_top, cols_top)
+    columns = band[:, lo - band_lo : lo - band_lo + slab.shape[0]]
+    middle = total // 2 + 1
+    out[:middle] = (columns @ slab)[:middle]
+    slab[lo % 2 ^ 1 :: 2] *= -1.0
+    out[middle:] = (columns @ slab)[: total + 1 - middle][::-1]
+
+
 def _turn(matrix: np.ndarray) -> np.ndarray:
     """The beamsplitter on a two-mode matrix, one photon total at a time.
 
@@ -190,26 +208,22 @@ def _turn(matrix: np.ndarray) -> np.ndarray:
     turns into anti-diagonal N of the output.  Only columns a that meet a
     row and a column of ``matrix`` are read, max(0, N - (cols - 1))..
     min(N, rows - 1), so the band caps never rise above the state's own
-    cutoffs.  As in the counting kernel, rows 0..floor(N/2) of the output
-    come from the stored half and the rest, reversed, from the same rows
-    applied to the input times (-1)^a.  The output is square with side
-    rows + cols - 1, which holds every total.
+    cutoffs.  The output is square with side rows + cols - 1, which holds
+    every total.
     """
     rows, cols = matrix.shape
     side = rows + cols - 1
     out = np.zeros((side, side), dtype=np.complex128)
+    turned = np.empty(side, dtype=np.complex128)
     levels = np.arange(side)
     for total in range(side):
-        a = levels[max(0, total - cols + 1) : min(total, rows - 1) + 1]
-        lo, band = _real_band(total, cols - 1, rows - 1)
+        lo = max(0, total - cols + 1)
+        a = levels[lo : min(total, rows - 1) + 1]
         # (-i)^(c-a) = (-i)^c i^a, with i^a = conj((-i)^a)
         twisted = matrix[a, total - a] * _MINUS_I_POWERS[a % 4].conj()
-        columns = band[:, a - lo]
-        upper = columns @ twisted
-        lower = columns @ (twisted * _SIGNS[a % 2])
+        _turn_total(total, cols - 1, rows - 1, lo, twisted, turned[: total + 1])
         c = levels[: total + 1]
-        out[c, total - c] = _MINUS_I_POWERS[c % 4] * np.concatenate(
-            [upper[: total // 2 + 1], lower[: total - total // 2][::-1]])
+        out[c, total - c] = _MINUS_I_POWERS[c % 4] * turned[: total + 1]
     return out
 
 

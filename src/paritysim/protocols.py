@@ -5,7 +5,7 @@ the input mode with one half of a two-mode entangled resource on the 50/50
 beamsplitter and exhaustively enumerate the joint photon-count records on
 the two beamsplitter outputs.  Every resource here has rank 2, so it is
 passed as two narrow factors read off the orthonormal pair
-(``states._resource_factors``), and ``measurement._count_factored`` does
+(``states._factors_on_pair``), and ``measurement._count_factored`` does
 both steps in one pass, one photon-total block at a time, so neither the
 resource matrix nor the three-mode state is built.  Each record leaves the
 receiver mode in the span of the resource's two second-mode factors, so the
@@ -58,7 +58,6 @@ from .states import (
     plus_minus,
     _encode_on_pair,
     _factors_on_pair,
-    _resource_factors,
 )
 
 SUCCESS = "success"
@@ -305,7 +304,7 @@ def _run_teleport(
     return _run_heralded(
         protocol,
         sent,
-        _factors_on_pair(pair, "phi_minus"),
+        _factors_on_pair(pair),
         _encode_on_pair(q, pair, tilde=retilde),
         rule(math.pi / 2 if retilde else 0.0),
         {"u": u, "v": v, "input": sent},
@@ -379,9 +378,8 @@ def quantum_scissors(
     raw_target[n_hi] = amp_hi
     target = normalize(SingleModeState(raw_target))
 
-    factors = _resource_factors(
-        build_state(number_spec(n_lo, top)), build_state(number_spec(n_hi, top)), "phi_minus"
-    )
+    factors = _factors_on_pair(
+        plus_minus(build_state(number_spec(n_lo, top)), build_state(number_spec(n_hi, top))))
     sent = phase_shift(input_state, math.pi / 2)
 
     return _run_heralded(

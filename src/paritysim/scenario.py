@@ -71,7 +71,7 @@ PROTOCOLS = tuple(_FIELDS)
 #: Largest photon number a scenario may name: a state's ``cutoff``,
 #: ``scissors_n`` or ``scissors_m`` (and at most MAX_CUTOFF + 1
 #: ``input_coefficients``).  Photon totals then stay within 2 * MAX_CUTOFF
-#: and both band caps of ``optics._real_band`` within MAX_CUTOFF, so the
+#: and both band caps of the store in ``optics`` within MAX_CUTOFF, so the
 #: beamsplitter bands, rows 0..ceil(N/2) of each, take at most
 #: 8 ceil((c + 2)^2 (2c + 1) / 4) bytes at c = MAX_CUTOFF, about 247 MiB.
 #: A protocol report holds O(records * r) numbers, r = 2 coordinates per

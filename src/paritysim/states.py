@@ -16,10 +16,10 @@ Conventions fixed here:
   normalized ``|u>|u> - |v>|v>`` equals ``(|+>|-> + |->|+>)/sqrt(2)`` and
   normalized ``|u>|v> - |v>|u>`` equals ``(|->|+> - |+>|->)/sqrt(2)``, because
   the norms of u+v and u-v absorb any non-orthogonality.  Tests pin this
-  correspondence amplitude-wise.  The protocols take the second form as two
-  rank-2 factors (``_resource_factors``), which keeps the digits that the
-  difference of products loses when u and v are nearly parallel;
-  ``resource_from_states`` builds the two-mode matrix that
+  correspondence amplitude-wise.  The protocols take phi_minus in the
+  second form, as two rank-2 factors (``_factors_on_pair``), which keeps
+  the digits that the difference of products loses when u and v are nearly
+  parallel; ``resource_from_states`` builds the two-mode matrix that
   ``entanglement_entropy`` decomposes.
 """
 
@@ -397,31 +397,20 @@ def resource_from_states(u: SingleModeState, v: SingleModeState, kind: str) -> n
     return _read_only(matrix)
 
 
-def _resource_factors(u: SingleModeState, v: SingleModeState,
-                      kind: str) -> tuple[np.ndarray, np.ndarray]:
-    """The rank-2 resource of ``resource_from_states`` as two factors.
+def _factors_on_pair(pair: tuple) -> tuple[np.ndarray, np.ndarray]:
+    """The phi_minus resource of ``resource_from_states`` as two factors,
+    read off the orthonormal ``pair`` that ``plus_minus`` returns.
 
     ``left`` and ``right`` are (cutoff+1) x 2 with amplitude (m, k) equal to
-    sum_j left[m, j] right[k, j].  They are read off the orthonormal pair of
-    the module docstring, ``(|->|+> - |+>|->)`` for phi_minus and
-    ``(|+>|-> + |->|+>)`` for psi_minus, not off u and v themselves: for
-    nearly parallel u and v, ``u v^T - v u^T`` is a small difference of large
-    products and loses digits that u + v and u - v keep.  The normalization
-    is the Frobenius norm of the product, from the two 2x2 Gram matrices.
+    sum_j left[m, j] right[k, j].  They are read off the pair's form
+    ``(|->|+> - |+>|->)`` of the module docstring, not off u and v
+    themselves: for nearly parallel u and v, ``u v^T - v u^T`` is a small
+    difference of large products and loses digits that u + v and u - v
+    keep.  The normalization is the Frobenius norm of the product, from the
+    two 2x2 Gram matrices.
     """
-    if kind not in RESOURCE_KINDS:
-        raise ValueError(f"unknown resource kind {kind!r}")
-    return _factors_on_pair(plus_minus(u, v), kind)
-
-
-def _factors_on_pair(pair: tuple, kind: str) -> tuple[np.ndarray, np.ndarray]:
-    """``_resource_factors`` read off the orthonormal ``pair`` that
-    ``plus_minus`` returns, for a ``kind`` already checked."""
     p, m = (state.amplitudes for state in pair)
-    if kind == "psi_minus":
-        left, right = np.stack([p, m], axis=1), np.stack([m, p], axis=1)
-    else:
-        left, right = np.stack([m, -p], axis=1), np.stack([p, m], axis=1)
+    left, right = np.stack([m, -p], axis=1), np.stack([p, m], axis=1)
     ns = float(np.sum(left.T @ left.conj() * (right.T @ right.conj())).real)
     return left / np.sqrt(ns), right
 

@@ -13,8 +13,10 @@ from paritysim import (
     bipartite_coefficients,
     build_state,
     coherent_spec,
+    count_distribution,
     odd_parity_probability,
     phase_shift,
+    sample_counts,
     teleport_enhanced,
     tensor,
 )
@@ -130,6 +132,19 @@ class TestBeamsplitter:
         assert weight(out) == pytest.approx(1.0, abs=1e-15)
         assert abs(out[4, 0]) > 0.1 and abs(out[0, 4]) > 0.1
         assert not out.flags.writeable
+
+    @pytest.mark.parametrize("shape", [(0, 3), (3, 0), (0, 0)])
+    @pytest.mark.parametrize("call", [
+        lambda st: beamsplitter_5050(st, 0, 1),
+        lambda st: bipartite_coefficients(st, 0, 1),
+        lambda st: phase_shift(st, 0.3, 1),
+        lambda st: count_distribution(st, 0),
+        lambda st: sample_counts(st, (1,), np.random.default_rng(0), 3),
+    ], ids=["beamsplitter_5050", "bipartite_coefficients", "phase_shift",
+            "count_distribution", "sample_counts"])
+    def test_empty_axis_refused(self, call, shape):
+        with pytest.raises(InvalidMode, match="at least one level in each mode"):
+            call(np.zeros(shape))
 
     def test_invalid_modes(self, rng):
         st = random_two_mode(rng, 5, 5, 5)
@@ -258,6 +273,29 @@ class TestBlockRecurrence:
             twisted = np.zeros_like(K)
             twisted[:size, :size] = pre * (-1j) ** np.arange(size)[:, None]
             np.testing.assert_allclose(K, twisted, rtol=0, atol=1e-14)
+
+
+class TestTurnAgainstSpectral:
+    """``beamsplitter_5050`` one photon total at a time against
+    ``spectral_block``, which shares no code with the band store or the turn
+    that the counting kernel also goes through."""
+
+    @pytest.mark.parametrize("rows, cols", [(61, 60), (90, 31), (17, 104)])
+    def test_each_anti_diagonal(self, rng, rows, cols):
+        state = rng.normal(size=(rows, cols)) + 1j * rng.normal(size=(rows, cols))
+        state /= np.linalg.norm(state)
+        # port 1 is fed by mode_a, and output A lands in mode_a's slot
+        pairs = [(state, beamsplitter_5050(state, 0, 1)),
+                 (state.T, beamsplitter_5050(state, 1, 0).T)]
+        for total in range(rows + cols - 1):
+            block = spectral_block(total)
+            a = np.arange(total + 1)
+            for entering, leaving in pairs:
+                inside = (a < entering.shape[0]) & (total - a < entering.shape[1])
+                diagonal = np.zeros(total + 1, dtype=complex)
+                diagonal[inside] = entering[a[inside], total - a[inside]]
+                np.testing.assert_allclose(leaving[a, total - a], block @ diagonal,
+                                           rtol=0, atol=1e-13, err_msg=str(total))
 
 
 def full_recurrence(top: int) -> list:

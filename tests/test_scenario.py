@@ -1,5 +1,7 @@
 import json
 import math
+import os
+import stat
 from pathlib import Path
 
 import numpy as np
@@ -240,6 +242,23 @@ class TestCli:
         assert main(["run", "--scenario", scenario, "--out", str(out1), "--quiet"]) == 0
         assert main(["run", "--scenario", scenario, "--out", str(out2), "--quiet"]) == 0
         assert out1.read_bytes() == out2.read_bytes()
+
+    @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)],
+                             ids=["umask-022", "umask-077"])
+    def test_results_document_mode_follows_the_umask(self, tmp_path, umask, mode):
+        # as a plain write would create it, also over an existing document
+        scenario = self.write(tmp_path, SCISSORS_DOC)
+        out = tmp_path / "results.json"
+        out.write_text("")
+        out.chmod(0o600 if mode == 0o644 else 0o644)
+        old = os.umask(umask)
+        try:
+            assert main(["run", "--scenario", scenario, "--out", str(out), "--quiet"]) == 0
+        finally:
+            os.umask(old)
+        assert stat.S_IMODE(out.stat().st_mode) == mode
+        assert json.loads(out.read_text())["all_passed"] is True
+        assert [p.name for p in tmp_path.iterdir() if p.suffix == ".tmp"] == []
 
     def test_assertion_failure_exit_one(self, tmp_path):
         doc = dict(ENHANCED_DOC, tolerances={"probability": 1e-18, "fidelity": 1e-9})
