@@ -74,8 +74,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidMode
-from .fock import SingleModeState, _fields_equal, _read_only
+from .errors import DegenerateState, InvalidMode
+from .fock import DEGENERACY_FLOOR, SingleModeState, _fields_equal, _read_only
 
 _SQ2 = math.sqrt(2.0)
 
@@ -134,8 +134,8 @@ def _real_band(total: int, rows_top: int, cols_top: int) -> tuple[int, np.ndarra
 
 
 def _two_mode(state, *modes: int) -> np.ndarray:
-    """``state`` as a complex matrix, after checking that it is a two-mode
-    state and that each of ``modes`` is one of its modes."""
+    """``state`` as a complex matrix, after checking that it is a finite
+    two-mode state and that each of ``modes`` is one of its modes."""
     if isinstance(state, SingleModeState) or np.ndim(state) != 2:
         raise InvalidMode("a two-mode state is a matrix R[n, m]")
     if 0 in np.shape(state):
@@ -143,7 +143,10 @@ def _two_mode(state, *modes: int) -> np.ndarray:
     for mode in modes:
         if mode not in (0, 1):
             raise InvalidMode(f"mode {mode} out of range for 2 modes")
-    return np.asarray(state, dtype=np.complex128)
+    matrix = np.asarray(state, dtype=np.complex128)
+    if not np.isfinite(matrix).all():
+        raise ValueError("amplitudes must be finite (no NaN/Inf)")
+    return matrix
 
 
 def _phase_factors(phi: float, count: int) -> np.ndarray:
@@ -264,7 +267,10 @@ class BipartiteCoefficients:
 
     def odd_parity_probability(self) -> float:
         """Antisymmetric weight over total weight."""
-        return self.antisymmetric_weight() / self.total_weight()
+        total = self.total_weight()
+        if total <= DEGENERACY_FLOOR:
+            raise DegenerateState("a state of (near) zero weight has no parity split")
+        return self.antisymmetric_weight() / total
 
 
 def bipartite_coefficients(state, mode_a: int = 0, mode_b: int = 1) -> BipartiteCoefficients:

@@ -48,13 +48,12 @@ import numpy as np
 from .errors import DegenerateState, InvalidResource
 from .fock import SingleModeState, _fields_equal, inner_product, normalize
 from .measurement import _count_factored
-from .optics import _phase_factors, phase_shift
+from .optics import _phase_factors, _two_mode, phase_shift
 from .states import (
     QubitAmplitudes,
     StateSpec,
     build_state,
     number_spec,
-    pi_shifted_spec,
     plus_minus,
     _encode_on_pair,
     _factors_on_pair,
@@ -162,17 +161,22 @@ def fidelity(actual: SingleModeState, target: SingleModeState) -> float:
 
 
 def entanglement_entropy(state) -> float:
-    """Entropy of entanglement (base 2) across the bipartition of a two-mode
-    matrix, from its singular values.
+    """Entropy of entanglement (base 2) across the bipartition of a
+    normalized two-mode matrix, from its singular values.
 
     Squared Schmidt coefficients below 1e-14 are excluded to avoid 0*log 0
-    noise from truncation residue.
+    noise from truncation residue.  A product state gives +0.0: rounding of
+    its one weight just above 1 would make the sum a tiny negative number.
     """
     if np.ndim(state) != 2:
         raise ValueError("entanglement entropy is defined here for two-mode states")
-    weights = np.linalg.svd(state, compute_uv=False) ** 2
+    matrix = _two_mode(state)
+    norm_squared = float(np.sum(np.abs(matrix) ** 2))
+    if abs(norm_squared - 1.0) > 1e-9:
+        raise ValueError(f"the state must be normalized (got |R|^2 = {norm_squared})")
+    weights = np.linalg.svd(matrix, compute_uv=False) ** 2
     weights = weights[weights > 1e-14]
-    return float(-np.sum(weights * np.log2(weights)))
+    return max(0.0, float(-np.sum(weights * np.log2(weights))))
 
 
 #: Bytes of receiver rows that ``_run_heralded`` builds at a time to score them.
@@ -341,7 +345,7 @@ def teleport_enhanced(
     the success probability doubles to 1/2, independent of q and u.
     """
     u = build_state(u_spec)
-    v = build_state(pi_shifted_spec(u_spec))
+    v = phase_shift(u, math.pi)
     return _run_teleport("teleport_enhanced", q, u, v, _enhanced_rule, retilde)
 
 

@@ -230,8 +230,6 @@ def build_state(spec: StateSpec) -> SingleModeState:
         log_cosh = _log_cosh(spec.r)
         amps[0] = math.exp(-0.5 * log_cosh)
         for k in range(spec.cutoff // 2):
-            if 2 * k + 2 > spec.cutoff:
-                break
             amps[2 * k + 2] = amps[2 * k] * (-t) * math.sqrt(2 * k + 1) / math.sqrt(2 * k + 2)
         # level 2k has weight t^(2k) (2k)! / (4^k k!^2 cosh r); the ratio of
         # consecutive weights, t^2 (2k+1)/(2k+2), stays below t^2
@@ -334,19 +332,24 @@ def plus_minus(u: SingleModeState, v: SingleModeState) -> tuple[SingleModeState,
     series); that condition is exactly what makes the two outputs orthogonal.
     """
     _check_pair(u, v)
-    cutoff = max(u.cutoff, v.cutoff)
-    ua, va = u.padded(cutoff), v.padded(cutoff)
-    out = []
-    for sign in (+1.0, -1.0):
-        raw = ua + sign * va
-        ns = float(np.sum(np.abs(raw) ** 2))
-        if ns <= 1e-14:
-            raise DegenerateSuperposition("u and v coincide up to sign")
-        out.append(SingleModeState(
-            raw / np.sqrt(ns),
-            tail_mass=combined_tail(u.tail_mass, v.tail_mass, ns),
-        ))
-    return out[0], out[1]
+    return _superpose(None, u, +1.0, v), _superpose(None, u, -1.0, v)
+
+
+def _superpose(a, x: SingleModeState, b, y: SingleModeState) -> SingleModeState:
+    """a x + b y over the larger of the two cutoffs, normalized, with the
+    tail bound of ``combined_tail``.
+
+    ``a`` of None takes x as it is rather than as 1 x: a complex product by
+    1 turns an imaginary -0.0 into +0.0 where the real part is not negative,
+    so the pair that ``plus_minus`` returns would lose the zeros' signs.
+    """
+    cutoff = max(x.cutoff, y.cutoff)
+    xa = x.padded(cutoff)
+    raw = (xa if a is None else a * xa) + b * y.padded(cutoff)
+    ns = float(np.sum(np.abs(raw) ** 2))
+    if ns <= 1e-14:
+        raise DegenerateSuperposition("u and v coincide up to sign")
+    return SingleModeState(raw / np.sqrt(ns), tail_mass=combined_tail(x.tail_mass, y.tail_mass, ns))
 
 
 def encode_qubit(
@@ -366,13 +369,7 @@ def encode_qubit(
 def _encode_on_pair(q: QubitAmplitudes, pair: tuple, tilde: bool) -> SingleModeState:
     """``encode_qubit`` on the orthonormal ``pair`` that ``plus_minus`` returns."""
     plus, minus = pair
-    cutoff = max(plus.cutoff, minus.cutoff)
-    raw = q.eps_plus * plus.padded(cutoff) + q.eps_minus * minus.padded(cutoff)
-    ns = float(np.sum(np.abs(raw) ** 2))
-    state = SingleModeState(
-        raw / np.sqrt(ns),
-        tail_mass=combined_tail(plus.tail_mass, minus.tail_mass, ns),
-    )
+    state = _superpose(q.eps_plus, plus, q.eps_minus, minus)
     if tilde:
         state = phase_shift(state, math.pi / 2)
     return state
@@ -435,23 +432,3 @@ def opposite_phase_partner(state: SingleModeState) -> SingleModeState:
     the support is even.
     """
     return phase_shift(state, math.pi / 2)
-
-
-def pi_shifted_spec(spec: StateSpec) -> StateSpec:
-    """The spec whose built state is the half-cycle phase shift of ``spec``'s.
-
-    Used by the enhanced protocol, which derives its second basis state this
-    way.  Note the result is physically identical to the input for
-    single-parity states (number states, squeezed vacuum), which downstream
-    code rejects as a degenerate superposition.
-    """
-    if spec.kind == "coherent":
-        return StateSpec(kind="coherent", cutoff=spec.cutoff,
-                         tail_tolerance=spec.tail_tolerance, alpha=-spec.alpha)
-    if spec.kind == "explicit":
-        flipped = tuple(c * (-1) ** n for n, c in enumerate(spec.coefficients))
-        return StateSpec(kind="explicit", cutoff=spec.cutoff,
-                         tail_tolerance=spec.tail_tolerance, coefficients=flipped)
-    # even or single-level support: the half-cycle shift is the identity
-    return spec
-

@@ -4,7 +4,15 @@ import time
 import numpy as np
 import pytest
 
-from paritysim import SingleModeState, beamsplitter_5050, normalize, phase_shift, tensor
+from paritysim import (
+    SingleModeState,
+    beamsplitter_5050,
+    coherent_spec,
+    explicit_spec,
+    normalize,
+    phase_shift,
+    tensor,
+)
 from paritysim.measurement import _count_factored
 from paritysim.optics import _MINUS_I_POWERS, _real_band
 
@@ -41,6 +49,16 @@ def random_qubit(rng):
     pair = rng.normal(size=2) + 1j * rng.normal(size=2)
     pair = pair / np.linalg.norm(pair)
     return QubitAmplitudes(pair[0], pair[1])
+
+
+def half_cycle_spec(spec):
+    """The coherent or explicit ``spec`` with the half-cycle phase shift
+    written into its parameter: alpha negated, or every odd-level
+    coefficient negated."""
+    if spec.kind == "coherent":
+        return coherent_spec(-spec.alpha, spec.cutoff, spec.tail_tolerance)
+    return explicit_spec([-c if n % 2 else c for n, c in enumerate(spec.coefficients)],
+                         spec.cutoff)
 
 
 def shifted_split(psi: SingleModeState, phi: SingleModeState | None = None) -> np.ndarray:

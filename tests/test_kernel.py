@@ -50,7 +50,7 @@ from paritysim import (
     tensor,
 )
 from paritysim.measurement import OUTCOME_FLOOR, _count_factored
-from paritysim.states import _factors_on_pair, pi_shifted_spec, plus_minus
+from paritysim.states import _factors_on_pair, plus_minus
 
 
 def dict_chain(sent, resource):
@@ -83,8 +83,8 @@ def teleport_inputs(u, v, q=QubitAmplitudes(0.6, 0.8j)):
 
 
 def coherent_pair(alpha, cutoff):
-    spec = coherent_spec(alpha, cutoff)
-    return build_state(spec), build_state(pi_shifted_spec(spec))
+    u = build_state(coherent_spec(alpha, cutoff))
+    return u, phase_shift(u, math.pi)
 
 
 def squeezed_pair(r, cutoff):
@@ -98,8 +98,8 @@ class TestAgainstDictChain:
     @pytest.mark.parametrize("alpha, cutoff", [(0.08, 4), (cmath.rect(1.0, 0.4), 14),
                                                (cmath.rect(2.5, 2.1), 32)])
     def test_coherent_enhanced_pair(self, alpha, cutoff):
-        spec = coherent_spec(alpha, cutoff)
-        u, v = build_state(spec), build_state(pi_shifted_spec(spec))
+        u = build_state(coherent_spec(alpha, cutoff))
+        v = phase_shift(u, math.pi)
         records = assert_same_records(*teleport_inputs(u, v))
         assert not any(na % 2 == 1 and nb % 2 == 1 for na, nb in records)
 

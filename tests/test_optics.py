@@ -6,6 +6,7 @@ import pytest
 from conftest import full_block, random_single, random_two_mode, shifted_split
 from oracle import DenseSpace, exact_block_matrix
 from paritysim import (
+    DegenerateState,
     InvalidMode,
     QubitAmplitudes,
     SingleModeState,
@@ -133,7 +134,14 @@ class TestBeamsplitter:
         assert abs(out[4, 0]) > 0.1 and abs(out[0, 4]) > 0.1
         assert not out.flags.writeable
 
-    @pytest.mark.parametrize("shape", [(0, 3), (3, 0), (0, 0)])
+    @pytest.mark.parametrize("state, error, message", [
+        (np.zeros((0, 3)), InvalidMode, "at least one level in each mode"),
+        (np.zeros((3, 0)), InvalidMode, "at least one level in each mode"),
+        (np.zeros((0, 0)), InvalidMode, "at least one level in each mode"),
+        (np.array([[0.6, np.nan], [0.0, 0.8]]), ValueError, "must be finite"),
+        (np.array([[0.6, 0.0], [np.inf, 0.8]]), ValueError, "must be finite"),
+        (np.array([[0.6, 0.0], [0.0, complex(0.0, -np.inf)]]), ValueError, "must be finite"),
+    ], ids=["shape0", "shape1", "shape2", "nan", "inf", "-inf"])
     @pytest.mark.parametrize("call", [
         lambda st: beamsplitter_5050(st, 0, 1),
         lambda st: bipartite_coefficients(st, 0, 1),
@@ -142,9 +150,10 @@ class TestBeamsplitter:
         lambda st: sample_counts(st, (1,), np.random.default_rng(0), 3),
     ], ids=["beamsplitter_5050", "bipartite_coefficients", "phase_shift",
             "count_distribution", "sample_counts"])
-    def test_empty_axis_refused(self, call, shape):
-        with pytest.raises(InvalidMode, match="at least one level in each mode"):
-            call(np.zeros(shape))
+    def test_empty_axis_refused(self, call, state, error, message):
+        # a non-finite matrix is refused like an empty one
+        with pytest.raises(error, match=message):
+            call(state)
 
     def test_invalid_modes(self, rng):
         st = random_two_mode(rng, 5, 5, 5)
@@ -232,6 +241,10 @@ class TestBipartiteCoefficients:
             K = bipartite_coefficients(st, 0, 1)
             assert K.odd_parity_probability() == pytest.approx(
                 odd_parity_probability(st, 0), abs=1e-12)
+
+    def test_zero_state_has_no_parity_split(self):
+        with pytest.raises(DegenerateState):
+            bipartite_coefficients(np.zeros((2, 2))).odd_parity_probability()
 
     def test_requires_two_modes(self, rng):
         with pytest.raises(InvalidMode):

@@ -5,11 +5,18 @@ from functools import partial
 import numpy as np
 import pytest
 
-from conftest import kernel_records, random_qubit, random_single, real_overlap_partner
+from conftest import (
+    half_cycle_spec,
+    kernel_records,
+    random_qubit,
+    random_single,
+    real_overlap_partner,
+)
 from oracle import dense_scissors, dense_teleport
 from paritysim import (
     DegenerateState,
     DegenerateSuperposition,
+    InvalidMode,
     InvalidResource,
     QubitAmplitudes,
     SingleModeState,
@@ -20,6 +27,7 @@ from paritysim import (
     entanglement_entropy,
     explicit_spec,
     fidelity,
+    inner_product,
     normalize,
     number_spec,
     odd_parity_probability,
@@ -35,7 +43,6 @@ from paritysim import (
 from paritysim import protocols
 from paritysim.optics import _phase_factors
 from paritysim.protocols import _basic_rule, _enhanced_rule, _scissors_rule
-from paritysim.states import pi_shifted_spec
 
 
 def ipow(k: int) -> complex:
@@ -178,6 +185,54 @@ class TestTeleportEnhanced:
     def test_vacuum_input_degenerate(self):
         with pytest.raises(DegenerateSuperposition):
             teleport_enhanced(QubitAmplitudes(1, 0), coherent_spec(0.0, 5))
+
+    def test_builds_one_state(self, monkeypatch):
+        built = []
+
+        def counted(spec):
+            built.append(spec)
+            return build_state(spec)
+
+        monkeypatch.setattr(protocols, "build_state", counted)
+        spec = coherent_spec(1.0, 25)
+        teleport_enhanced(QubitAmplitudes(0.6, 0.8j), spec)
+        assert built == [spec]
+
+    @pytest.mark.parametrize("spec", [squeezed_spec(0.4, 28), number_spec(2, 5)],
+                             ids=["squeezed", "number"])
+    def test_single_parity_input_degenerate(self, spec):
+        # the half-cycle shift leaves a state of one parity as it is, so the
+        # pair is u twice and the message names |<u|u>|
+        u = build_state(spec)
+        with pytest.raises(DegenerateSuperposition) as raised:
+            teleport_enhanced(QubitAmplitudes(0.6, 0.8j), spec)
+        overlap = abs(inner_product(u, u))
+        assert str(raised.value) == f"|<u|v>| = {overlap} leaves no superposition direction"
+
+    @pytest.mark.parametrize("spec", [
+        coherent_spec(1.0, 25),
+        coherent_spec(-2.5, 40),
+        coherent_spec(3j, 50),
+        coherent_spec(2.0 * np.exp(0.7j), 30),
+        explicit_spec([complex(0.3, -0.0), complex(-0.0, 0.2), 0, 0.4], 6),
+    ], ids=["alpha=1", "alpha=-2.5", "alpha=3j", "alpha=2", "explicit-signed-zeros"])
+    @pytest.mark.parametrize("retilde", [False, True])
+    def test_report_equals_the_negated_spec_run(self, spec, retilde):
+        # the derived partner and the one built from the negated spec differ
+        # at most in the signs of exact zeros (TestDerivedPartner in
+        # test_states.py), which no sum keeps: the reports have the same bytes
+        q = QubitAmplitudes(0.6, 0.8j)
+        report = teleport_enhanced(q, spec, retilde=retilde)
+        negated = protocols._run_teleport("teleport_enhanced", q, build_state(spec),
+                                          build_state(half_cycle_spec(spec)), _enhanced_rule,
+                                          retilde)
+        for field in dataclasses.fields(report):
+            mine, theirs = getattr(report, field.name), getattr(negated, field.name)
+            if isinstance(mine, np.ndarray):
+                assert mine.dtype == theirs.dtype and mine.tobytes() == theirs.tobytes(), field.name
+            else:
+                assert mine == theirs, field.name
+        assert report.receivers.tobytes() == negated.receivers.tobytes()
 
     def test_independence_sweep(self, rng):
         for _ in range(5):
@@ -346,6 +401,23 @@ class TestEntanglementEntropy:
         with pytest.raises(ValueError):
             entanglement_entropy(np.ones((1, 1, 1)))
 
+    @pytest.mark.parametrize("matrix, error, message", [
+        (np.zeros((0, 3)), InvalidMode, "at least one level in each mode"),
+        (np.zeros((2, 2)), ValueError, "must be normalized"),
+        (2 * np.eye(2), ValueError, "must be normalized"),
+        (np.array([[np.nan, 0.0], [0.0, 1.0]]), ValueError, "must be finite"),
+        (np.array([[0.0, 1.0], [0.0, 0.0]]), None, None),
+        # its one squared Schmidt coefficient rounds to just above 1
+        (np.outer([0.1, 0.2, 0.3], [1.0, 2.0]) / math.sqrt(0.14 * 5.0), None, None),
+    ], ids=["empty-axis", "zero", "unnormalized", "nan", "product", "product-rounding"])
+    def test_refuses_or_is_non_negative(self, matrix, error, message):
+        if error is None:
+            entropy = entanglement_entropy(matrix)
+            assert entropy == 0.0 and math.copysign(1.0, entropy) == 1.0
+        else:
+            with pytest.raises(error, match=message):
+                entanglement_entropy(matrix)
+
 
 # the rules as they read record by record, for the array rules to match
 def reference_basic(quarter, na, nb):
@@ -442,7 +514,8 @@ def _teleport_case(enhanced, retilde):
     q = QubitAmplitudes(0.6, 0.8j)
     if enhanced:
         spec = coherent_spec(2.0 * np.exp(0.7j), 25)
-        u, v = build_state(spec), build_state(pi_shifted_spec(spec))
+        u = build_state(spec)
+        v = phase_shift(u, math.pi)
         report = teleport_enhanced(q, spec, retilde=retilde)
     else:
         u, v = build_state(squeezed_spec(0.6, 42)), build_state(squeezed_spec(-0.6, 42))
@@ -575,12 +648,14 @@ class TestLazyReceivers:
         q = QubitAmplitudes(0.6, 0.8j)
         if enhanced:
             u_spec = coherent_spec(4.0 * np.exp(2.2j), 52)
-            v_spec = pi_shifted_spec(u_spec)
+            u = build_state(u_spec)
+            v = phase_shift(u, math.pi)
             report = teleport_enhanced(q, u_spec, retilde=retilde)
         else:
             u_spec, v_spec = squeezed_spec(1.0, 96), squeezed_spec(-1.0, 96)
+            u, v = build_state(u_spec), build_state(v_spec)
             report = teleport_basic(q, u_spec, v_spec, retilde=retilde)
-        target = encode_qubit(q, build_state(u_spec), build_state(v_spec), tilde=retilde)
+        target = encode_qubit(q, u, v, tilde=retilde)
         return report, target.padded(report.basis.shape[0] - 1).conj()
 
     @pytest.mark.parametrize("enhanced", [False, True], ids=["squeezed", "coherent"])

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import random_single, real_overlap_partner
+from conftest import half_cycle_spec, random_single, real_overlap_partner
 from paritysim import (
     DegenerateState,
     DegenerateSuperposition,
@@ -149,6 +149,37 @@ class TestParityStructure:
         plus, minus = plus_minus(u, v)
         assert np.all(plus.amplitudes[1::2] == 0)
         assert np.all(minus.amplitudes[0::2] == 0)
+
+
+class TestDerivedPartner:
+    """``phase_shift(u, pi)``, the partner that ``teleport_enhanced`` derives,
+    is the state built from the negated spec.  Every nonzero amplitude has
+    the same bits, and so has the tail.  An exact zero can carry the other
+    sign (alpha on an axis, or amplitudes that underflow on the exponent
+    path), since the shift multiplies by the complex factors +-1 where the
+    negated spec's recursion multiplies by -alpha.  Adding +0.0 turns -0.0
+    into +0.0 and leaves every other float as it is, so the bytes are
+    compared after it."""
+
+    @pytest.mark.parametrize("spec", [
+        coherent_spec(0.0, 4),
+        coherent_spec(0.08 * np.exp(0.4j), 4),
+        coherent_spec(1.0, 25),
+        coherent_spec(-2.5, 40),
+        coherent_spec(3j, 50),
+        coherent_spec(2.0 * np.exp(0.7j), 30),
+        coherent_spec(4.0 * np.exp(2.2j), 52),
+        coherent_spec(39.0 * np.exp(0.3j), 1900),
+        explicit_spec([0.5, 0, -0.3j, 0, 0.2 + 0.1j], 8),
+        explicit_spec([0, 1, 0, 0, 0.5j], 10),
+        explicit_spec([complex(0.3, -0.0), complex(-0.0, 0.2), 0, 0.4], 6),
+    ], ids=["alpha=0", "alpha=0.08", "alpha=1", "alpha=-2.5", "alpha=3j", "alpha=2",
+            "alpha=4", "alpha=39", "explicit-zeros", "explicit-odd", "explicit-signed-zeros"])
+    def test_half_cycle_shift_is_the_negated_spec(self, spec):
+        shifted = phase_shift(build_state(spec), math.pi)
+        built = build_state(half_cycle_spec(spec))
+        assert (shifted.amplitudes + 0.0).tobytes() == (built.amplitudes + 0.0).tobytes()
+        assert shifted.tail_mass == built.tail_mass
 
 
 class TestEncodeQubit:
