@@ -17,6 +17,7 @@ by ``np.array_equal``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -144,6 +145,21 @@ def _read_only(matrix: np.ndarray) -> np.ndarray:
     """``matrix``, which the caller owns, made read-only."""
     matrix.flags.writeable = False
     return matrix
+
+
+def _binary_exponent(amps: np.ndarray) -> int:
+    """The e that puts the largest real or imaginary part of the complex
+    ``amps`` in [1/2, 1) once scaled by 2^-e (0 for all zeros).  Scaling by
+    a power of two is exact, so squares of amplitudes near 1e300 cannot
+    overflow, and amplitudes of ordinary size keep the bits of every ratio."""
+    parts = np.ascontiguousarray(amps, dtype=np.complex128).view(np.float64)
+    return math.frexp(float(np.max(np.abs(parts), initial=0.0)))[1]
+
+
+def _ldexp(amps: np.ndarray, exponent: int) -> np.ndarray:
+    """The complex ``amps`` times 2^exponent, part by part."""
+    parts = np.ascontiguousarray(amps, dtype=np.complex128).view(np.float64)
+    return np.ldexp(parts, exponent).view(np.complex128)
 
 
 def truncation_check(state: SingleModeState, tolerance: float) -> TruncationReport:

@@ -66,12 +66,17 @@ class DetectorModel:
 
 
 def _marginal(state, mode: int) -> np.ndarray:
-    """Sum over the other mode of |R|^2, for a two-mode matrix R."""
-    return (np.abs(_two_mode(state, mode)) ** 2).sum(axis=1 - mode)
+    """Sum over the other mode of |R|^2, for a two-mode matrix R.  A weight
+    that overflows is inf, which ``CountDistribution`` refuses as it refuses
+    every weight above 1."""
+    matrix = _two_mode(state, mode)
+    with np.errstate(over="ignore"):
+        return (np.abs(matrix) ** 2).sum(axis=1 - mode)
 
 
 def count_distribution(state, mode: int) -> CountDistribution:
-    """Marginal photon-count distribution of one mode of a two-mode matrix."""
+    """Marginal photon-count distribution of one mode of a two-mode matrix.
+    Raises ``ValueError`` for a matrix that is not a finite, normalized state."""
     return CountDistribution(dict(enumerate(_marginal(state, mode).tolist())))
 
 
@@ -199,13 +204,16 @@ def sample_counts(state, modes, rng: np.random.Generator, shots: int) -> list[tu
     1-tuple of that mode's count.
 
     Counts are drawn from those at or above the 1e-14 probability floor.
-    Purely a convenience for simulated experiments; takes the caller's seeded
+    Raises ``ValueError``, as ``count_distribution`` does, for a matrix that
+    is not a finite, normalized state.  Purely a convenience for simulated experiments; takes the caller's seeded
     generator so there is no hidden randomness.
     """
     measured = tuple(modes)
     if len(measured) != 1:
         raise InvalidMode(f"one mode is counted and the other remains, got modes {measured}")
     probs = _marginal(state, measured[0])
+    # refuses what count_distribution refuses: a state that is not normalized
+    CountDistribution(dict(enumerate(probs.tolist())))
     counts = np.flatnonzero(probs >= OUTCOME_FLOOR)
     picks = rng.choice(counts.size, size=shots, p=probs[counts] / probs[counts].sum())
     return [(n,) for n in counts[picks].tolist()]

@@ -75,7 +75,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateState, InvalidMode
-from .fock import DEGENERACY_FLOOR, SingleModeState, _fields_equal, _read_only
+from .fock import (
+    DEGENERACY_FLOOR,
+    SingleModeState,
+    _binary_exponent,
+    _fields_equal,
+    _ldexp,
+    _read_only,
+)
 
 _SQ2 = math.sqrt(2.0)
 
@@ -266,11 +273,19 @@ class BipartiteCoefficients:
         return float(np.sum(np.abs(self.antisymmetric_part) ** 2))
 
     def odd_parity_probability(self) -> float:
-        """Antisymmetric weight over total weight."""
-        total = self.total_weight()
-        if total <= DEGENERACY_FLOOR:
+        """Antisymmetric weight over total weight.
+
+        Both parts are first scaled by the power of two that puts the largest
+        part of ``matrix`` in [1/2, 1), so amplitudes near 1e200 give their
+        ratio, not an overflow, and ordinary ones keep its bits.
+        """
+        exponent = _binary_exponent(self.matrix)
+        total, odd = (float(np.sum(np.abs(_ldexp(part, -exponent)) ** 2))
+                      for part in (self.matrix, self.antisymmetric_part))
+        # total is the weight / 4^exponent; with a positive exponent, the weight is above 1/4
+        if math.ldexp(total, 2 * min(exponent, 0)) <= DEGENERACY_FLOOR:
             raise DegenerateState("a state of (near) zero weight has no parity split")
-        return self.antisymmetric_weight() / total
+        return odd / total
 
 
 def bipartite_coefficients(state, mode_a: int = 0, mode_b: int = 1) -> BipartiteCoefficients:

@@ -132,8 +132,9 @@ class ProtocolReport:
     def receivers(self) -> np.ndarray:
         """The corrected receiver states as the rows of a read-only matrix:
         ``coordinates @ basis.T``, each row shifted by its correction."""
-        receivers = _corrected_rows(self.coordinates, np.ascontiguousarray(self.basis.T),
-                                    _phase_rows(self.corrections, self.basis.shape[0]))
+        receivers = self.coordinates @ np.ascontiguousarray(self.basis.T)
+        for factors, mask in _phase_rows(self.corrections, self.basis.shape[0]):
+            np.multiply(receivers, factors, out=receivers, where=mask[:, None])
         receivers.flags.writeable = False
         return receivers
 
@@ -162,7 +163,8 @@ def fidelity(actual: SingleModeState, target: SingleModeState) -> float:
 
 def entanglement_entropy(state) -> float:
     """Entropy of entanglement (base 2) across the bipartition of a
-    normalized two-mode matrix, from its singular values.
+    normalized two-mode matrix, from its singular values; raises
+    ``ValueError`` for a matrix that is not finite and normalized.
 
     Squared Schmidt coefficients below 1e-14 are excluded to avoid 0*log 0
     noise from truncation residue.  A product state gives +0.0: rounding of
@@ -171,16 +173,14 @@ def entanglement_entropy(state) -> float:
     if np.ndim(state) != 2:
         raise ValueError("entanglement entropy is defined here for two-mode states")
     matrix = _two_mode(state)
-    norm_squared = float(np.sum(np.abs(matrix) ** 2))
+    # a norm that overflows is inf, which the check below refuses
+    with np.errstate(over="ignore"):
+        norm_squared = float(np.sum(np.abs(matrix) ** 2))
     if abs(norm_squared - 1.0) > 1e-9:
         raise ValueError(f"the state must be normalized (got |R|^2 = {norm_squared})")
     weights = np.linalg.svd(matrix, compute_uv=False) ** 2
     weights = weights[weights > 1e-14]
     return max(0.0, float(-np.sum(weights * np.log2(weights))))
-
-
-#: Bytes of receiver rows that ``_run_heralded`` builds at a time to score them.
-_CHUNK_BYTES = 256 * 1024
 
 
 def _phase_rows(corrections: np.ndarray, size: int):
@@ -190,14 +190,11 @@ def _phase_rows(corrections: np.ndarray, size: int):
         yield _phase_factors(phase, size), corrections == phase
 
 
-def _corrected_rows(coordinates: np.ndarray, basis_t: np.ndarray, phases,
-                    rows: slice = slice(None)) -> np.ndarray:
-    """The corrected receivers of ``rows``: those rows of ``coordinates``
-    times ``basis_t``, each shifted by its phase of ``phases`` (``_phase_rows``)."""
-    receivers = coordinates[rows] @ basis_t
-    for factors, mask in phases:
-        np.multiply(receivers, factors, out=receivers, where=mask[rows, None])
-    return receivers
+def _overlaps(coordinates: np.ndarray, projection: np.ndarray) -> np.ndarray:
+    """|c_0 w_0 + c_1 w_1|^2 for each row c of ``coordinates`` and w =
+    ``projection``, summed elementwise: a matrix-vector product picks its
+    kernel by the row count, so a row's last bits would depend on the others."""
+    return np.abs(coordinates[:, 0] * projection[0] + coordinates[:, 1] * projection[1]) ** 2
 
 
 def _sum_in_order(values: np.ndarray) -> float:
@@ -213,15 +210,13 @@ def _run_heralded(protocol: str, sent: SingleModeState, factors: tuple,
     ``rule(na, nb)`` maps the arrays of counts to the arrays of the records'
     classifications and of the phase shifts that correct their receivers,
     NaN where no correction is defined.  No step works record by record.
-    The kernel's coordinates are checked finite once.  The fidelities
-    |<target|receiver>|^2 are scored on receivers built a chunk of rows at a
-    time, at most ``_CHUNK_BYTES`` of them, with the rows of each distinct
-    non-zero phase shifted together; the report keeps only the coordinates,
-    so a run holds O(records * r) numbers rather than O(records * cutoff).
-    No chunk is a single row unless the report has one record: a one-row
-    product takes another BLAS path, whose last bits can differ from the
-    receivers the report builds on demand.  The aggregates add the columns
-    left to right in counts order.  ``audits`` names the single-mode states
+    The kernel's coordinates are checked finite once.  A record of
+    coordinates c and correction phi has the receiver exp(i phi n) * (basis c),
+    so its fidelity |<target|receiver>|^2 is |c . w|^2 with
+    w = basis^T (exp(i phi n) * conj(target)), one w for each distinct phase:
+    no receiver vector is built, and a run holds O(records * r) numbers
+    rather than O(records * cutoff).  The aggregates add the columns left to
+    right in counts order.  ``audits`` names the single-mode states
     whose cutoff and tail the report records.
     """
     basis = factors[1]
@@ -231,19 +226,10 @@ def _run_heralded(protocol: str, sent: SingleModeState, factors: tuple,
     if not np.isfinite(coordinates).all():
         raise ValueError("amplitudes must be finite (no NaN/Inf)")
 
-    basis_t = np.ascontiguousarray(basis.T)
     conj_target = target.padded(size - 1).conj()
-    phases = list(_phase_rows(corrections, size))
-    records = probabilities.size
-    fidelities = np.empty(records)
-    step = max(2, _CHUNK_BYTES // (16 * size))
-    lo = 0
-    while lo < records:
-        # a remainder of one row joins this chunk
-        hi = lo + step if lo + step < records - 1 else records
-        receivers = _corrected_rows(coordinates, basis_t, phases, slice(lo, hi))
-        fidelities[lo:hi] = np.abs(receivers @ conj_target) ** 2
-        lo = hi
+    fidelities = _overlaps(coordinates, basis.T @ conj_target)
+    for factors, mask in _phase_rows(corrections, size):
+        fidelities[mask] = _overlaps(coordinates[mask], basis.T @ (factors * conj_target))
 
     success = classifications == SUCCESS
     success_probs = probabilities[success]

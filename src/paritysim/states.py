@@ -38,7 +38,15 @@ from .errors import (
     NonRealOverlap,
     TruncationTooSevere,
 )
-from .fock import SingleModeState, _fields_equal, _read_only, combined_tail, inner_product
+from .fock import (
+    SingleModeState,
+    _binary_exponent,
+    _fields_equal,
+    _ldexp,
+    _read_only,
+    combined_tail,
+    inner_product,
+)
 from .optics import phase_shift
 
 #: Imaginary residue allowed in <u|v> before the pair is rejected.
@@ -187,12 +195,10 @@ def build_state(spec: StateSpec) -> SingleModeState:
         tail = 0.0
     elif spec.kind == "explicit":
         amps[: len(spec.coefficients)] = spec.coefficients
-        # scaled by a power of two, so that the largest part lies in [1/2, 1):
-        # squares of coefficients near 1e300 cannot overflow, and since the
-        # scaling is exact, coefficients of ordinary size normalize to the
-        # same bits as unscaled ones
-        exponent = math.frexp(float(np.max(np.abs(amps.view(np.float64)))))[1]
-        amps = np.ldexp(amps.view(np.float64), -exponent).view(np.complex128)
+        # scaled exactly, so that coefficients near 1e300 cannot overflow and
+        # coefficients of ordinary size normalize to the bits of unscaled ones
+        exponent = _binary_exponent(amps)
+        amps = _ldexp(amps, -exponent)
         weight = float(np.sum(np.abs(amps) ** 2))  # norm^2 / 4^exponent
         # norm^2 <= 1e-14 as unscaled; with a positive exponent, norm^2 >= weight >= 1/4
         if math.ldexp(weight, 2 * min(exponent, 0)) <= 1e-14:

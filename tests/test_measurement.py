@@ -196,6 +196,16 @@ class TestSampler:
             with pytest.raises(InvalidMode):
                 sample_counts(st, modes, np.random.default_rng(9), 1)
 
+    @pytest.mark.parametrize("state, message", [
+        (2 * np.eye(2), r"must lie in \[0, 1\]"),
+        (0.1 * np.eye(2), "sum to 0.020000000000000004, not 1"),
+    ], ids=["over", "under"])
+    def test_refuses_what_count_distribution_refuses(self, state, message):
+        with pytest.raises(ValueError, match=message):
+            count_distribution(state, 0)
+        with pytest.raises(ValueError, match=message):
+            sample_counts(state, (0,), np.random.default_rng(9), 3)
+
 
 class TestCountDistributionType:
     def test_rejects_bad_total(self):

@@ -23,6 +23,9 @@ from paritysim import (
 )
 from paritysim import optics
 
+#: a finite two-mode matrix whose squared entries overflow
+HUGE = np.diag([1e200, 1e200])
+
 
 def weight(state) -> float:
     return float(np.sum(np.abs(state) ** 2))
@@ -141,17 +144,23 @@ class TestBeamsplitter:
         (np.array([[0.6, np.nan], [0.0, 0.8]]), ValueError, "must be finite"),
         (np.array([[0.6, 0.0], [np.inf, 0.8]]), ValueError, "must be finite"),
         (np.array([[0.6, 0.0], [0.0, complex(0.0, -np.inf)]]), ValueError, "must be finite"),
-    ], ids=["shape0", "shape1", "shape2", "nan", "inf", "-inf"])
-    @pytest.mark.parametrize("call", [
-        lambda st: beamsplitter_5050(st, 0, 1),
-        lambda st: bipartite_coefficients(st, 0, 1),
-        lambda st: phase_shift(st, 0.3, 1),
-        lambda st: count_distribution(st, 0),
-        lambda st: sample_counts(st, (1,), np.random.default_rng(0), 3),
+        (HUGE, ValueError, r"must lie in \[0, 1\]"),
+    ], ids=["shape0", "shape1", "shape2", "nan", "inf", "-inf", "huge"])
+    @pytest.mark.parametrize("call, linear", [
+        (lambda st: beamsplitter_5050(st, 0, 1), True),
+        (lambda st: bipartite_coefficients(st, 0, 1).matrix, True),
+        (lambda st: phase_shift(st, 0.3, 1), True),
+        (lambda st: count_distribution(st, 0), False),
+        (lambda st: sample_counts(st, (1,), np.random.default_rng(0), 3), False),
     ], ids=["beamsplitter_5050", "bipartite_coefficients", "phase_shift",
             "count_distribution", "sample_counts"])
-    def test_empty_axis_refused(self, call, state, error, message):
-        # a non-finite matrix is refused like an empty one
+    def test_empty_axis_refused(self, call, linear, state, error, message):
+        # a non-finite matrix is refused like an empty one; a finite one whose
+        # weights overflow is refused where a normalized state is needed, and
+        # the linear maps keep it finite
+        if linear and state is HUGE:
+            assert np.isfinite(call(state)).all()
+            return
         with pytest.raises(error, match=message):
             call(state)
 
@@ -245,6 +254,13 @@ class TestBipartiteCoefficients:
     def test_zero_state_has_no_parity_split(self):
         with pytest.raises(DegenerateState):
             bipartite_coefficients(np.zeros((2, 2))).odd_parity_probability()
+
+    def test_huge_state_keeps_its_ratio(self):
+        # the ratio does not depend on the scale, and squaring the 1e200 entries does not overflow
+        ratio = bipartite_coefficients(HUGE).odd_parity_probability()
+        assert ratio == pytest.approx(bipartite_coefficients(HUGE / 1e200).odd_parity_probability(),
+                                      rel=0, abs=1e-15)
+        assert ratio == pytest.approx(0.5, rel=0, abs=1e-15)
 
     def test_requires_two_modes(self, rng):
         with pytest.raises(InvalidMode):

@@ -406,10 +406,11 @@ class TestEntanglementEntropy:
         (np.zeros((2, 2)), ValueError, "must be normalized"),
         (2 * np.eye(2), ValueError, "must be normalized"),
         (np.array([[np.nan, 0.0], [0.0, 1.0]]), ValueError, "must be finite"),
+        (np.diag([1e200, 1e200]), ValueError, "must be normalized"),
         (np.array([[0.0, 1.0], [0.0, 0.0]]), None, None),
         # its one squared Schmidt coefficient rounds to just above 1
         (np.outer([0.1, 0.2, 0.3], [1.0, 2.0]) / math.sqrt(0.14 * 5.0), None, None),
-    ], ids=["empty-axis", "zero", "unnormalized", "nan", "product", "product-rounding"])
+    ], ids=["empty-axis", "zero", "unnormalized", "nan", "huge", "product", "product-rounding"])
     def test_refuses_or_is_non_negative(self, matrix, error, message):
         if error is None:
             entropy = entanglement_entropy(matrix)
@@ -622,7 +623,9 @@ class TestColumnarReport:
 class TestLazyReceivers:
     """A report keeps each receiver as its coordinates in the resource's
     second-mode factor ``basis``; the receiver vectors are built on first
-    read, and the fidelities are scored on them a chunk of rows at a time."""
+    read.  A run scores each fidelity from its record's two coordinates and
+    the target projected on ``basis`` for the record's correction, so a
+    record's fidelity does not depend on the other records."""
 
     @pytest.mark.parametrize("name", sorted(RECEIVER_CASES))
     def test_built_on_first_read_as_one_product(self, name):
@@ -660,19 +663,29 @@ class TestLazyReceivers:
 
     @pytest.mark.parametrize("enhanced", [False, True], ids=["squeezed", "coherent"])
     @pytest.mark.parametrize("retilde", [False, True])
-    def test_chunked_fidelities_equal_one_shot(self, enhanced, retilde, monkeypatch):
+    def test_each_record_scored_alone(self, enhanced, retilde):
         report, conj_target = self._scored(enhanced, retilde)
-        one_shot = np.abs(report.receivers @ conj_target) ** 2
-        records, size = report.probabilities.size, report.basis.shape[0]
-        # the squeezed report spans several chunks of the default size
-        assert enhanced or records > 2 * protocols._CHUNK_BYTES // (16 * size)
-        assert np.array_equal(report.fidelities, one_shot)
-        # smaller chunks, some of whose counts leave a remainder of one row
-        steps = (2, 3, 5, 7)
-        remainders = {records % step for step in steps}
-        assert 1 in remainders and len(remainders) > 1
-        for step in steps:
-            monkeypatch.setattr(protocols, "_CHUNK_BYTES", 16 * size * step)
-            again, _ = self._scored(enhanced, retilde)
-            assert np.array_equal(again.fidelities, one_shot), step
-            assert again == report
+        coordinates, corrections = report.coordinates, report.corrections
+        shifted = ~np.isnan(corrections) & (corrections != 0.0)
+        groups = [(~shifted, conj_target)] + [
+            (corrections == phase, _phase_factors(phase, conj_target.size) * conj_target)
+            for phase in set(corrections[shifted].tolist())]
+        # the rows of one correction phase as a subset, then each row alone,
+        # scored by the run's own formula
+        for rows, weights in groups:
+            projection = report.basis.T @ weights
+            scored = protocols._overlaps(coordinates[rows], projection)
+            assert scored.tobytes() == report.fidelities[rows].tobytes()
+            for i in np.flatnonzero(rows).tolist():
+                alone = protocols._overlaps(coordinates[i : i + 1], projection)
+                assert alone.tobytes() == report.fidelities[i : i + 1].tobytes()
+
+    @pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(np.float64).eps,
+                        reason="long double is no wider than float64 here")
+    @pytest.mark.parametrize("enhanced", [False, True], ids=["squeezed", "coherent"])
+    @pytest.mark.parametrize("retilde", [False, True])
+    def test_fidelities_match_long_double(self, enhanced, retilde):
+        report, conj_target = self._scored(enhanced, retilde)
+        overlaps = report.receivers.astype(np.clongdouble) @ conj_target.astype(np.clongdouble)
+        errors = np.abs(report.fidelities.astype(np.longdouble) - np.abs(overlaps) ** 2)
+        assert float(errors.max()) <= 1e-15
