@@ -17,6 +17,7 @@ by ``np.array_equal``.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, fields
 
@@ -29,6 +30,10 @@ DEGENERACY_FLOOR = 1e-14
 
 #: |norm^2 - 1| within this counts as normalized.
 NORM_TOL = 1e-12
+
+#: The input checks of ``tensor``, the counting kernel, the superpositions, the
+#: entropy and the scissors refuse a state whose |norm^2 - 1| exceeds this.
+INPUT_NORM_TOL = 1e-9
 
 
 def _fields_equal(self, other) -> bool:
@@ -90,7 +95,14 @@ class SingleModeState:
         return self.amplitudes.size - 1
 
     def norm_squared(self) -> float:
-        return float(np.sum(np.abs(self.amplitudes) ** 2))
+        """sum_n |amplitude_n|^2.  Raises ``ValueError`` if that overflows a
+        float, as it does for amplitudes near 1e154 and above."""
+        # an overflowing square is inf, which the check below refuses
+        with np.errstate(over="ignore"):
+            ns = float(np.sum(np.abs(self.amplitudes) ** 2))
+        if math.isinf(ns):
+            raise ValueError("the squared norm overflows a float")
+        return ns
 
     def padded(self, cutoff: int) -> np.ndarray:
         """Amplitudes zero-padded (read-only view or copy) up to ``cutoff``."""
@@ -115,7 +127,8 @@ def normalize(state: SingleModeState) -> SingleModeState:
     """Scale a state to unit norm, preserving amplitude ratios.
 
     Raises DegenerateState if the squared norm is at or below 1e-14, which is
-    how a vanishing superposition (e.g. u - v with u = v) announces itself.
+    how a vanishing superposition (e.g. u - v with u = v) announces itself,
+    and ``ValueError`` if it overflows a float.
     """
     if not isinstance(state, SingleModeState):
         raise TypeError(f"cannot normalize {type(state).__name__}")
@@ -127,16 +140,22 @@ def normalize(state: SingleModeState) -> SingleModeState:
 
 
 def inner_product(s1: SingleModeState, s2: SingleModeState) -> complex:
-    """<s1|s2> = sum_n conj(s1_n) s2_n, zero-padding the shorter state."""
+    """<s1|s2> = sum_n conj(s1_n) s2_n, zero-padding the shorter state.
+    Raises ``ValueError`` if the sum overflows a complex, as it can for
+    amplitudes near 1e154 and above."""
     cutoff = max(s1.cutoff, s2.cutoff)
-    return complex(np.vdot(s1.padded(cutoff), s2.padded(cutoff)))
+    overlap = complex(np.vdot(s1.padded(cutoff), s2.padded(cutoff)))
+    if not cmath.isfinite(overlap):
+        raise ValueError("the inner product overflows a complex")
+    return overlap
 
 
 def tensor(s1: SingleModeState, s2: SingleModeState) -> np.ndarray:
     """Product state of two modes: the read-only matrix R[n, m] = s1_n * s2_m,
-    of shape (s1.cutoff + 1, s2.cutoff + 1)."""
+    of shape (s1.cutoff + 1, s2.cutoff + 1).  Raises ``ValueError`` unless
+    both are normalized."""
     for s in (s1, s2):
-        if abs(s.norm_squared() - 1.0) > 1e-9:
+        if abs(s.norm_squared() - 1.0) > INPUT_NORM_TOL:
             raise ValueError("tensor requires normalized inputs")
     return _read_only(np.outer(s1.amplitudes, s2.amplitudes))
 

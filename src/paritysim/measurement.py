@@ -7,7 +7,7 @@ never the source of any reported number.
 ``_count_factored`` is the counting kernel of the heralded protocols: it
 mixes an input mode with the first half of a two-mode resource, given as two
 narrow factors, on the 50/50 beamsplitter and enumerates the joint records of
-the two outputs one photon-total block at a time, without building the
+the two outputs through optics' per-total turn, without building the
 three-mode state.  The public functions here count a two-mode state, the
 matrix R[n, m] of ``fock``, from its weights |R|^2.
 """
@@ -19,8 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidMode
-from .fock import SingleModeState
-from .optics import _MINUS_I_POWERS, _turn_total, _two_mode
+from .fock import INPUT_NORM_TOL, SingleModeState
+from .optics import _MINUS_I_POWERS, _turn, _two_mode
 
 #: Outcomes with probability below this are treated as impossible.
 OUTCOME_FLOOR = 1e-14
@@ -98,58 +98,33 @@ def _count_factored(sent: SingleModeState, left: np.ndarray, right: np.ndarray):
     no receiver vector.  Records are in counts order, by na and then by nb;
     a resource that reaches no record gives three empty arrays.
 
-    The beamsplitter conserves the total N = na + nb, so the amplitudes of
-    total N are the slab X[i, k] = sent[i] R[N - i, k] turned by the block
-    unitary of N, whose entries are (-i)^(c-a) D_N[c, a] with D_N real.
-    Only columns a = i of D_N that meet a sent level i and a resource row
-    N - i are needed, max(0, N - (size - 1))..min(N, top) for ``left`` of
-    ``size`` rows and ``sent`` of levels 0..top.  With R factored, X = S Q^T
-    for the narrow S[i, j] = sent[i] left[N - i, j] and Q = ``right``, so
-    D_N acts on the r columns of S only: the column phases i^a are folded
-    into ``sent`` once, and ``optics._turn_total`` gives Y = D_N S from real
-    products on the interleaved real and imaginary parts of S.  Totals that
-    no nonzero level of ``sent`` and row of ``left`` reach are skipped, which
-    is what keeps even-only (squeezed) supports cheap.
+    The beamsplitter conserves the total N = na + nb and turns each total's
+    amplitudes by the block unitary (-i)^(c-a) D_N[c, a], D_N real.  With R
+    factored, the three-mode amplitudes are X Q^T for the narrow
+    X[i, m, j] = sent[i] left[m, j] and Q = ``right``, so the blocks act on
+    the r columns of X only: the column phases i^a are folded into ``sent``
+    once, and ``optics._turn`` gives Y, the real turns of X, one row per
+    pair (c, N - c).  It skips the totals that no nonzero level of ``sent``
+    and row of ``left`` reach, which is what keeps even-only (squeezed)
+    supports cheap.
 
-    The Y of every total are then scored together.  Record (na, N - na)'s
-    amplitudes are row na of Y Q^T times (-i)^na, so its probability is
+    All rows of Y are then scored together.  Record (na, nb)'s amplitudes
+    are its row of Y Q^T times (-i)^na, so its probability is
     Re sum (Y G) * conj(Y) over that row, with the r x r Gram matrix
     G = Q^T conj(Q); rows below the floor are dropped, and the kept rows are
     put in counts order and scaled by (-i)^na / sqrt(p) into coordinates.
     """
-    if abs(sent.norm_squared() - 1.0) > 1e-9:
+    if abs(sent.norm_squared() - 1.0) > INPUT_NORM_TOL:
         raise ValueError("the counting kernel requires a normalized input state")
-    size = left.shape[0]
     gram = np.ascontiguousarray(right.T) @ right.conj()
-    sent_amps = sent.amplitudes
-    top = sent_amps.size - 1
-    # the totals i + m reachable from a nonzero sent[i] and a nonzero row m of R
-    totals = np.flatnonzero(np.convolve(sent_amps != 0, np.any(left, axis=1)))
-    levels = np.arange(sent_amps.size)
     # the blocks' column phases i^a = conj((-i)^a), folded into the input once
-    twisted = sent_amps * _MINUS_I_POWERS[levels % 4].conj()
-
-    # row m of left is row size - 1 - m of flipped, so that sent levels
-    # lo..hi meet rows total - lo..total - hi of left in one forward slice
-    flipped = np.ascontiguousarray(left[::-1])
-    # Y of each total fills rows starts[k]..starts[k] + totals[k] of out
-    starts = np.cumsum(totals) + np.arange(totals.size) - totals
-    out = np.empty((int(np.sum(totals + 1)), 2 * left.shape[1]))
-    for total, start in zip(totals.tolist(), starts.tolist()):
-        lo, hi = max(0, total - size + 1), min(total, top)
-        shift = size - 1 - total
-        rows = flipped[lo + shift : hi + shift + 1]
-        # real products on the interleaved (re, im) columns: D Re S + i D Im S
-        slab = (twisted[lo : hi + 1, None] * rows).view(np.float64)
-        _turn_total(total, size - 1, top, lo, slab, out[start : start + total + 1])
-    out = out.view(np.complex128)
+    twisted = sent.amplitudes * _MINUS_I_POWERS[np.arange(sent.amplitudes.size) % 4].conj()
+    c, totals, out = _turn(twisted[:, None, None] * left)
     # Re(a conj(b)) = Re a Re b + Im a Im b, summed over the (re, im) pairs
     probs = np.einsum("ij,ij->i", (out @ gram).view(np.float64), out.view(np.float64))
     kept = np.flatnonzero(probs >= OUTCOME_FLOOR)
-    # row kept[i] of out lies in the block of the last total starting at or before it
-    block = np.searchsorted(starts, kept, side="right") - 1
-    na = kept - starts[block]
-    nb = totals[block] - na
+    na = c[kept].astype(np.intp)  # the turn keeps c in the fewest bytes; counts are intp
+    nb = totals[kept] - na
     order = np.lexsort((nb, na))
     kept, counts = kept[order], np.column_stack((na[order], nb[order]))
     probs = probs[kept]

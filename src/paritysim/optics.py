@@ -33,8 +33,8 @@ reference in tests/test_optics.py) the blocks agree to 1e-14 entrywise and
 are unitary to 5e-14 for every N up to 300.
 
 Column a of D_N reads only columns a - 1 and a of D_(N-1), so a band of
-columns grows from a band.  The counting kernel and ``beamsplitter_5050``
-turn each photon total through ``_turn_total``, which reads columns
+columns grows from a band.  ``_turn``, the one loop over photon totals, hands
+each total's anti-diagonal to ``_turn_total``, which reads columns
 max(0, N - rows_top)..min(N, cols_top) of D_N, cols_top being the largest
 photon number entering port 1 and rows_top the largest entering port 2 (in
 the kernel, the largest sent level and the resource's largest row index);
@@ -210,31 +210,37 @@ def _turn_total(total: int, rows_top: int, cols_top: int, lo: int,
     out[middle:] = (columns @ slab)[: total + 1 - middle][::-1]
 
 
-def _turn(matrix: np.ndarray) -> np.ndarray:
-    """The beamsplitter on a two-mode matrix, one photon total at a time.
+def _turn(twisted: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """D_N times anti-diagonal N of ``twisted``, one photon total N at a time.
 
-    Anti-diagonal N of ``matrix`` (rows 0..rows-1, columns 0..cols-1) holds
-    the amplitudes a, N - a that the block unitary (-i)^(c-a) D_N[c, a] of N
-    turns into anti-diagonal N of the output.  Only columns a that meet a
-    row and a column of ``matrix`` are read, max(0, N - (cols - 1))..
-    min(N, rows - 1), so the band caps never rise above the state's own
-    cutoffs.  The output is square with side rows + cols - 1, which holds
-    every total.
+    ``twisted[a, b, ...]`` is the amplitude of a photons entering port 1 and
+    b entering port 2, times the blocks' column phases, with any trailing
+    axes; it is overwritten.  Only totals that a nonzero row and column
+    reach are turned, and of each only the columns a that meet a row and a
+    column, so the band caps never exceed the input's own photon numbers.
+    Returns ``(c, totals, out)``: row k of the complex ``out`` (trailing axes
+    flattened) has c[k] photons leaving port 1 and totals[k] - c[k] leaving
+    port 2, before the blocks' row phases; rows go total by total.
     """
-    rows, cols = matrix.shape
-    side = rows + cols - 1
-    out = np.zeros((side, side), dtype=np.complex128)
-    turned = np.empty(side, dtype=np.complex128)
-    levels = np.arange(side)
-    for total in range(side):
-        lo = max(0, total - cols + 1)
-        a = levels[lo : min(total, rows - 1) + 1]
-        # (-i)^(c-a) = (-i)^c i^a, with i^a = conj((-i)^a)
-        twisted = matrix[a, total - a] * _MINUS_I_POWERS[a % 4].conj()
-        _turn_total(total, cols - 1, rows - 1, lo, twisted, turned[: total + 1])
-        c = levels[: total + 1]
-        out[c, total - c] = _MINUS_I_POWERS[c % 4] * turned[: total + 1]
-    return out
+    rows, cols = twisted.shape[:2]
+    parts = twisted.reshape(rows * cols, -1).view(np.float64)  # (re, im) interleaved
+    nonzero = parts.reshape(rows, -1) != 0.0  # by a, then by b and the trailing axes
+    totals = np.flatnonzero(np.convolve(nonzero.any(axis=1),
+                                        nonzero.any(axis=0).reshape(cols, -1).any(axis=1)))
+    sizes = totals + 1
+    ends = np.cumsum(sizes)
+    out = np.empty((int(sizes.sum()), parts.shape[1]))
+    # photon numbers in the fewest bytes that hold them: there is one of each per row of out
+    levels = np.arange(rows + cols - 1, dtype=np.min_scalar_type(rows + cols))
+    c = np.empty(out.shape[0], dtype=levels.dtype)
+    step = cols - 1 or 1  # one column: each anti-diagonal is one entry
+    for total, end in zip(totals.tolist(), ends.tolist()):
+        lo, hi = max(0, total - cols + 1), min(total, rows - 1)
+        start = total + lo * (cols - 1)  # row-major index of (lo, total - lo)
+        slab = parts[start : start + (hi - lo) * step + 1 : step]
+        _turn_total(total, cols - 1, rows - 1, lo, slab, out[end - total - 1 : end])
+        c[end - total - 1 : end] = levels[: total + 1]
+    return c, np.repeat(totals.astype(levels.dtype), sizes), out.view(np.complex128)
 
 
 def beamsplitter_5050(state, mode_a: int, mode_b: int) -> np.ndarray:
@@ -244,7 +250,11 @@ def beamsplitter_5050(state, mode_a: int, mode_b: int) -> np.ndarray:
     feeds port 2 and receives B.  Norm and every photon total are
     preserved: the read-only output is square with side rows + cols - 1.
     """
-    out = _turn(_pair(state, mode_a, mode_b))
+    pair = _pair(state, mode_a, mode_b)
+    # B_N[c, a] = (-i)^c D_N[c, a] i^a, with i^a = conj((-i)^a)
+    c, totals, turned = _turn(pair * _MINUS_I_POWERS[np.arange(pair.shape[0]) % 4, None].conj())
+    out = np.zeros((sum(pair.shape) - 1,) * 2, dtype=np.complex128)
+    out[c, totals - c] = _MINUS_I_POWERS[c % 4] * turned[:, 0]
     return _read_only(out if mode_a == 0 else out.T)
 
 
@@ -263,25 +273,37 @@ class BipartiteCoefficients:
 
     __eq__ = _fields_equal
 
+    def _scaled_weights(self, *parts: np.ndarray) -> tuple[int, list[float]]:
+        """``(e, weights)``: each weight is sum |part|^2 / 4^e, the part first
+        scaled by the power of two 2^-e that puts the largest part of
+        ``matrix`` in [1/2, 1), so amplitudes near 1e200 cannot overflow a
+        square and ordinary ones keep the bits of every ratio."""
+        exponent = _binary_exponent(self.matrix)
+        return exponent, [float(np.sum(np.abs(_ldexp(part, -exponent)) ** 2)) for part in parts]
+
+    def _weight(self, part: np.ndarray) -> float:
+        exponent, (weight,) = self._scaled_weights(part)
+        try:
+            return math.ldexp(weight, 2 * exponent)
+        except OverflowError:
+            raise ValueError("the weight overflows a float") from None
+
     def total_weight(self) -> float:
-        return float(np.sum(np.abs(self.matrix) ** 2))
+        """sum |matrix|^2; raises ``ValueError`` if it overflows a float."""
+        return self._weight(self.matrix)
 
     def symmetric_weight(self) -> float:
-        return float(np.sum(np.abs(self.symmetric_part) ** 2))
+        """sum |symmetric_part|^2; raises ``ValueError`` if it overflows a float."""
+        return self._weight(self.symmetric_part)
 
     def antisymmetric_weight(self) -> float:
-        return float(np.sum(np.abs(self.antisymmetric_part) ** 2))
+        """sum |antisymmetric_part|^2; raises ``ValueError`` if it overflows a float."""
+        return self._weight(self.antisymmetric_part)
 
     def odd_parity_probability(self) -> float:
-        """Antisymmetric weight over total weight.
-
-        Both parts are first scaled by the power of two that puts the largest
-        part of ``matrix`` in [1/2, 1), so amplitudes near 1e200 give their
-        ratio, not an overflow, and ordinary ones keep its bits.
-        """
-        exponent = _binary_exponent(self.matrix)
-        total, odd = (float(np.sum(np.abs(_ldexp(part, -exponent)) ** 2))
-                      for part in (self.matrix, self.antisymmetric_part))
+        """Antisymmetric weight over total weight, from the scaled weights, so
+        amplitudes near 1e200 give their ratio rather than an overflow."""
+        exponent, (total, odd) = self._scaled_weights(self.matrix, self.antisymmetric_part)
         # total is the weight / 4^exponent; with a positive exponent, the weight is above 1/4
         if math.ldexp(total, 2 * min(exponent, 0)) <= DEGENERACY_FLOOR:
             raise DegenerateState("a state of (near) zero weight has no parity split")
@@ -295,11 +317,14 @@ def bipartite_coefficients(state, mode_a: int = 0, mode_b: int = 1) -> Bipartite
     beamsplitter reproduces ``state`` (mode_a as port A).  Computed by
     applying the inverse beamsplitter and stripping the i^n twist.  Each
     block unitary is symmetric (the exponential of a symmetric generator),
-    so its inverse is its complex conjugate, and the inverse turn is the
-    conjugate of ``_turn`` on the conjugate state: it reads the same band.
+    so its inverse is its complex conjugate, i^(c-a) D_N[c, a]; stripping
+    the twist (-i)^c leaves D_N[c, a] (-i)^a, so K is the real turn of the
+    state times (-i)^a, with no row phases.
     """
-    pre = _turn(_pair(state, mode_a, mode_b).conj()).conj()
-    matrix = pre * _MINUS_I_POWERS[np.arange(pre.shape[0]) % 4][:, None]
+    pair = _pair(state, mode_a, mode_b)
+    c, totals, turned = _turn(pair * _MINUS_I_POWERS[np.arange(pair.shape[0]) % 4, None])
+    matrix = np.zeros((sum(pair.shape) - 1,) * 2, dtype=np.complex128)
+    matrix[c, totals - c] = turned[:, 0]
     return BipartiteCoefficients(
         matrix=matrix,
         symmetric_part=(matrix + matrix.T) / 2.0,

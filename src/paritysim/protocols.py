@@ -46,7 +46,14 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DegenerateState, InvalidResource
-from .fock import SingleModeState, _fields_equal, inner_product, normalize
+from .fock import (
+    DEGENERACY_FLOOR,
+    INPUT_NORM_TOL,
+    SingleModeState,
+    _fields_equal,
+    inner_product,
+    normalize,
+)
 from .measurement import _count_factored
 from .optics import _phase_factors, _two_mode, phase_shift
 from .states import (
@@ -157,8 +164,13 @@ class ProtocolReport:
 
 
 def fidelity(actual: SingleModeState, target: SingleModeState) -> float:
-    """|<target|actual>|^2 for normalized single-mode states."""
-    return abs(inner_product(target, actual)) ** 2
+    """|<target|actual>|^2 for normalized single-mode states.  Raises
+    ``ValueError`` if the overlap or its square overflows a float."""
+    overlap = inner_product(target, actual)
+    try:
+        return abs(overlap) ** 2
+    except OverflowError:
+        raise ValueError("the fidelity overflows a float") from None
 
 
 def entanglement_entropy(state) -> float:
@@ -176,7 +188,7 @@ def entanglement_entropy(state) -> float:
     # a norm that overflows is inf, which the check below refuses
     with np.errstate(over="ignore"):
         norm_squared = float(np.sum(np.abs(matrix) ** 2))
-    if abs(norm_squared - 1.0) > 1e-9:
+    if abs(norm_squared - 1.0) > INPUT_NORM_TOL:
         raise ValueError(f"the state must be normalized (got |R|^2 = {norm_squared})")
     weights = np.linalg.svd(matrix, compute_uv=False) ** 2
     weights = weights[weights > 1e-14]
@@ -354,14 +366,14 @@ def quantum_scissors(
         raise InvalidResource("the two kept photon numbers must differ")
     if n_lo < 0:
         raise InvalidResource("kept photon numbers must be non-negative")
-    if abs(input_state.norm_squared() - 1.0) > 1e-9:
+    if abs(input_state.norm_squared() - 1.0) > INPUT_NORM_TOL:
         raise ValueError("scissors input must be normalized")
 
     top = max(n_lo, n_hi)
     amp_lo = input_state.amplitudes[n_lo] if n_lo <= input_state.cutoff else 0.0
     amp_hi = input_state.amplitudes[n_hi] if n_hi <= input_state.cutoff else 0.0
     kept_weight = abs(amp_lo) ** 2 + abs(amp_hi) ** 2
-    if kept_weight <= 1e-14:
+    if kept_weight <= DEGENERACY_FLOOR:
         raise DegenerateState("input has no weight on the kept photon numbers")
     raw_target = np.zeros(top + 1, dtype=np.complex128)
     raw_target[n_lo] = amp_lo

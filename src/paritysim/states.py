@@ -39,6 +39,8 @@ from .errors import (
     TruncationTooSevere,
 )
 from .fock import (
+    DEGENERACY_FLOOR,
+    INPUT_NORM_TOL,
     SingleModeState,
     _binary_exponent,
     _fields_equal,
@@ -200,8 +202,8 @@ def build_state(spec: StateSpec) -> SingleModeState:
         exponent = _binary_exponent(amps)
         amps = _ldexp(amps, -exponent)
         weight = float(np.sum(np.abs(amps) ** 2))  # norm^2 / 4^exponent
-        # norm^2 <= 1e-14 as unscaled; with a positive exponent, norm^2 >= weight >= 1/4
-        if math.ldexp(weight, 2 * min(exponent, 0)) <= 1e-14:
+        # norm^2 <= DEGENERACY_FLOOR as unscaled; with a positive exponent, norm^2 >= weight >= 1/4
+        if math.ldexp(weight, 2 * min(exponent, 0)) <= DEGENERACY_FLOOR:
             raise DegenerateState("explicit coefficients are all (near) zero")
         amps /= np.sqrt(weight)
         tail = 0.0
@@ -321,7 +323,7 @@ def _remainder(amps: np.ndarray, log_weight, ratio_bound, first: int) -> float:
 
 def _check_pair(u: SingleModeState, v: SingleModeState) -> complex:
     for s in (u, v):
-        if abs(s.norm_squared() - 1.0) > 1e-9:
+        if abs(s.norm_squared() - 1.0) > INPUT_NORM_TOL:
             raise ValueError("superposition inputs must be normalized")
     ip = inner_product(u, v)
     if abs(ip.imag) > REAL_OVERLAP_TOL:
@@ -353,7 +355,7 @@ def _superpose(a, x: SingleModeState, b, y: SingleModeState) -> SingleModeState:
     xa = x.padded(cutoff)
     raw = (xa if a is None else a * xa) + b * y.padded(cutoff)
     ns = float(np.sum(np.abs(raw) ** 2))
-    if ns <= 1e-14:
+    if ns <= DEGENERACY_FLOOR:
         raise DegenerateSuperposition("u and v coincide up to sign")
     return SingleModeState(raw / np.sqrt(ns), tail_mass=combined_tail(x.tail_mass, y.tail_mass, ns))
 
@@ -394,7 +396,7 @@ def resource_from_states(u: SingleModeState, v: SingleModeState, kind: str) -> n
     else:
         matrix = np.outer(ua, va) - np.outer(va, ua)
     ns = float(np.sum(np.abs(matrix) ** 2))
-    if ns <= 1e-14:
+    if ns <= DEGENERACY_FLOOR:
         raise DegenerateSuperposition("resource state vanishes; u and v coincide up to sign")
     matrix /= np.sqrt(ns)
     return _read_only(matrix)

@@ -14,9 +14,12 @@ from paritysim import (
     build_state,
     coherent_spec,
     count_distribution,
+    fidelity,
     inner_product,
     normalize,
     number_spec,
+    plus_minus,
+    quantum_scissors,
     teleport_enhanced,
     tensor,
     truncation_check,
@@ -173,6 +176,34 @@ class TestStateValidation:
         # a two-mode state has exactly two indices per amplitude
         with pytest.raises(InvalidMode):
             count_distribution(np.ones((2, 2, 2)) / math.sqrt(8), 0)
+
+
+class TestOverflowingAmplitudes:
+    """A state whose amplitudes are finite but whose squares overflow: every
+    call on it raises ``ValueError`` rather than warn or return inf."""
+
+    HUGE = SingleModeState(np.array([1e200, 1e200], dtype=complex))
+    ONE = SingleModeState([0.0, 1.0])
+
+    @pytest.mark.parametrize("call", [
+        lambda s, one: s.norm_squared(),
+        lambda s, one: normalize(s),
+        lambda s, one: tensor(s, one),
+        lambda s, one: plus_minus(s, one),
+        lambda s, one: quantum_scissors(s, 0, 1),
+        lambda s, one: inner_product(s, s),
+        lambda s, one: fidelity(s, s),
+    ], ids=["norm_squared", "normalize", "tensor", "plus_minus", "quantum_scissors",
+            "inner_product", "fidelity"])
+    def test_refused(self, call):
+        with pytest.raises(ValueError, match="overflows"):
+            call(self.HUGE, self.ONE)
+
+    def test_fidelity_whose_square_overflows(self):
+        # the overlap, 1e200, is finite; its square is not
+        assert inner_product(self.HUGE, self.ONE) == 1e200
+        with pytest.raises(ValueError, match="overflows"):
+            fidelity(self.HUGE, self.ONE)
 
 
 class TestEquality:

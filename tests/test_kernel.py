@@ -7,10 +7,10 @@ receiver level k at a time: X_k = beamsplitter_5050(sent (x) R[:, k]), so
 record (na, nb) has probability sum_k |X_k[na, nb]|^2 and receiver
 X_k[na, nb] / sqrt(P).  Neither route drops any amplitude, so every record
 must agree: the same record set, probabilities to 1e-14 and receiver states
-to 1e-12, however small the record's probability.  Both routes turn each
-photon total through the same ``optics._turn_total``, so this checks the
-kernel's slabs, phases and scoring, not the turn; the turn is checked on its
-own against the spectral blocks in ``tests/test_optics.py``
+to 1e-12, however small the record's probability.  Both routes turn their
+photon totals through the same ``optics._turn``, so this checks the
+kernel's three-mode input, phases and scoring, not the turn; the turn is
+checked on its own against the spectral blocks in ``tests/test_optics.py``
 (``TestTurnAgainstSpectral``, ``TestBlockRecurrence``).
 
 The protocols count through the same kernel with the resource as two rank-2

@@ -266,6 +266,34 @@ class TestBipartiteCoefficients:
         with pytest.raises(InvalidMode):
             bipartite_coefficients(np.ones((2, 2, 2)), 0, 1)
 
+    @pytest.mark.parametrize("weight_of", ["total_weight", "symmetric_weight",
+                                           "antisymmetric_weight"])
+    def test_huge_weights_are_refused(self, weight_of):
+        # each weight of HUGE is 1e400, which no float holds; one of HUGE / 1e200 is exact
+        with pytest.raises(ValueError, match="overflows"):
+            getattr(bipartite_coefficients(HUGE), weight_of)()
+        assert math.isfinite(getattr(bipartite_coefficients(HUGE / 1e200), weight_of)())
+
+
+class TestUnreachedTotals:
+    """Photon totals that no nonzero amplitude reaches are not turned, so
+    their entries are the output's own exact +0.0."""
+
+    @pytest.mark.parametrize("transform", ["beamsplitter_5050", "bipartite_coefficients"])
+    def test_only_the_reached_total_is_written(self, transform):
+        state = np.array([[0.0, 0.0], [0.0, 1.0]])  # one photon in each port: total 2
+        block = exact_block_matrix(2)[:, 1]  # column a = 1 of the oracle block
+        c = np.arange(3)
+        if transform == "beamsplitter_5050":
+            out, expected = beamsplitter_5050(state, 0, 1), block
+        else:
+            # the inverse block is the conjugate one; K strips the twist (-i)^c
+            out, expected = bipartite_coefficients(state).matrix, (-1j) ** c * block.conj()
+        unreached = np.add.outer(np.arange(3), np.arange(3)) != 2
+        parts = out[unreached].view(np.float64)
+        assert np.all(parts == 0.0) and not np.any(np.signbit(parts))
+        np.testing.assert_allclose(out[c, 2 - c], expected, rtol=0, atol=1e-15)
+
 
 def spectral_block(total: int) -> np.ndarray:
     """The forward block as exp(-i pi/4 G) through the eigendecomposition of
