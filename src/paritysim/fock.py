@@ -28,8 +28,9 @@ from .errors import DegenerateState
 #: Squared norms at or below this are considered degenerate (not normalizable).
 DEGENERACY_FLOOR = 1e-14
 
-#: |norm^2 - 1| within this counts as normalized.
-NORM_TOL = 1e-12
+#: ``tail_mass`` may exceed 1 by this much, the rounding of its estimate,
+#: before ``SingleModeState`` refuses it.
+TAIL_MASS_SLACK = 1e-12
 
 #: The input checks of ``tensor``, the counting kernel, the superpositions, the
 #: entropy and the scissors refuse a state whose |norm^2 - 1| exceeds this.
@@ -74,7 +75,7 @@ class SingleModeState:
             raise ValueError("amplitudes must be a non-empty 1-D sequence")
         if not np.all(np.isfinite(amps.view(np.float64))):
             raise ValueError("amplitudes must be finite (no NaN/Inf)")
-        if not (0.0 <= self.tail_mass <= 1.0 + NORM_TOL):
+        if not (0.0 <= self.tail_mass <= 1.0 + TAIL_MASS_SLACK):
             raise ValueError(f"tail_mass {self.tail_mass} outside [0, 1]")
         amps.flags.writeable = False
         object.__setattr__(self, "amplitudes", amps)

@@ -7,7 +7,7 @@ never the source of any reported number.
 ``_count_factored`` is the counting kernel of the heralded protocols: it
 mixes an input mode with the first half of a two-mode resource, given as two
 narrow factors, on the 50/50 beamsplitter and enumerates the joint records of
-the two outputs through optics' per-total turn, without building the
+the two outputs through optics' grouped turn, without building the
 three-mode state.  The public functions here count a two-mode state, the
 matrix R[n, m] of ``fock``, from its weights |R|^2.
 """
@@ -104,29 +104,33 @@ def _count_factored(sent: SingleModeState, left: np.ndarray, right: np.ndarray):
     X[i, m, j] = sent[i] left[m, j] and Q = ``right``, so the blocks act on
     the r columns of X only: the column phases i^a are folded into ``sent``
     once, and ``optics._turn`` gives Y, the real turns of X, one row per
-    pair (c, N - c).  It skips the totals that no nonzero level of ``sent``
-    and row of ``left`` reach, which is what keeps even-only (squeezed)
-    supports cheap.
+    pair (c, N - c) plus the padding rows of its stacked products, in the
+    order of those products.  It skips the totals that no nonzero level of
+    ``sent`` and row of ``left`` reach, which is what keeps even-only
+    (squeezed) supports cheap.
 
-    All rows of Y are then scored together.  Record (na, nb)'s amplitudes
-    are its row of Y Q^T times (-i)^na, so its probability is
-    Re sum (Y G) * conj(Y) over that row, with the r x r Gram matrix
-    G = Q^T conj(Q); rows below the floor are dropped, and the kept rows are
-    put in counts order and scaled by (-i)^na / sqrt(p) into coordinates.
+    All rows of Y are then scored together, as they come, padding included.
+    Record (na, nb)'s amplitudes are its row of Y Q^T times (-i)^na, so its
+    probability is Re sum (Y G) * conj(Y) over that row, with the r x r
+    Gram matrix G = Q^T conj(Q); padding rows and rows below the floor are
+    dropped, and only the kept rows are gathered, in counts order, and
+    scaled by (-i)^na / sqrt(p) into coordinates.
     """
     if abs(sent.norm_squared() - 1.0) > INPUT_NORM_TOL:
         raise ValueError("the counting kernel requires a normalized input state")
     gram = np.ascontiguousarray(right.T) @ right.conj()
     # the blocks' column phases i^a = conj((-i)^a), folded into the input once
     twisted = sent.amplitudes * _MINUS_I_POWERS[np.arange(sent.amplitudes.size) % 4].conj()
-    c, totals, out = _turn(twisted[:, None, None] * left)
+    c, totals, out = _turn(twisted[:, None, None], left)
     # Re(a conj(b)) = Re a Re b + Im a Im b, summed over the (re, im) pairs
     probs = np.einsum("ij,ij->i", (out @ gram).view(np.float64), out.view(np.float64))
-    kept = np.flatnonzero(probs >= OUTCOME_FLOOR)
-    na = c[kept].astype(np.intp)  # the turn keeps c in the fewest bytes; counts are intp
+    kept = np.flatnonzero((probs >= OUTCOME_FLOOR) & (c <= totals))  # c > N: padding
+    na = c[kept]
     nb = totals[kept] - na
+    # the turn keeps c in the fewest bytes, which numpy sorts by radix in any
+    # row order; counts are intp
     order = np.lexsort((nb, na))
-    kept, counts = kept[order], np.column_stack((na[order], nb[order]))
+    kept, counts = kept[order], np.column_stack((na[order], nb[order])).astype(np.intp)
     probs = probs[kept]
     # each kept row scaled to the coordinates of a unit-norm receiver, with its (-i)^na phase
     return counts, probs, out[kept] * (_MINUS_I_POWERS[counts[:, 0] % 4] / np.sqrt(probs))[:, None]

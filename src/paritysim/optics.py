@@ -33,16 +33,15 @@ reference in tests/test_optics.py) the blocks agree to 1e-14 entrywise and
 are unitary to 5e-14 for every N up to 300.
 
 Column a of D_N reads only columns a - 1 and a of D_(N-1), so a band of
-columns grows from a band.  ``_turn``, the one loop over photon totals, hands
-each total's anti-diagonal to ``_turn_total``, which reads columns
-max(0, N - rows_top)..min(N, cols_top) of D_N, cols_top being the largest
-photon number entering port 1 and rows_top the largest entering port 2 (in
-the kernel, the largest sent level and the resource's largest row index);
-the same range for N - 1 holds every column that this band reads.  So
-``_real_band`` keeps only that band of each block, for caps ``rows_top``
-and ``cols_top`` that only grow: the largest any caller has asked for.
-Raising a cap drops the blocks above the smaller old cap (those below it
-are full width) and rebuilds them on demand.
+columns grows from a band.  ``_turn``, the one pass over photon totals,
+reads columns max(0, N - rows_top)..min(N, cols_top) of D_N, cols_top being
+the largest photon number entering port 1 and rows_top the largest entering
+port 2 (in the kernel, the largest sent level and the resource's largest
+row index); the same range for N - 1 holds every column that this band
+reads.  So ``_real_band`` keeps only that band of each block, for caps
+``rows_top`` and ``cols_top`` that only grow: the largest any caller has
+asked for.  Raising a cap drops the groups (below) above the smaller old
+cap, since those below it are full width, and rebuilds them on demand.
 
 Each block also carries the parity structure exactly, as the row reflection
 
@@ -53,8 +52,8 @@ it, since mirrored entries are the same products summed in the same order up
 to exact negations, so it holds bit for bit on every nonzero entry.  Only the
 signs of some exact zeros do not follow it (D_6[5, 3] is -0.0 where
 -D_6[1, 3] is +0.0), and a zero's sign cannot reach a nonzero sum.  The
-store therefore keeps only rows 0..ceil(N/2) of each band, and
-``_turn_total`` gets row c > ceil(N/2) as (-1)^a times row N - c.  Rows 0..ceil(N/2) of D_N
+store therefore keeps only rows 0..ceil(N/2) of each band, and ``_turn``
+gets row c > ceil(N/2) as (-1)^a times row N - c.  Rows 0..ceil(N/2) of D_N
 read rows 0..ceil(N/2) of D_(N-1); at odd N the last of those is row
 (N+1)/2, past the stored half, and is (-1)^a times row (N-3)/2 (a zero row
 at N = 1).  ceil(N/2) rather than floor(N/2) keeps two rows at N = 1 and 2,
@@ -62,9 +61,29 @@ so no product on a band of N >= 1 has a single row, which BLAS would route
 through another code path and so round differently.  Each kept entry is
 computed by the same operations, in the same order, as in the full block,
 so a band holds the same bits whatever the caps were when it was built.
-Held for every N up to 2 c with both caps at c, the bands take
-8 ceil((c + 2)^2 (2 c + 1) / 4) bytes, about 4 c^3, against 8 (c + 1)^3
-for full-height bands and about 8 (2 c)^3 / 3 for full blocks.
+
+The bands are stored in groups, so that ``_turn`` makes one stacked product
+for many totals rather than a Python call for each.  A group holds the G =
+``_GROUP`` totals 2 G s + p + 2 j, j = 0..G-1, of one span s and parity p,
+as one zero-padded block of G slots; even-only supports read only even
+groups.  Each slot holds its band's rows 0..ceil(N/2) from row 0 and its
+first column, a = lo, at column 0, with zeros below its last row and past
+its hi, up to the rows of the group's last total and the columns that
+``_turn`` reads of any slot.  A run of reached totals in a group is turned
+by one product whose rows and columns are the most any of its totals has,
+so each slot's extra rows and columns are zeros at the end of the product,
+never before its first term; zeros there can still move a last bit, since
+BLAS picks its kernel by the product's shape, and the shape depends on the
+input alone, never on the caps.  With both caps at c, a multiple of 2 G,
+the blocks take
+
+    8 (2 c^3 + (6 G + 3) c^2 + 4 (G^2 + G + 1) c + 4) / 4
+
+bytes, the bands' 8 (c + 2)^2 (2 c + 1) / 4 plus 4 (G - 1) c (3 c + 2 G + 4)
+of padding; other caps up to c take no more.  At G = 8 that is about 4 c^3
++ 102 c^2, against 8 (c + 1)^3 for full-height bands and about
+8 (2 c)^3 / 3 for full blocks: 272 553 608 bytes at c = 400, 5.3 % above
+the bands alone.
 """
 
 from __future__ import annotations
@@ -86,14 +105,31 @@ from .fock import (
 
 _SQ2 = math.sqrt(2.0)
 
-#: ``_BANDS[N]`` is ``(lo, D_N[: N - N // 2 + 1, lo : hi + 1])``, rows 0..ceil(N/2),
-#: with lo = max(0, N - rows_top) and hi = min(N, cols_top) for the caps
-#: below; read-only.
-_BANDS: list[tuple[int, np.ndarray]] = [(0, np.ones((1, 1)))]
-_BANDS[0][1].flags.writeable = False
+#: Totals per group, G.  Timed with the counting kernel on the benchmark's
+#: teleport case sizes (best of many passes), G = 4 was 5-10 % slower than 8,
+#: and G = 12 and 16 no faster, with 1.6 and 2.1 times its padding.
+_GROUP = 8
+
+#: ``_BLOCKS[2 s + p]`` is the group of span s and parity p: one zero-padded
+#: array of shape (slots, rows, columns).  Slot j holds rows 0..ceil(N/2) and
+#: columns lo..hi of D_N, N = 2 G s + p + 2 j, from row 0 and column 0, with
+#: lo = max(0, N - rows_top) and hi = min(N, cols_top) for the caps below;
+#: every other entry of the block is an exact +0.0.
+_BLOCKS: list[np.ndarray] = []
+
+#: [built]: ``_BLOCKS`` holds the bands of the totals 0..built - 1.
+_BUILT = [0]
 
 #: [rows_top, cols_top]: the largest port-2 and port-1 photon numbers asked for.
 _CAPS = [0, 0]
+
+#: What ``_turn`` works out before its products, for the inputs it turned
+#: last, by rows, columns, floats per amplitude and reached totals: the band
+#: views, the amplitude views' shapes, and each row's (c, N).  It holds
+#: views of the blocks, no bands, so raising a cap, which drops blocks,
+#: empties it; past ``_PLAN_LIMIT`` plans the oldest goes.
+_PLANS: dict = {}
+_PLAN_LIMIT = 32
 
 #: (-i)^k for k mod 4, exact.
 _MINUS_I_POWERS = np.array([1.0, -1j, -1.0, 1j])
@@ -102,22 +138,55 @@ _MINUS_I_POWERS = np.array([1.0, -1j, -1.0, 1j])
 _SIGNS = np.array([1.0, -1.0])
 
 
+def _slot(total: int) -> tuple[int, np.ndarray]:
+    """``(lo, band)``: the band of ``total`` in its group's block, writeable."""
+    block = _BLOCKS[2 * (total // (2 * _GROUP)) + total % 2]
+    lo, hi = max(0, total - _CAPS[0]), min(total, _CAPS[1])
+    return lo, block[(total // 2) % _GROUP, : total - total // 2 + 1, : hi - lo + 1]
+
+
+def _new_block(first: int) -> np.ndarray:
+    """The zero block of the group whose first total is ``first``: a slot for
+    each of its totals up to rows_top + cols_top, as many rows as the last
+    one keeps, and as many columns as ``_turn`` reads of any slot.  Its view
+    of slot j reads band columns lo..min(N, cols_top + 2 j) at most: a run
+    ending at slot j starts at most j slots earlier, on a total that meets
+    no a above cols_top."""
+    rows_top, cols_top = _CAPS
+    totals = range(first, min(first + 2 * _GROUP - 1, rows_top + cols_top + 1), 2)
+    width = max(min(n, cols_top + 2 * j) - max(0, n - rows_top) + 1
+                for j, n in enumerate(totals))
+    return np.zeros((len(totals), totals[-1] - totals[-1] // 2 + 1, width))
+
+
 def _real_band(total: int, rows_top: int, cols_top: int) -> tuple[int, np.ndarray]:
     """``(lo, band)``: rows 0..ceil(N/2) and columns lo.. of the real matrix
     D_N of the module docstring for N = ``total``, rows indexed by the photon
     count in the first mode; the band covers at least columns
-    max(0, total - rows_top)..min(total, cols_top) and is read-only.  Row
-    c > ceil(N/2) is (-1)^a times row N - c."""
+    max(0, total - rows_top)..min(total, cols_top) and is a read-only view of
+    its slot.  Row c > ceil(N/2) is (-1)^a times row N - c."""
     if rows_top > _CAPS[0] or cols_top > _CAPS[1]:
-        del _BANDS[min(_CAPS) + 1 :]  # blocks up to the smaller cap are full width
+        # groups whose totals are all up to the smaller cap are full width
+        spans = (min(_CAPS) + 1) // (2 * _GROUP)
+        del _BLOCKS[2 * spans :]
+        _BUILT[0] = min(_BUILT[0], 2 * _GROUP * spans)
+        _PLANS.clear()
         _CAPS[:] = max(rows_top, _CAPS[0]), max(cols_top, _CAPS[1])
-    while len(_BANDS) <= total:
-        n = len(_BANDS)
+    while _BUILT[0] <= total:
+        n = _BUILT[0]
+        if n % (2 * _GROUP) < 2:
+            _BLOCKS.append(_new_block(n))
+        lo, band = _slot(n)
+        _BUILT[0] += 1
+        if n == 0:
+            band[0, 0] = 1.0
+            continue
         half = n - n // 2  # ceil(N/2): rows 0..half are kept
-        lo, hi = max(0, n - _CAPS[0]), min(n, _CAPS[1])
-        # columns first..hi have an a - 1 term and lo..last an a term
+        hi = lo + band.shape[1] - 1
+        # columns first..hi have an a - 1 term and lo..last an a term; the
+        # block is +0.0 in the columns before first
         first, last = max(lo, 1), min(hi, n - 1)
-        _, prev = _BANDS[-1]  # rows 0..ceil((N-1)/2), columns first - 1..last of D_(N-1)
+        _, prev = _slot(n - 1)  # rows 0..ceil((N-1)/2), columns first - 1..last of D_(N-1)
         if n % 2:  # row (N+1)/2 of D_(N-1) is (-1)^a times its row (N-3)/2
             mirrored = (prev[half - 2] * _SIGNS[np.arange(first - 1, last + 1) % 2]
                         if n > 1 else np.zeros(prev.shape[1]))
@@ -127,17 +196,16 @@ def _real_band(total: int, rows_top: int, cols_top: int) -> tuple[int, np.ndarra
         np.multiply(prev[:half], roots[1 : half + 1, None], out=raised[1:])
         kept = prev * roots[::-1][: half + 1, None]  # sqrt(N-c) D[c, :]
         weights = roots * (1.0 / (n * _SQ2))  # sqrt(a) / (N sqrt 2)
-        band = np.empty((half + 1, hi - lo + 1))
-        band[:, : first - lo] = 0.0
         np.multiply((raised - kept)[:, : hi - first + 1], weights[first : hi + 1],
                     out=band[:, first - lo :])
         # column N has no a term, so nothing is added there: not even a 0.0,
         # which would turn a -0.0 into +0.0
         band[:, : last - lo + 1] += ((raised + kept)[:, lo - first + 1 :]
                                      * weights[::-1][lo : last + 1])
-        band.flags.writeable = False
-        _BANDS.append((lo, band))
-    return _BANDS[total]
+    lo, band = _slot(total)
+    band = band.view()
+    band.flags.writeable = False
+    return lo, band
 
 
 def _two_mode(state, *modes: int) -> np.ndarray:
@@ -195,52 +263,135 @@ def _pair(state, mode_a: int, mode_b: int) -> np.ndarray:
     return matrix if mode_a == 0 else matrix.T
 
 
-def _turn_total(total: int, rows_top: int, cols_top: int, lo: int,
-                slab: np.ndarray, out: np.ndarray) -> None:
-    """Rows 0..N of D_N X into ``out``, N = ``total``, for the slab X whose
-    row k belongs to column a = lo + k of D_N, read from the band that
-    ``_real_band(total, rows_top, cols_top)`` keeps.  Row c > N/2 of D_N is
-    (-1)^a times row N - c, so those rows, reversed, are the stored half
-    times X with its odd-a rows negated: ``slab`` is negated in place."""
-    band_lo, band = _real_band(total, rows_top, cols_top)
-    columns = band[:, lo - band_lo : lo - band_lo + slab.shape[0]]
-    middle = total // 2 + 1
-    out[:middle] = (columns @ slab)[:middle]
-    slab[lo % 2 ^ 1 :: 2] *= -1.0
-    out[middle:] = (columns @ slab)[: total + 1 - middle][::-1]
+def _turn(first: np.ndarray, second: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """D_N times anti-diagonal N of the amplitudes ``first * second``, a run
+    of totals of one group at a time.
 
+    The amplitudes, ``first`` times ``second`` broadcast to a shape
+    (rows, cols, ...), are those of a photons entering port 1 and b entering
+    port 2, times the blocks' column phases, with any trailing axes.  Only
+    totals that a nonzero row and column reach are turned, and of each only
+    the columns a that meet a row and a column, so the band caps never
+    exceed the input's own photon numbers.  A run is the reached totals two
+    apart in one group along which the input's first column,
+    lo = max(0, N - cols + 1), has one slope.  Each run is one stacked
+    product of strided views, no copies: of each band, rows 0..ceil(N/2)
+    from column lo on, and of the amplitudes, anti-diagonal N from a = lo
+    on, element N + a (cols - 1) of the flattened rows.  The product has
+    the rows of the run's last total and the most columns a of any of its
+    totals; a slot's extra columns are the block's zeros, or meet the zero
+    rows that pad the amplitudes past a = rows - 1.  The same views with the
+    odd-a rows of the amplitudes negated give rows c > N/2 of D_N.  All but
+    the products depends on the input's shape and reached totals alone, and
+    ``_plan`` works it out once for the inputs in ``_PLANS``.
 
-def _turn(twisted: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """D_N times anti-diagonal N of ``twisted``, one photon total N at a time.
-
-    ``twisted[a, b, ...]`` is the amplitude of a photons entering port 1 and
-    b entering port 2, times the blocks' column phases, with any trailing
-    axes; it is overwritten.  Only totals that a nonzero row and column
-    reach are turned, and of each only the columns a that meet a row and a
-    column, so the band caps never exceed the input's own photon numbers.
-    Returns ``(c, totals, out)``: row k of the complex ``out`` (trailing axes
-    flattened) has c[k] photons leaving port 1 and totals[k] - c[k] leaving
-    port 2, before the blocks' row phases; rows go total by total.
+    Returns ``(c, totals, out)``: row k of the complex ``out`` (trailing
+    axes flattened) has c[k] photons leaving port 1 and totals[k] - c[k]
+    leaving port 2, before the blocks' row phases.  Rows go run by run,
+    first c = 0, 1, .. and then c = N, N - 1, .. for each total; a row whose
+    c exceeds its total is padding, zeros or a copy of another row, for the
+    caller to skip.  Raises ``ValueError`` if a turned amplitude overflows
+    a float.
     """
-    rows, cols = twisted.shape[:2]
-    parts = twisted.reshape(rows * cols, -1).view(np.float64)  # (re, im) interleaved
-    nonzero = parts.reshape(rows, -1) != 0.0  # by a, then by b and the trailing axes
+    shape = np.broadcast_shapes(np.shape(first), np.shape(second))
+    rows, cols = shape[:2]
+    # a run's views read at most 2 (G - 1) rows past a = rows - 1
+    amplitudes = np.empty((rows + 2 * _GROUP - 2, *shape[1:]), dtype=np.complex128)
+    np.multiply(first, second, out=amplitudes[:rows])
+    amplitudes[rows:] = 0.0
+    parts = amplitudes.reshape(len(amplitudes), cols, -1).view(np.float64)  # (re, im) interleaved
+    width = parts.shape[2]  # floats per (a, b)
+    nonzero = parts[:rows].reshape(rows, -1) != 0.0  # by a, then by b and the trailing axes
     totals = np.flatnonzero(np.convolve(nonzero.any(axis=1),
                                         nonzero.any(axis=0).reshape(cols, -1).any(axis=1)))
-    sizes = totals + 1
-    ends = np.cumsum(sizes)
-    out = np.empty((int(sizes.sum()), parts.shape[1]))
-    # photon numbers in the fewest bytes that hold them: there is one of each per row of out
-    levels = np.arange(rows + cols - 1, dtype=np.min_scalar_type(rows + cols))
-    c = np.empty(out.shape[0], dtype=levels.dtype)
-    step = cols - 1 or 1  # one column: each anti-diagonal is one entry
-    for total, end in zip(totals.tolist(), ends.tolist()):
-        lo, hi = max(0, total - cols + 1), min(total, rows - 1)
-        start = total + lo * (cols - 1)  # row-major index of (lo, total - lo)
-        slab = parts[start : start + (hi - lo) * step + 1 : step]
-        _turn_total(total, cols - 1, rows - 1, lo, slab, out[end - total - 1 : end])
-        c[end - total - 1 : end] = levels[: total + 1]
-    return c, np.repeat(totals.astype(levels.dtype), sizes), out.view(np.complex128)
+    if totals.size == 0:
+        empty = np.empty(0, dtype=np.min_scalar_type(rows + cols))
+        return empty, empty, np.empty((0, width // 2), dtype=np.complex128)
+    key = (rows, cols, width, totals.tobytes())
+    if key not in _PLANS:
+        _real_band(int(totals[-1]), cols - 1, rows - 1)
+        _PLANS[key] = _plan(rows, cols, width, totals)
+        if len(_PLANS) > _PLAN_LIMIT:
+            del _PLANS[next(iter(_PLANS))]
+    products, c, totals = _PLANS[key]
+    slabs = [np.ndarray(shape, buffer=amplitudes, offset=offset, strides=strides)
+             for _, (shape, offset, strides), _ in products]
+    # out[0] takes the products with rows c = i, out[1] those with c = N - i
+    out = np.empty((2, c.size // 2, width))
+    with np.errstate(over="raise", invalid="raise"):
+        try:
+            for sign in (0, 1):
+                if sign:
+                    amplitudes[1:rows:2] *= -1.0
+                for (band, _, rows_out), slab in zip(products, slabs):
+                    np.matmul(band, slab, out=out[sign, rows_out].reshape(*band.shape[:2], width))
+        except FloatingPointError:
+            raise ValueError("a turned amplitude overflows a float") from None
+    return c, totals, out.reshape(-1, width).view(np.complex128)
+
+
+def _plan(rows: int, cols: int, width: int, totals: np.ndarray) -> tuple[list, np.ndarray, np.ndarray]:
+    """``(products, c, totals)`` for ``_turn`` on amplitudes of ``rows`` x
+    ``cols`` levels and ``width`` floats each that reach ``totals``: for
+    each stacked product its band view, the (shape, offset, strides) of its
+    view of the padded amplitudes and its slice of rows in each half of the
+    output; and the read-only (c, N) of every output row."""
+    rows_top = _CAPS[0]
+    # runs of totals two apart in one group, with lo = max(0, N - cols + 1)
+    # linear along the run
+    ordered = np.concatenate((totals[totals % 2 == 0], totals[totals % 2 == 1]))
+    key = (ordered // (2 * _GROUP)) * 2 + (ordered >= cols)
+    breaks = np.flatnonzero((np.diff(key) != 0) | (np.diff(ordered) != 2)) + 1
+    item, step = 8, width * 8  # bytes per float and per (a, b)
+    products, slots, start = [], [], 0
+    for begin, end in zip([0, *breaks.tolist()], [*breaks.tolist(), ordered.size]):
+        n0, count = int(ordered[begin]), end - begin
+        n1 = n0 + 2 * (count - 1)
+        # the product's shape, from the input alone: the rows of the run's
+        # last total, and the most columns a of any of its totals
+        height = n1 - n1 // 2 + 1
+        depth = min(n1, rows - 1) + 1 if n0 < cols else cols - max(0, n0 - rows + 1)
+        lo_step = 2 if n0 >= cols else 0
+        block = _BLOCKS[2 * (n0 // (2 * _GROUP)) + n0 % 2]
+        # the store's own lo, max(0, N - rows_top), turns at rows_top: a run
+        # across it is read as two views of the same shape
+        below = min(count, max(0, (rows_top - n0) // 2 + 1))
+        for first, size in ((n0, below), (n0 + 2 * below, count - below)):
+            if not size:
+                continue
+            lo = max(0, first - cols + 1)
+            store_lo, store_step = (first - rows_top, 2) if first > rows_top else (0, 0)
+            band = np.ndarray((size, height, depth), buffer=block,
+                              offset=block.strides[0] * ((first // 2) % _GROUP) + item * (lo - store_lo),
+                              strides=(block.strides[0] + item * (lo_step - store_step),
+                                       block.strides[1], item))
+            slab = ((size, depth, width), step * (first + lo * (cols - 1)),
+                    (step * (2 + lo_step * (cols - 1)), step * max(cols - 1, 1), item))
+            products.append((band, slab, slice(start, start + size * height)))
+            slots += [(first + 2 * j, height) for j in range(size)]
+            start += size * height
+    # each row's total N and its index i among its slot's rows
+    levels = np.min_scalar_type(rows + cols)  # c = N + 1 marks padding
+    slot_totals, slot_heights = np.array(slots).T
+    totals = np.repeat(slot_totals.astype(levels), slot_heights)
+    i = (np.arange(start) - np.repeat(np.cumsum(slot_heights) - slot_heights, slot_heights)).astype(levels)
+    padding = totals + 1
+    # rows c = 0..N/2 from the first products, and c = N..N/2 + 1 from the second
+    c = np.concatenate((np.where(i <= totals // 2, i, padding),
+                        np.where(i < padding // 2, totals - i, padding)))
+    totals = np.concatenate((totals, totals))
+    c.flags.writeable = totals.flags.writeable = False
+    return products, c, totals
+
+
+def _turned(pair: np.ndarray, phases: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(c, b, values)``: the real turn of ``pair`` with row a times
+    ``phases[a % 4]``, one value for each pair of c photons leaving port 1
+    and b leaving port 2 that a nonzero amplitude reaches."""
+    c, totals, turned = _turn(pair, phases[np.arange(pair.shape[0]) % 4, None])
+    rows = c <= totals
+    c = c[rows]
+    return c, totals[rows] - c, turned[rows, 0]
 
 
 def beamsplitter_5050(state, mode_a: int, mode_b: int) -> np.ndarray:
@@ -249,12 +400,13 @@ def beamsplitter_5050(state, mode_a: int, mode_b: int) -> np.ndarray:
     ``mode_a`` feeds input port 1 and receives output port A; ``mode_b``
     feeds port 2 and receives B.  Norm and every photon total are
     preserved: the read-only output is square with side rows + cols - 1.
+    Raises ``ValueError`` if an output amplitude would overflow a float.
     """
     pair = _pair(state, mode_a, mode_b)
     # B_N[c, a] = (-i)^c D_N[c, a] i^a, with i^a = conj((-i)^a)
-    c, totals, turned = _turn(pair * _MINUS_I_POWERS[np.arange(pair.shape[0]) % 4, None].conj())
+    c, b, turned = _turned(pair, _MINUS_I_POWERS.conj())
     out = np.zeros((sum(pair.shape) - 1,) * 2, dtype=np.complex128)
-    out[c, totals - c] = _MINUS_I_POWERS[c % 4] * turned[:, 0]
+    out[c, b] = _MINUS_I_POWERS[c % 4] * turned
     return _read_only(out if mode_a == 0 else out.T)
 
 
@@ -319,14 +471,26 @@ def bipartite_coefficients(state, mode_a: int = 0, mode_b: int = 1) -> Bipartite
     block unitary is symmetric (the exponential of a symmetric generator),
     so its inverse is its complex conjugate, i^(c-a) D_N[c, a]; stripping
     the twist (-i)^c leaves D_N[c, a] (-i)^a, so K is the real turn of the
-    state times (-i)^a, with no row phases.
+    state times (-i)^a, with no row phases.  Raises ``ValueError`` if an
+    entry of K would overflow a float; the parts (K +- K^T) / 2 stay finite.
     """
     pair = _pair(state, mode_a, mode_b)
-    c, totals, turned = _turn(pair * _MINUS_I_POWERS[np.arange(pair.shape[0]) % 4, None])
+    c, b, turned = _turned(pair, _MINUS_I_POWERS)
     matrix = np.zeros((sum(pair.shape) - 1,) * 2, dtype=np.complex128)
-    matrix[c, totals - c] = turned[:, 0]
+    matrix[c, b] = turned
     return BipartiteCoefficients(
         matrix=matrix,
-        symmetric_part=(matrix + matrix.T) / 2.0,
-        antisymmetric_part=(matrix - matrix.T) / 2.0,
+        symmetric_part=_half_sum(matrix, matrix.T),
+        antisymmetric_part=_half_sum(matrix, -matrix.T),
     )
+
+
+def _half_sum(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """(x + y) / 2 entrywise, or x / 2 + y / 2 if a sum overflows: an
+    overflowing sum has both terms at least 2^970, where halving is exact, so
+    those entries round as the unbounded sum would."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        half = (x + y) / 2.0
+    if not np.isfinite(half).all():
+        half = x / 2.0 + y / 2.0
+    return half

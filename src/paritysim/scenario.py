@@ -72,8 +72,9 @@ PROTOCOLS = tuple(_FIELDS)
 #: ``scissors_n`` or ``scissors_m`` (and at most MAX_CUTOFF + 1
 #: ``input_coefficients``).  Photon totals then stay within 2 * MAX_CUTOFF
 #: and both band caps of the store in ``optics`` within MAX_CUTOFF, so the
-#: beamsplitter bands, rows 0..ceil(N/2) of each, take at most
-#: 8 ceil((c + 2)^2 (2c + 1) / 4) bytes at c = MAX_CUTOFF, about 247 MiB.
+#: beamsplitter bands, rows 0..ceil(N/2) of each in zero-padded groups of
+#: G = 8 totals, take at most 8 (2c^3 + 51c^2 + 292c + 4) / 4 bytes at
+#: c = MAX_CUTOFF, about 260 MiB (247 MiB of bands and 13 MiB of padding).
 #: A protocol report holds O(records * r) numbers, r = 2 coordinates per
 #: record, not O(records * cutoff): with at most (2c + 1)(c + 1) records
 #: (totals to 2c), its coordinates take at most about 10 MiB at c = MAX_CUTOFF.
