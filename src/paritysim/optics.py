@@ -127,7 +127,11 @@ _CAPS = [0, 0]
 #: last, by rows, columns, floats per amplitude and reached totals: the band
 #: views, the amplitude views' shapes, and each row's (c, N).  It holds
 #: views of the blocks, no bands, so raising a cap, which drops blocks,
-#: empties it; past ``_PLAN_LIMIT`` plans the oldest goes.
+#: empties it; past ``_PLAN_LIMIT`` plans the one used longest ago goes.
+#: Plans pay off for callers that turn the same shapes again, as a run of
+#: many scenarios does: a warm pass of 29 scenarios turns 16 distinct keys,
+#: a teleport sweep 5.  Planning takes 0.2 to 1.4 times a planned call, and
+#: a plan's (c, N) take 1.3 MB at 401 x 401 levels.
 _PLANS: dict = {}
 _PLAN_LIMIT = 32
 
@@ -290,8 +294,7 @@ def _turn(first: np.ndarray, second: np.ndarray) -> tuple[np.ndarray, np.ndarray
     leaving port 2, before the blocks' row phases.  Rows go run by run,
     first c = 0, 1, .. and then c = N, N - 1, .. for each total; a row whose
     c exceeds its total is padding, zeros or a copy of another row, for the
-    caller to skip.  Raises ``ValueError`` if a turned amplitude overflows
-    a float.
+    caller to skip.
     """
     shape = np.broadcast_shapes(np.shape(first), np.shape(second))
     rows, cols = shape[:2]
@@ -308,25 +311,23 @@ def _turn(first: np.ndarray, second: np.ndarray) -> tuple[np.ndarray, np.ndarray
         empty = np.empty(0, dtype=np.min_scalar_type(rows + cols))
         return empty, empty, np.empty((0, width // 2), dtype=np.complex128)
     key = (rows, cols, width, totals.tobytes())
-    if key not in _PLANS:
+    plan = _PLANS.pop(key, None)
+    if plan is None:
         _real_band(int(totals[-1]), cols - 1, rows - 1)
-        _PLANS[key] = _plan(rows, cols, width, totals)
-        if len(_PLANS) > _PLAN_LIMIT:
+        plan = _plan(rows, cols, width, totals)
+        if len(_PLANS) == _PLAN_LIMIT:
             del _PLANS[next(iter(_PLANS))]
-    products, c, totals = _PLANS[key]
+    _PLANS[key] = plan  # last: the plan used longest ago goes first
+    products, c, totals = plan
     slabs = [np.ndarray(shape, buffer=amplitudes, offset=offset, strides=strides)
              for _, (shape, offset, strides), _ in products]
     # out[0] takes the products with rows c = i, out[1] those with c = N - i
     out = np.empty((2, c.size // 2, width))
-    with np.errstate(over="raise", invalid="raise"):
-        try:
-            for sign in (0, 1):
-                if sign:
-                    amplitudes[1:rows:2] *= -1.0
-                for (band, _, rows_out), slab in zip(products, slabs):
-                    np.matmul(band, slab, out=out[sign, rows_out].reshape(*band.shape[:2], width))
-        except FloatingPointError:
-            raise ValueError("a turned amplitude overflows a float") from None
+    for sign in (0, 1):
+        if sign:
+            amplitudes[1:rows:2] *= -1.0
+        for (band, _, rows_out), slab in zip(products, slabs):
+            np.matmul(band, slab, out=out[sign, rows_out].reshape(*band.shape[:2], width))
     return c, totals, out.reshape(-1, width).view(np.complex128)
 
 
@@ -387,11 +388,17 @@ def _plan(rows: int, cols: int, width: int, totals: np.ndarray) -> tuple[list, n
 def _turned(pair: np.ndarray, phases: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``(c, b, values)``: the real turn of ``pair`` with row a times
     ``phases[a % 4]``, one value for each pair of c photons leaving port 1
-    and b leaving port 2 that a nonzero amplitude reaches."""
-    c, totals, turned = _turn(pair, phases[np.arange(pair.shape[0]) % 4, None])
+    and b leaving port 2 that a nonzero amplitude reaches.  Raises
+    ``ValueError`` if a value overflows a float.  That is read from the
+    values, not from the floating-point flags, which a BLAS worker thread
+    would set in its own thread."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        c, totals, turned = _turn(pair, phases[np.arange(pair.shape[0]) % 4, None])
     rows = c <= totals
-    c = c[rows]
-    return c, totals[rows] - c, turned[rows, 0]
+    c, values = c[rows], turned[rows, 0]
+    if not np.isfinite(values).all():
+        raise ValueError("a turned amplitude overflows a float")
+    return c, totals[rows] - c, values
 
 
 def beamsplitter_5050(state, mode_a: int, mode_b: int) -> np.ndarray:

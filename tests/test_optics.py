@@ -169,6 +169,24 @@ class TestBeamsplitter:
         with pytest.raises(ValueError, match="overflows a float"):
             beamsplitter_5050(np.full((3, 3), 1.7e308), 0, 1)
 
+    @pytest.mark.parametrize("call", [lambda st: beamsplitter_5050(st, 0, 1), bipartite_coefficients],
+                             ids=["beamsplitter_5050", "bipartite_coefficients"])
+    def test_overflow_is_read_from_the_values(self, call, monkeypatch):
+        # products of up to 128 x 128 band entries, which BLAS may share among threads
+        with pytest.raises(ValueError, match="overflows a float"):
+            call(np.full((128, 128), 1.7e308))
+        # an inf that no floating-point flag announces, as a worker thread's would not
+        turn = optics._turn
+
+        def turn_to_inf(first, second):
+            c, totals, out = turn(first, second)
+            out[:] = np.inf
+            return c, totals, out
+
+        monkeypatch.setattr(optics, "_turn", turn_to_inf)
+        with np.errstate(all="ignore"), pytest.raises(ValueError, match="overflows a float"):
+            call(np.eye(4))
+
     def test_invalid_modes(self, rng):
         st = random_two_mode(rng, 5, 5, 5)
         with pytest.raises(InvalidMode):
@@ -640,6 +658,12 @@ class TestGroupedTurn:
         # its band views read the blocks of these caps, which a higher cap drops
         optics._real_band(0, 70, 20)
         assert optics._PLANS == {}
-        for cols in range(1, optics._PLAN_LIMIT + 5):  # within the caps: no plan is dropped
+        # within the caps no plan is dropped for a cap, but past the limit the
+        # plan used longest ago goes: a plan used again stays
+        optics._turn(amplitudes, 1.0)
+        for cols in range(1, optics._PLAN_LIMIT + 5):
             optics._turn(support(rng, 3, cols, ()), 1.0)
+            optics._turn(amplitudes, 1.0)
         assert len(optics._PLANS) == optics._PLAN_LIMIT
+        assert key in optics._PLANS
+        assert [k[:2] for k in optics._PLANS][-2:] == [(3, optics._PLAN_LIMIT + 4), (17, 60)]
