@@ -88,6 +88,7 @@ the bands alone.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -122,18 +123,6 @@ _BUILT = [0]
 
 #: [rows_top, cols_top]: the largest port-2 and port-1 photon numbers asked for.
 _CAPS = [0, 0]
-
-#: What ``_turn`` works out before its products, for the inputs it turned
-#: last, by rows, columns, floats per amplitude and reached totals: the band
-#: views, the amplitude views' shapes, and each row's (c, N).  It holds
-#: views of the blocks, no bands, so raising a cap, which drops blocks,
-#: empties it; past ``_PLAN_LIMIT`` plans the one used longest ago goes.
-#: Plans pay off for callers that turn the same shapes again, as a run of
-#: many scenarios does: a warm pass of 29 scenarios turns 16 distinct keys,
-#: a teleport sweep 5.  Planning takes 0.2 to 1.4 times a planned call, and
-#: a plan's (c, N) take 1.3 MB at 401 x 401 levels.
-_PLANS: dict = {}
-_PLAN_LIMIT = 32
 
 #: (-i)^k for k mod 4, exact.
 _MINUS_I_POWERS = np.array([1.0, -1j, -1.0, 1j])
@@ -174,7 +163,7 @@ def _real_band(total: int, rows_top: int, cols_top: int) -> tuple[int, np.ndarra
         spans = (min(_CAPS) + 1) // (2 * _GROUP)
         del _BLOCKS[2 * spans :]
         _BUILT[0] = min(_BUILT[0], 2 * _GROUP * spans)
-        _PLANS.clear()
+        _plan.cache_clear()
         _CAPS[:] = max(rows_top, _CAPS[0]), max(cols_top, _CAPS[1])
     while _BUILT[0] <= total:
         n = _BUILT[0]
@@ -287,7 +276,7 @@ def _turn(first: np.ndarray, second: np.ndarray) -> tuple[np.ndarray, np.ndarray
     rows that pad the amplitudes past a = rows - 1.  The same views with the
     odd-a rows of the amplitudes negated give rows c > N/2 of D_N.  All but
     the products depends on the input's shape and reached totals alone, and
-    ``_plan`` works it out once for the inputs in ``_PLANS``.
+    ``_plan`` works it out once for each of the inputs it keeps.
 
     Returns ``(c, totals, out)``: row k of the complex ``out`` (trailing
     axes flattened) has c[k] photons leaving port 1 and totals[k] - c[k]
@@ -310,15 +299,7 @@ def _turn(first: np.ndarray, second: np.ndarray) -> tuple[np.ndarray, np.ndarray
     if totals.size == 0:
         empty = np.empty(0, dtype=np.min_scalar_type(rows + cols))
         return empty, empty, np.empty((0, width // 2), dtype=np.complex128)
-    key = (rows, cols, width, totals.tobytes())
-    plan = _PLANS.pop(key, None)
-    if plan is None:
-        _real_band(int(totals[-1]), cols - 1, rows - 1)
-        plan = _plan(rows, cols, width, totals)
-        if len(_PLANS) == _PLAN_LIMIT:
-            del _PLANS[next(iter(_PLANS))]
-    _PLANS[key] = plan  # last: the plan used longest ago goes first
-    products, c, totals = plan
+    products, c, totals = _plan(rows, cols, width, totals.tobytes())
     slabs = [np.ndarray(shape, buffer=amplitudes, offset=offset, strides=strides)
              for _, (shape, offset, strides), _ in products]
     # out[0] takes the products with rows c = i, out[1] those with c = N - i
@@ -331,12 +312,24 @@ def _turn(first: np.ndarray, second: np.ndarray) -> tuple[np.ndarray, np.ndarray
     return c, totals, out.reshape(-1, width).view(np.complex128)
 
 
-def _plan(rows: int, cols: int, width: int, totals: np.ndarray) -> tuple[list, np.ndarray, np.ndarray]:
+#: The cache keeps the plans of the 32 inputs used last.  A plan holds views
+#: of the blocks, no bands, so raising a cap, which drops blocks, empties it;
+#: a miss that raises a cap does so before it makes its views, so the plan
+#: it stores reads the new blocks.  Plans pay off for callers that turn the
+#: same shapes again, as a run of many scenarios does: a warm pass of 29
+#: scenarios turns 16 distinct keys, a teleport sweep 5.  Planning takes 0.2
+#: to 1.4 times a planned call, and a plan's (c, N) take 1.3 MB at 401 x 401
+#: levels.
+@functools.lru_cache(maxsize=32)
+def _plan(rows: int, cols: int, width: int, reached: bytes) -> tuple[list, np.ndarray, np.ndarray]:
     """``(products, c, totals)`` for ``_turn`` on amplitudes of ``rows`` x
-    ``cols`` levels and ``width`` floats each that reach ``totals``: for
-    each stacked product its band view, the (shape, offset, strides) of its
-    view of the padded amplitudes and its slice of rows in each half of the
+    ``cols`` levels and ``width`` floats each that reach the totals whose
+    bytes are ``reached``, with the bands of those totals built: for each
+    stacked product its band view, the (shape, offset, strides) of its view
+    of the padded amplitudes and its slice of rows in each half of the
     output; and the read-only (c, N) of every output row."""
+    totals = np.frombuffer(reached, dtype=np.intp)
+    _real_band(int(totals[-1]), cols - 1, rows - 1)
     rows_top = _CAPS[0]
     # runs of totals two apart in one group, with lo = max(0, N - cols + 1)
     # linear along the run
@@ -344,7 +337,7 @@ def _plan(rows: int, cols: int, width: int, totals: np.ndarray) -> tuple[list, n
     key = (ordered // (2 * _GROUP)) * 2 + (ordered >= cols)
     breaks = np.flatnonzero((np.diff(key) != 0) | (np.diff(ordered) != 2)) + 1
     item, step = 8, width * 8  # bytes per float and per (a, b)
-    products, slots, start = [], [], 0
+    products, runs, start = [], [], 0
     for begin, end in zip([0, *breaks.tolist()], [*breaks.tolist(), ordered.size]):
         n0, count = int(ordered[begin]), end - begin
         n1 = n0 + 2 * (count - 1)
@@ -369,13 +362,15 @@ def _plan(rows: int, cols: int, width: int, totals: np.ndarray) -> tuple[list, n
             slab = ((size, depth, width), step * (first + lo * (cols - 1)),
                     (step * (2 + lo_step * (cols - 1)), step * max(cols - 1, 1), item))
             products.append((band, slab, slice(start, start + size * height)))
-            slots += [(first + 2 * j, height) for j in range(size)]
+            runs.append((first, size * height, height, start))
             start += size * height
-    # each row's total N and its index i among its slot's rows
+    # each row's total N and its index i among its slot's rows: row k of a
+    # product is row i of its slot j, k = j height + i, and slot j has N = first + 2 j
     levels = np.min_scalar_type(rows + cols)  # c = N + 1 marks padding
-    slot_totals, slot_heights = np.array(slots).T
-    totals = np.repeat(slot_totals.astype(levels), slot_heights)
-    i = (np.arange(start) - np.repeat(np.cumsum(slot_heights) - slot_heights, slot_heights)).astype(levels)
+    firsts, spans, heights, starts = np.array(runs).T
+    j, i = np.divmod(np.arange(start) - np.repeat(starts, spans), np.repeat(heights, spans))
+    totals = (np.repeat(firsts, spans) + 2 * j).astype(levels)
+    i = i.astype(levels)
     padding = totals + 1
     # rows c = 0..N/2 from the first products, and c = N..N/2 + 1 from the second
     c = np.concatenate((np.where(i <= totals // 2, i, padding),

@@ -302,12 +302,13 @@ def _run_teleport(
     retilde: bool,
 ) -> ProtocolReport:
     pair = plus_minus(u, v)
-    sent = _encode_on_pair(q, pair, tilde=True)
+    encoded = _encode_on_pair(q, pair, tilde=False)
+    sent = phase_shift(encoded, math.pi / 2)
     return _run_heralded(
         protocol,
         sent,
         _factors_on_pair(pair),
-        _encode_on_pair(q, pair, tilde=retilde),
+        sent if retilde else encoded,
         rule(math.pi / 2 if retilde else 0.0),
         {"u": u, "v": v, "input": sent},
     )

@@ -395,6 +395,8 @@ def parse_scenario_text(text: str) -> Scenario:
         document = json.loads(text)
     except json.JSONDecodeError as exc:
         raise SchemaError("$", f"not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise SchemaError("$", "not valid JSON: nested too deeply to parse") from exc
     return validate_scenario(document)
 
 

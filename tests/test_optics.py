@@ -422,11 +422,15 @@ REFERENCE = full_recurrence(200)
 @pytest.fixture
 def fresh_bands(monkeypatch):
     """An empty band store with both caps at 0 and no plans, the process's
-    own restored after."""
+    own store restored after.  The plans are emptied on entry and on exit:
+    a plan holds views of the blocks it was made on, so one left from the
+    fixture would read its dropped blocks."""
     monkeypatch.setattr(optics, "_BLOCKS", [])
     monkeypatch.setattr(optics, "_BUILT", [0])
     monkeypatch.setattr(optics, "_CAPS", [0, 0])
-    monkeypatch.setattr(optics, "_PLANS", {})
+    optics._plan.cache_clear()
+    yield
+    optics._plan.cache_clear()
 
 
 def store_entries(c: int) -> int:
@@ -485,7 +489,7 @@ class TestBandStore:
             optics._BLOCKS[:] = []
             optics._BUILT[:] = [0]
             optics._CAPS[:] = [0, 0]
-            optics._PLANS.clear()
+            optics._plan.cache_clear()
             for _ in range(6):
                 rows_top, cols_top = (int(k) for k in rng.integers(0, 80, size=2))
                 total = int(rng.integers(0, rows_top + cols_top + 1))
@@ -647,23 +651,31 @@ class TestGroupedTurn:
             assert got.tobytes() == expected.tobytes()
 
     def test_a_plan_is_made_once_and_dropped_when_a_cap_rises(self, rng, fresh_bands):
+        limit = 32  # plans kept
         amplitudes = support(rng, 17, 60, (2,))
         first = optics._turn(amplitudes, 1.0)
-        (key, plan), = optics._PLANS.items()
+        assert optics._plan.cache_info().currsize == 1
         # the same support with other amplitudes takes the same plan
         again = optics._turn(support(rng, 17, 60, (2,)), 1.0)
-        assert list(optics._PLANS) == [key] and optics._PLANS[key] is plan
+        info = optics._plan.cache_info()
+        assert (info.hits, info.currsize) == (1, 1)
         assert again[0] is first[0] and again[1] is first[1]
         assert not first[0].flags.writeable and not first[1].flags.writeable
         # its band views read the blocks of these caps, which a higher cap drops
         optics._real_band(0, 70, 20)
-        assert optics._PLANS == {}
+        assert optics._plan.cache_info().currsize == 0
         # within the caps no plan is dropped for a cap, but past the limit the
         # plan used longest ago goes: a plan used again stays
-        optics._turn(amplitudes, 1.0)
-        for cols in range(1, optics._PLAN_LIMIT + 5):
+        kept = optics._turn(amplitudes, 1.0)
+        for cols in range(1, limit + 5):
             optics._turn(support(rng, 3, cols, ()), 1.0)
             optics._turn(amplitudes, 1.0)
-        assert len(optics._PLANS) == optics._PLAN_LIMIT
-        assert key in optics._PLANS
-        assert [k[:2] for k in optics._PLANS][-2:] == [(3, optics._PLAN_LIMIT + 4), (17, 60)]
+            assert optics._plan.cache_info().currsize <= limit
+        info = optics._plan.cache_info()  # counted from the clear at the cap rise
+        assert info.currsize == limit and info.hits == limit + 4
+        assert optics._turn(amplitudes, 1.0)[0] is kept[0]
+        # the first of the small plans went; the last is kept
+        optics._turn(support(rng, 3, limit + 4, ()), 1.0)
+        assert optics._plan.cache_info().hits == limit + 6
+        optics._turn(support(rng, 3, 1, ()), 1.0)
+        assert optics._plan.cache_info().hits == limit + 6

@@ -1,6 +1,7 @@
 """Randomized checks of the protocols' laws over their parameter space."""
 
 import cmath
+import math
 
 import numpy as np
 import pytest
@@ -11,21 +12,33 @@ from paritysim import (
     BipartiteCoefficients,
     CountDistribution,
     ParitySimError,
+    ProtocolReport,
     QubitAmplitudes,
+    SingleModeState,
+    TruncationReport,
     beamsplitter_5050,
     bipartite_coefficients,
     build_state,
     coherent_spec,
     count_distribution,
+    encode_qubit,
     entanglement_entropy,
     explicit_spec,
+    fidelity,
     inner_product,
+    normalize,
     odd_parity_probability,
+    opposite_phase_partner,
     phase_shift,
+    plus_minus,
+    quantum_scissors,
+    resource_from_states,
     sample_counts,
     squeezed_spec,
     teleport_basic,
     teleport_enhanced,
+    tensor,
+    truncation_check,
 )
 
 PROPERTY_SETTINGS = settings(max_examples=40, deadline=None,
@@ -141,12 +154,24 @@ TWO_MODE_CALLS = {
 
 
 def _finite_numbers(value) -> np.ndarray:
-    """Every number a two-mode entry point returned, as one float array."""
+    """Every number an entry point returned, as one float array; a report's
+    corrections are left out, since NaN there means no correction."""
     if isinstance(value, BipartiteCoefficients):
         parts = (value.matrix, value.symmetric_part, value.antisymmetric_part)
         return np.concatenate([np.abs(part).ravel() for part in parts])
     if isinstance(value, CountDistribution):
         return np.array(list(value.probabilities.values()), dtype=float)
+    if isinstance(value, tuple):
+        return np.concatenate([_finite_numbers(part) for part in value])
+    if isinstance(value, SingleModeState):
+        return np.append(np.abs(value.amplitudes), value.tail_mass)
+    if isinstance(value, TruncationReport):
+        return np.array([value.tail_mass])
+    if isinstance(value, ProtocolReport):
+        aggregates = [value.success_probability, value.total_probability,
+                      value.mean_conditional_fidelity or 0.0]
+        parts = (value.probabilities, value.fidelities, value.coordinates, value.receivers, aggregates)
+        return np.concatenate([np.abs(np.asarray(part)).ravel() for part in parts])
     return np.abs(np.asarray(value, dtype=complex)).ravel()
 
 
@@ -163,3 +188,48 @@ def test_two_mode_entry_points_refuse_or_return_finite_values(call, matrix):
     assert np.isfinite(_finite_numbers(value)).all()
     if call is entanglement_entropy:
         assert value >= 0.0
+
+
+#: One-mode amplitudes, each with the phase of the partner state that the
+#: two-state calls pair it with: a half cycle, which keeps the overlap real,
+#: or NaN.
+HOSTILE_ONE_MODE = {
+    "zeros": ([0.0, 0.0, 0.0], math.pi),
+    "1e-300": ([1e-300, 0.0, 1e-300], math.pi),
+    "1e200": ([1e200, 1e200], math.pi),
+    "1.7e308": ([1.7e308, 0.0], math.pi),
+    "unnormalized": ([2.0, 1.0], math.pi),
+    "normalized, 1e-300 on top": ([0.6, 0.8, 1e-300], math.pi),
+    "nan phase": ([0.6, 0.8], math.nan),
+}
+
+#: The one-mode entry points, each with the call that gives its value from a
+#: state u and a phase phi.
+ONE_MODE_CALLS = {
+    "normalize": lambda u, phi: normalize(u),
+    "norm_squared": lambda u, phi: u.norm_squared(),
+    "inner_product": lambda u, phi: inner_product(u, phase_shift(u, phi)),
+    "fidelity": lambda u, phi: fidelity(u, phase_shift(u, phi)),
+    "tensor": lambda u, phi: tensor(u, phase_shift(u, phi)),
+    "phase_shift": lambda u, phi: phase_shift(u, phi),
+    "truncation_check": lambda u, phi: truncation_check(u, 1e-12),
+    "plus_minus": lambda u, phi: plus_minus(u, phase_shift(u, phi)),
+    "encode_qubit": lambda u, phi: encode_qubit(QubitAmplitudes(0.6, 0.8j), u, phase_shift(u, phi)),
+    "resource_from_states": lambda u, phi: resource_from_states(u, phase_shift(u, phi), "phi_minus"),
+    "quantum_scissors": lambda u, phi: quantum_scissors(u, 0, 1),
+    "opposite_phase_partner": lambda u, phi: opposite_phase_partner(u),
+    "build_state explicit": lambda u, phi: build_state(explicit_spec(u.amplitudes)),
+    "build_state coherent": lambda u, phi: build_state(coherent_spec(cmath.rect(1.0, phi), 20)),
+}
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("amplitudes, phi", list(HOSTILE_ONE_MODE.values()), ids=list(HOSTILE_ONE_MODE))
+@pytest.mark.parametrize("call", list(ONE_MODE_CALLS.values()), ids=list(ONE_MODE_CALLS))
+def test_one_mode_entry_points_refuse_or_return_finite_values(call, amplitudes, phi):
+    # the same contract as for the two-mode entry points
+    try:
+        value = call(SingleModeState(np.array(amplitudes)), phi)
+    except (ParitySimError, ValueError):
+        return
+    assert np.isfinite(_finite_numbers(value)).all()

@@ -40,7 +40,7 @@ from paritysim import (
     teleport_enhanced,
     tensor,
 )
-from paritysim import protocols
+from paritysim import protocols, states
 from paritysim.optics import _phase_factors
 from paritysim.protocols import _basic_rule, _enhanced_rule, _scissors_rule
 
@@ -541,6 +541,26 @@ RECEIVER_CASES = {
     "enhanced_retilde": lambda: _teleport_case(True, True),
     "scissors": _scissors_case,
 }
+
+
+@pytest.mark.parametrize("enhanced", [False, True], ids=["basic", "enhanced"])
+def test_a_teleport_run_encodes_the_qubit_once(monkeypatch, enhanced):
+    # plus_minus makes the pair with two superpositions and the encoding is
+    # the third: the sent state and the target both come from that one
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return superpose(*args)
+
+    superpose = states._superpose
+    monkeypatch.setattr(states, "_superpose", counted)
+    q = QubitAmplitudes(0.6, 0.8j)
+    if enhanced:
+        teleport_enhanced(q, coherent_spec(2.0, 25))
+    else:
+        teleport_basic(q, squeezed_spec(0.6, 42), squeezed_spec(-0.6, 42))
+    assert len(calls) == 3
 
 
 class TestReceiverContract:

@@ -11,6 +11,7 @@ from paritysim import (
     SchemaError,
     beamsplitter_5050,
     build_state,
+    parse_scenario_text,
     phase_shift,
     run_scenario,
     scenario_to_wire,
@@ -302,6 +303,18 @@ class TestCli:
         path = tmp_path / "broken.json"
         path.write_text("{not json")
         assert main(["validate", "--scenario", str(path)]) == 2
+
+    def test_nested_too_deeply_exit_two(self, tmp_path):
+        # a raw RecursionError from the parser would be an internal error, exit 3
+        text = "[" * 100000
+        with pytest.raises(SchemaError) as info:
+            parse_scenario_text(text)
+        assert info.value.path == "$"
+        path, out = tmp_path / "deep.json", tmp_path / "results.json"
+        path.write_text(text)
+        assert main(["validate", "--scenario", str(path)]) == 2
+        assert main(["run", "--scenario", str(path), "--out", str(out), "--quiet"]) == 2
+        assert not out.exists()
 
     def test_missing_file(self):
         assert main(["run", "--scenario", "/nonexistent/file.json", "--quiet"]) == 2
