@@ -128,13 +128,6 @@ class ProtocolReport:
         if outcomes is not None:
             self.__dict__["outcomes"] = tuple(outcomes)
 
-    def _record_values(self):
-        """Each record's counts, probability, classification, fidelity and
-        correction phase (None where none is defined), as Python values."""
-        return zip(self.counts.tolist(), self.probabilities.tolist(),
-                   self.classifications.tolist(), self.fidelities.tolist(),
-                   [None if math.isnan(phase) else phase for phase in self.corrections.tolist()])
-
     @cached_property
     def receivers(self) -> np.ndarray:
         """The corrected receiver states as the rows of a read-only matrix:
@@ -147,13 +140,16 @@ class ProtocolReport:
 
     @cached_property
     def outcomes(self) -> tuple:
-        """One ``OutcomeRecord`` per row, in counts order; each corrected state
-        wraps its row of ``receivers``."""
+        """One ``OutcomeRecord`` per row, in counts order, with a correction
+        phase of None where none is defined; each corrected state wraps its
+        row of ``receivers``."""
+        phases = [None if math.isnan(phase) else phase for phase in self.corrections.tolist()]
         return tuple(
             OutcomeRecord(tuple(counts), probability, classification,
                           SingleModeState._trusted(receiver), fid, phase)
-            for (counts, probability, classification, fid, phase), receiver in zip(
-                self._record_values(), self.receivers))
+            for counts, probability, classification, fid, phase, receiver in zip(
+                self.counts.tolist(), self.probabilities.tolist(),
+                self.classifications.tolist(), self.fidelities.tolist(), phases, self.receivers))
 
     def success_outcomes(self) -> list[OutcomeRecord]:
         return [o for o in self.outcomes if o.classification == SUCCESS]

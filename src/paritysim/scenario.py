@@ -4,17 +4,17 @@ Scenarios and results are plain JSON.  Numbers pass through Python's float
 repr, which preserves 15-17 significant digits, so a run is reproducible
 bit-for-bit from its results file.  A results document is laid out exactly as
 ``json.dumps(document, indent=2, sort_keys=True)`` lays it out; its
-``outcomes`` rows, which are most of it, are written with one fixed template.
+``outcomes`` rows, which are most of it, are written from the record columns
+with one fixed template.
 
 The schema is two tables: ``_FIELDS`` gives each protocol's required and
 optional fields, ``_STATE_PARAMETERS`` each state kind's parameters.  Every
 protocol's results come from one builder: a per-protocol function yields the
-outcome rows, aggregates, checks and state audits, and ``run_scenario`` adds
-the detector aggregates and builds the document.  The heralded protocols'
-rows are built from their reports' columns.  The parity facts count ``psi``
-and ``phi`` against the rank-1 resource ``psi (x) |0>`` with the protocols'
-kernel (``measurement._count_factored``), and rows are built straight from
-the kernel's arrays.  Both come in counts order.
+records as five columns in counts order, aggregates, checks and state
+audits, and ``run_scenario`` adds the detector aggregates and builds the
+document.  A heralded protocol's columns are its report's.  The parity facts
+count ``psi`` and ``phi`` against the rank-1 resource ``psi (x) |0>`` with
+the protocols' kernel (``measurement._count_factored``) and keep its arrays.
 """
 
 from __future__ import annotations
@@ -22,13 +22,14 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
 from . import __version__
 from .errors import SchemaError
-from .fock import inner_product
+from .fock import _fields_equal, inner_product
 from .measurement import (
     CountDistribution,
     DetectorModel,
@@ -126,20 +127,44 @@ class ScenarioCheck:
 
 @dataclass(frozen=True)
 class ResultsDocument:
+    """A run's results, its records as read-only columns in counts order:
+    ``counts`` (na, nb), ``probabilities``, ``classifications``,
+    ``fidelities`` and ``corrections``, the last two NaN where none is
+    defined, which is written ``null``.  ``outcomes``, the rows as dicts, is
+    built on first read, which ``to_dict`` does and ``to_json`` does not."""
+
     scenario: dict
-    outcomes: list
+    counts: np.ndarray
+    probabilities: np.ndarray
+    classifications: np.ndarray
+    fidelities: np.ndarray
+    corrections: np.ndarray
     aggregates: dict
     environment: dict
     checks: list
+
+    __eq__ = _fields_equal
 
     @property
     def all_passed(self) -> bool:
         return all(c.passed for c in self.checks)
 
+    @cached_property
+    def outcomes(self) -> list:
+        fidelities, phases = ([None if x != x else x for x in column.tolist()]
+                              for column in (self.fidelities, self.corrections))
+        keys = ("counts", "probability", "classification", "fidelity", "correction_phase")
+        return [dict(zip(keys, row)) for row in zip(
+            self.counts.tolist(), self.probabilities.tolist(), self.classifications.tolist(),
+            fidelities, phases)]
+
     def to_dict(self) -> dict:
+        return self._document(self.outcomes)
+
+    def _document(self, outcomes: list) -> dict:
         return {
             "scenario": self.scenario,
-            "outcomes": self.outcomes,
+            "outcomes": outcomes,
             "aggregates": self.aggregates,
             "environment": self.environment,
             "checks": [vars(c) for c in self.checks],
@@ -149,16 +174,18 @@ class ResultsDocument:
     def to_json(self) -> str:
         """``json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\\n"``,
         byte for byte: the stdlib lays out all but the outcomes, whose rows
-        ``_rows_json`` writes in place of the empty list."""
-        document = self.to_dict()
-        document["outcomes"] = []
-        text = json.dumps(document, indent=2, sort_keys=True) + "\n"
-        if not self.outcomes:
+        are written from the columns in place of the empty list."""
+        text = json.dumps(self._document([]), indent=2, sort_keys=True) + "\n"
+        if not self.probabilities.size:
             return text
+        rows = ",\n".join(map(_ROW_TEMPLATE.__mod__, zip(
+            map(encode_basestring_ascii, self.classifications.tolist()),
+            _json_floats(self.corrections, "null"), self.counts[:, 0].tolist(),
+            self.counts[:, 1].tolist(), _json_floats(self.fidelities, "null"),
+            _json_floats(self.probabilities, "NaN"))))
         # "outcomes" is a top-level key, the only one indented by two spaces,
         # and "scenario" follows it
-        return text.replace('\n  "outcomes": [],\n',
-                            f'\n  "outcomes": {_rows_json(self.outcomes)},\n', 1)
+        return text.replace('\n  "outcomes": [],\n', f'\n  "outcomes": [\n{rows}\n  ],\n', 1)
 
 
 def _is_finite_number(value) -> bool:
@@ -400,12 +427,7 @@ def parse_scenario_text(text: str) -> Scenario:
     return validate_scenario(document)
 
 
-def _row(counts, probability, classification, fidelity=None, correction_phase=None) -> dict:
-    return {"counts": list(counts), "probability": probability, "classification": classification,
-            "fidelity": fidelity, "correction_phase": correction_phase}
-
-
-# one ``_row``, with its two counts, at depth 2 of an indent=2 document, keys sorted
+# one record's row at depth 2 of an indent=2 document, keys sorted
 _ROW_TEMPLATE = (
     '    {\n'
     '      "classification": %s,\n'
@@ -420,40 +442,20 @@ _ROW_TEMPLATE = (
 )
 
 
-def _json_float(value) -> str:
-    """A float, or None, as ``json`` writes it."""
-    if value is None:
-        return "null"
-    if math.isfinite(value):
-        return float.__repr__(value)
-    if value != value:
-        return "NaN"
-    return "Infinity" if value > 0 else "-Infinity"
+def _json_floats(column: np.ndarray, nan: str) -> list:
+    """The floats of ``column`` as ``json`` writes them, but NaN as ``nan``
+    (x - x is 0.0 exactly when x is finite)."""
+    return [float.__repr__(x) if x - x == 0.0 else nan if x != x
+            else "Infinity" if x > 0 else "-Infinity" for x in column.tolist()]
 
 
-def _rows_json(rows: list) -> str:
-    """The non-empty outcomes list as ``json.dumps`` writes it at depth 1."""
-    body = ",\n".join([
-        _ROW_TEMPLATE % (encode_basestring_ascii(row["classification"]),
-                         _json_float(row["correction_phase"]), *row["counts"],
-                         _json_float(row["fidelity"]), _json_float(row["probability"]))
-        for row in rows])
-    return f"[\n{body}\n  ]"
-
-
-def _marginal(rows: list, index: int) -> CountDistribution:
-    probs: dict[int, float] = {}
-    for row in rows:
-        n = row["counts"][index]
-        probs[n] = probs.get(n, 0.0) + row["probability"]
-    return CountDistribution(probs)
-
-
-def _detector_aggregates(rows: list, efficiency: float) -> dict:
+def _detector_aggregates(counts: np.ndarray, probabilities: np.ndarray, efficiency: float) -> dict:
     det = DetectorModel(efficiency)
     out: dict = {"efficiency": efficiency}
     for index, label in ((0, "mode_a"), (1, "mode_b")):
-        ideal = _marginal(rows, index)
+        # each count's probabilities added in row order, counts ascending
+        weights = np.bincount(counts[:, index], weights=probabilities)
+        ideal = CountDistribution(dict(enumerate(weights.tolist())))
         lossy = thinned_distribution(ideal, det)
         out[label] = {
             "odd_parity_ideal": ideal.odd_probability(),
@@ -478,7 +480,8 @@ def _heralded_results(s: Scenario) -> tuple:
             if n <= state.cutoff:
                 kept += float(abs(state.amplitudes[n]) ** 2)
         nominal = kept / 2.0
-    rows = [_row(*values) for values in report._record_values()]
+    columns = (report.counts, report.probabilities, report.classifications, report.fidelities,
+               report.corrections)
     checks = [
         _check("success_probability", nominal, report.success_probability,
                s.tolerances.probability),
@@ -489,19 +492,19 @@ def _heralded_results(s: Scenario) -> tuple:
         "success_probability": report.success_probability,
         "mean_conditional_fidelity": report.mean_conditional_fidelity,
     }
-    return rows, aggregates, checks, report.state_audits
+    return columns, aggregates, checks, report.state_audits
 
 
-def _parity_rows(sent, psi) -> list:
+def _parity_columns(sent, psi) -> tuple:
     """Every record of ``sent`` split against the resource psi (x) |0>, whose
-    receiver stays in vacuum, as rows in counts order."""
-    counts, probs, _ = _count_factored(sent, psi.amplitudes[:, None], np.ones((1, 1)))
-    return [_row(pair, p, "odd_count_a" if pair[0] % 2 else "even_count_a")
-            for pair, p in zip(counts.tolist(), probs.tolist())]
-
-
-def _odd_probability(rows: list) -> float:
-    return sum(row["probability"] for row in rows if row["classification"] == "odd_count_a")
+    receiver stays in vacuum, as columns in counts order, and the
+    probability of an odd count in A."""
+    counts, probabilities, _ = _count_factored(sent, psi.amplitudes[:, None], np.ones((1, 1)))
+    odd_a = counts[:, 0] % 2 == 1
+    none = np.full(len(probabilities), np.nan)
+    columns = (counts, probabilities, np.where(odd_a, "odd_count_a", "even_count_a"), none, none)
+    # the integer 0 where no count is odd, as the records' sum has always given
+    return columns, sum(probabilities[odd_a].tolist())
 
 
 def _facts_results(s: Scenario) -> tuple:
@@ -514,15 +517,14 @@ def _facts_results(s: Scenario) -> tuple:
         if abs(overlap) > 1e-10:
             raise ValueError(f"v: must be orthogonal to u for the 50% check (|<u|v>| = {abs(overlap):.3e})")
         states["v"] = phi
-    rows = _parity_rows(phase_shift(psi, math.pi / 2), psi)
-    p_odd_1 = _odd_probability(rows)
+    columns, p_odd_1 = _parity_columns(phase_shift(psi, math.pi / 2), psi)
     aggregates: dict = {"fact1_odd_parity_mode_a": p_odd_1}
     checks = [_check("fact1_odd_parity_mode_a", 0.0, p_odd_1, s.tolerances.probability)]
     if s.v is not None:
-        p_odd_2 = _odd_probability(_parity_rows(phase_shift(phi, math.pi / 2), psi))
+        _, p_odd_2 = _parity_columns(phase_shift(phi, math.pi / 2), psi)
         aggregates["fact2_odd_parity_mode_a"] = p_odd_2
         checks.append(_check("fact2_odd_parity_mode_a", 0.5, p_odd_2, s.tolerances.probability))
-    return rows, aggregates, checks, _state_audits(states)
+    return columns, aggregates, checks, _state_audits(states)
 
 
 def _entropy_results(s: Scenario) -> tuple:
@@ -530,7 +532,9 @@ def _entropy_results(s: Scenario) -> tuple:
     entropy = entanglement_entropy(resource_from_states(u, v, s.resource_kind))
     checks = [_check("entanglement_entropy", 1.0, entropy, s.tolerances.probability)]
     aggregates = {"entanglement_entropy": entropy, "resource_kind": s.resource_kind}
-    return [], aggregates, checks, _state_audits({"u": u, "v": v})
+    empty = np.empty(0)
+    columns = (np.empty((0, 2), dtype=np.intp), empty, np.empty(0, dtype=str), empty, empty)
+    return columns, aggregates, checks, _state_audits({"u": u, "v": v})
 
 
 def _check(name: str, target: float, actual: float, tolerance: float) -> ScenarioCheck:
@@ -552,13 +556,10 @@ def run_scenario(s: Scenario) -> ResultsDocument:
     produce identical documents."""
     results = {"facts_check": _facts_results, "entropy": _entropy_results}.get(
         s.protocol, _heralded_results)
-    rows, aggregates, checks, audits = results(s)
+    columns, aggregates, checks, audits = results(s)
+    for column in columns:
+        column.flags.writeable = False
     if s.detector_efficiency is not None:
-        aggregates["detector"] = _detector_aggregates(rows, s.detector_efficiency)
-    return ResultsDocument(
-        scenario=scenario_to_wire(s),
-        outcomes=rows,
-        aggregates=aggregates,
-        environment={"version": __version__, "states": audits},
-        checks=checks,
-    )
+        aggregates["detector"] = _detector_aggregates(*columns[:2], s.detector_efficiency)
+    return ResultsDocument(scenario_to_wire(s), *columns, aggregates,
+                           {"version": __version__, "states": audits}, checks)

@@ -1,11 +1,12 @@
 """Randomized checks of the protocols' laws over their parameter space."""
 
 import cmath
+import json
 import math
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import HealthCheck, assume, event, given, settings
 from hypothesis import strategies as st
 
 from paritysim import (
@@ -29,16 +30,20 @@ from paritysim import (
     normalize,
     odd_parity_probability,
     opposite_phase_partner,
+    parse_scenario_text,
     phase_shift,
     plus_minus,
     quantum_scissors,
     resource_from_states,
+    run_scenario,
     sample_counts,
+    scenario_to_wire,
     squeezed_spec,
     teleport_basic,
     teleport_enhanced,
     tensor,
     truncation_check,
+    validate_scenario,
 )
 
 PROPERTY_SETTINGS = settings(max_examples=40, deadline=None,
@@ -233,3 +238,115 @@ def test_one_mode_entry_points_refuse_or_return_finite_values(call, amplitudes, 
     except (ParitySimError, ValueError):
         return
     assert np.isfinite(_finite_numbers(value)).all()
+
+
+#: Valid scenario documents, small enough to run, that the hostile documents
+#: below are made from.
+SCENARIO_BASES = (
+    {"protocol": "teleport_basic", "u": {"kind": "squeezed_vacuum", "r": 0.3, "cutoff": 24},
+     "v": {"kind": "squeezed_vacuum", "r": -0.3, "cutoff": 24}, "qubit": [0.6, 0.0, 0.0, 0.8],
+     "retilde": True, "detector_efficiency": 0.9},
+    {"protocol": "teleport_enhanced", "u": {"kind": "coherent", "alpha_re": 1.0, "alpha_im": 0.5,
+                                            "cutoff": 25}, "qubit": [0.0, 0.6, 0.8, 0.0]},
+    {"protocol": "quantum_scissors", "scissors_n": 0, "scissors_m": 2,
+     "input_coefficients": [[0.5, 0.0], [0.5, 0.0], [0.5, 0.0], [0.0, 0.5]],
+     "detector_efficiency": 0.5},
+    {"protocol": "facts_check", "u": {"kind": "number", "n": 0, "cutoff": 2},
+     "v": {"kind": "explicit", "coefficients": [[0.0, 0.0], [0.0, 1.0]], "cutoff": 3},
+     "detector_efficiency": 1.0, "tolerances": {"probability": 1e-12, "fidelity": 1e-9}},
+    {"protocol": "entropy", "u": {"kind": "number", "n": 0, "cutoff": 1},
+     "v": {"kind": "number", "n": 1, "cutoff": 1}, "resource_kind": "psi_minus"},
+)
+
+#: Numbers that sit on an edge of a field's range, or past the float range.
+HOSTILE_NUMBERS = (0, 1, -1, 2, 401, 10 ** 30, -10 ** 400, 0.0, -0.0, 5e-324, 1e-300, 0.5, 2.5,
+                   1e10, 1e200, 1.7e308, -1.7e308, math.nan, math.inf, -math.inf, True, False)
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.sampled_from(HOSTILE_NUMBERS) | st.integers()
+    | st.floats() | st.text(max_size=4) | st.sampled_from(("coherent", "explicit", "phi_minus")),
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(st.text(max_size=6), children, max_size=4),
+    max_leaves=8)
+
+hostile_numbers = (st.sampled_from(HOSTILE_NUMBERS) | st.floats() | st.floats(-3.0, 3.0)
+                   | st.integers(-3, 50))
+
+
+def _slots(value):
+    """Every (container, key) pair inside a JSON value."""
+    if isinstance(value, dict):
+        items = list(value.items())
+    elif isinstance(value, list):
+        items = list(enumerate(value))
+    else:
+        items = []
+    for key, child in items:
+        yield value, key
+        yield from _slots(child)
+
+
+@st.composite
+def hostile_documents(draw):
+    """A base scenario with one or two of its fields, or their entries,
+    replaced by a hostile number or value, deleted, or joined by an unknown
+    field; or any JSON value at all."""
+    if draw(st.integers(0, 9)) == 0:
+        return draw(json_values)
+    doc = json.loads(json.dumps(draw(st.sampled_from(SCENARIO_BASES))))
+    for _ in range(draw(st.integers(1, 2))):
+        slots = list(_slots(doc))
+        if not slots:
+            break
+        parent, key = draw(st.sampled_from(slots))
+        action = draw(st.sampled_from(("number", "number", "number", "value", "delete", "extra")))
+        if action == "delete" and isinstance(parent, dict):
+            del parent[key]
+        elif action == "extra" and isinstance(parent, dict):
+            parent["extra"] = draw(json_values)
+        else:
+            parent[key] = draw(json_values if action == "value" else hostile_numbers)
+    return doc
+
+
+def _cheap(scenario) -> bool:
+    """Whether the scenario names photon numbers of at most 40, so that
+    running it stays small: a legal scenario may name up to MAX_CUTOFF."""
+    levels = [spec.cutoff for spec in (scenario.u, scenario.v) if spec is not None]
+    levels += [level for level in (scenario.scissors_n, scenario.scissors_m) if level is not None]
+    levels.append(len(scenario.input_coefficients or ()))
+    return max(levels) <= 40
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@settings(max_examples=500, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(doc=hostile_documents(), text=st.text(max_size=12) | st.integers(0, 3000).map(
+    lambda depth: "[" * depth + "]" * depth))
+def test_hostile_documents_raise_only_typed_errors(doc, text):
+    # the scenario callables either return, or raise a ParitySimError (a
+    # SchemaError for a malformed document) or a ValueError; a document
+    # that validates also round-trips through scenario_to_wire, and, when
+    # small, runs to a document laid out as the stdlib lays it out
+    for source in (text, json.dumps(doc)):
+        try:
+            parse_scenario_text(source)
+        except (ParitySimError, ValueError):
+            pass
+    try:
+        scenario = validate_scenario(doc)
+    except (ParitySimError, ValueError) as exc:
+        event(f"refused: {type(exc).__name__}")
+        return
+    assert parse_scenario_text(json.dumps(doc)) == scenario
+    wire = scenario_to_wire(scenario)
+    assert validate_scenario(json.loads(json.dumps(wire))) == scenario
+    if not _cheap(scenario):
+        event("valid, not run")
+        return
+    try:
+        results = run_scenario(scenario)
+    except (ParitySimError, ValueError) as exc:
+        event(f"run raised {type(exc).__name__}")
+        return
+    event(f"ran {scenario.protocol}")
+    assert results.to_json() == json.dumps(results.to_dict(), indent=2, sort_keys=True) + "\n"

@@ -6,6 +6,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from paritysim import (
     SchemaError,
@@ -20,7 +22,13 @@ from paritysim import (
 )
 from paritysim import cli, protocols
 from paritysim.cli import main
-from paritysim.measurement import OUTCOME_FLOOR
+from paritysim.measurement import (
+    OUTCOME_FLOOR,
+    CountDistribution,
+    DetectorModel,
+    thinned_distribution,
+    total_variation_distance,
+)
 from paritysim.scenario import MAX_CUTOFF, ResultsDocument
 
 DEMO_SCENARIOS = Path(__file__).resolve().parent.parent / "demos" / "scenarios"
@@ -168,9 +176,10 @@ class TestRunScenario:
         assert abs(detector["mode_a"]["odd_parity_lossy"] - 0.25) < 0.05  # mild thinning shift
 
     def test_deterministic(self):
-        a = run_scenario(validate_scenario(ENHANCED_DOC)).to_json()
-        b = run_scenario(validate_scenario(ENHANCED_DOC)).to_json()
-        assert a == b
+        a = run_scenario(validate_scenario(ENHANCED_DOC))
+        b = run_scenario(validate_scenario(ENHANCED_DOC))
+        assert a == b and a.to_json() == b.to_json()
+        assert a != run_scenario(validate_scenario(dict(ENHANCED_DOC, retilde=True)))
 
     def test_failing_tolerance_reported(self):
         doc = dict(ENHANCED_DOC, tolerances={"probability": 1e-18, "fidelity": 1e-9})
@@ -180,29 +189,128 @@ class TestRunScenario:
         assert failing and failing[0].name == "success_probability"
 
 
+def recorded(monkeypatch, module, name: str) -> list:
+    """Replace ``module.name`` by a wrapper that keeps each value it returns,
+    and return the list they are kept in."""
+    values = []
+    call = getattr(module, name)
+
+    def recording(*args):
+        values.append(call(*args))
+        return values[-1]
+
+    monkeypatch.setattr(module, name, recording)
+    return values
+
+
 class TestReceiversOnDemand:
     """A heralded run scores its fidelities without keeping receiver vectors,
-    and neither the results builder nor ``paritysim run`` reads them."""
+    and neither the results builder nor ``paritysim run`` reads them; a
+    results document writes its rows without building their dicts."""
 
-    @pytest.mark.parametrize("doc", [ENHANCED_DOC, BASIC_DOC, SCISSORS_DOC],
-                             ids=["enhanced", "basic", "scissors"])
+    @pytest.mark.parametrize("doc", [ENHANCED_DOC, BASIC_DOC, SCISSORS_DOC, FACTS_DOC],
+                             ids=["enhanced", "basic", "scissors", "facts"])
     def test_runs_build_no_receivers(self, doc, tmp_path, monkeypatch):
-        reports = []
-        run_heralded = protocols._run_heralded
-
-        def recording(*args):
-            reports.append(run_heralded(*args))
-            return reports[-1]
-
-        monkeypatch.setattr(protocols, "_run_heralded", recording)
-        assert run_scenario(validate_scenario(doc)).all_passed
+        reports = recorded(monkeypatch, protocols, "_run_heralded")
+        documents = recorded(monkeypatch, cli, "run_scenario")
+        results = run_scenario(validate_scenario(doc))
+        assert results.all_passed and results.to_json()
         path = tmp_path / "scenario.json"
         path.write_text(json.dumps(doc))
         assert main(["run", "--scenario", str(path), "--out", str(tmp_path / "out.json"),
                      "--quiet"]) == 0
-        assert len(reports) == 2
+        assert len(reports) == (0 if doc is FACTS_DOC else 2) and len(documents) == 1
         for report in reports:
             assert "receivers" not in report.__dict__ and "outcomes" not in report.__dict__
+        for document in (results, *documents):
+            assert "outcomes" not in document.__dict__
+
+
+class TestDocumentsAreReportColumns:
+    """A heralded document holds its report's columns, not copies, and
+    writes each row from them bit for bit, a NaN correction as null."""
+
+    @pytest.mark.parametrize("doc", [ENHANCED_DOC, BASIC_DOC, SCISSORS_DOC,
+                                     dict(ENHANCED_DOC, retilde=True, detector_efficiency=0.6)],
+                             ids=["enhanced", "basic", "scissors", "enhanced_retilde_lossy"])
+    def test_rows_are_the_report_columns(self, doc, monkeypatch):
+        reports = recorded(monkeypatch, protocols, "_run_heralded")
+        results = run_scenario(validate_scenario(doc))
+        (report,) = reports
+        for name in ("counts", "probabilities", "classifications", "fidelities", "corrections"):
+            assert getattr(results, name) is getattr(report, name)
+        rows = json.loads(results.to_json())["outcomes"]
+        assert [row["counts"] for row in rows] == report.counts.tolist()
+        assert [row["classification"] for row in rows] == report.classifications.tolist()
+        for key, column in (("probability", report.probabilities),
+                            ("fidelity", report.fidelities),
+                            ("correction_phase", report.corrections)):
+            written = [row[key] for row in rows]
+            defined = ~np.isnan(column)
+            assert [value is not None for value in written] == defined.tolist()
+            kept = np.array([value for value in written if value is not None], dtype=float)
+            assert kept.tobytes() == column[defined].tobytes()
+        assert np.isnan(report.corrections).any()  # some rows are written null
+        assert results.outcomes == rows
+
+
+def dict_loop_detector(rows: list, efficiency: float) -> dict:
+    """The detector block as the row-dict results builder made it, kept as
+    the reference for the columns' bincount: each mode's marginal summed in
+    a dict loop over the rows, its counts in order of first appearance."""
+    det = DetectorModel(efficiency)
+    out: dict = {"efficiency": efficiency}
+    for index, label in ((0, "mode_a"), (1, "mode_b")):
+        probs: dict[int, float] = {}
+        for row in rows:
+            n = row["counts"][index]
+            probs[n] = probs.get(n, 0.0) + row["probability"]
+        ideal = CountDistribution(probs)
+        lossy = thinned_distribution(ideal, det)
+        out[label] = {
+            "odd_parity_ideal": ideal.odd_probability(),
+            "odd_parity_lossy": lossy.odd_probability(),
+            "count_tvd": total_variation_distance(ideal, lossy),
+        }
+    return out
+
+
+def _coherent_wire(magnitude: float, phase: float, cutoff: int = 40) -> dict:
+    alpha = magnitude * complex(math.cos(phase), math.sin(phase))
+    return {"kind": "coherent", "alpha_re": alpha.real, "alpha_im": alpha.imag, "cutoff": cutoff}
+
+
+@st.composite
+def lossy_scenarios(draw):
+    """A lossy facts_check on a coherent or squeezed state, or a lossy
+    teleport_enhanced (coherent) or teleport_basic (squeezed pair) run."""
+    efficiency = draw(st.floats(0.0, 1.0))
+    phase = draw(st.floats(0.0, 2 * math.pi))
+    qubit = [math.cos(phase), 0.0, 0.0, math.sin(phase)]
+    r = draw(st.floats(0.05, 0.5)) * draw(st.sampled_from((1.0, -1.0)))
+    squeezed = {"kind": "squeezed_vacuum", "r": r, "cutoff": 40}
+    kind = draw(st.sampled_from(("facts_coherent", "facts_squeezed", "enhanced", "basic")))
+    if kind == "facts_coherent":
+        doc = {"protocol": "facts_check", "u": _coherent_wire(draw(st.floats(0.0, 2.5)), phase)}
+    elif kind == "facts_squeezed":
+        doc = {"protocol": "facts_check", "u": squeezed}
+    elif kind == "enhanced":
+        doc = {"protocol": "teleport_enhanced", "qubit": qubit,
+               "u": _coherent_wire(draw(st.floats(0.5, 2.5)), draw(st.floats(0.0, 2 * math.pi))),
+               "retilde": draw(st.booleans())}
+    else:
+        doc = {"protocol": "teleport_basic", "qubit": qubit, "u": squeezed,
+               "v": dict(squeezed, r=-r), "retilde": draw(st.booleans())}
+    return dict(doc, detector_efficiency=efficiency)
+
+
+@settings(max_examples=60, deadline=None)
+@given(doc=lossy_scenarios())
+def test_detector_block_is_the_dict_loop_marginals(doc):
+    # bit for bit, an integer 0 where no count of a mode is odd included
+    results = run_scenario(validate_scenario(doc))
+    expected = dict_loop_detector(results.outcomes, doc["detector_efficiency"])
+    assert repr(results.aggregates["detector"]) == repr(expected)
 
 
 class TestCli:
@@ -532,20 +640,27 @@ class TestJsonLayout:
         assert results.to_json() == stdlib_json(results)
 
     def test_hand_built_rows(self):
+        # a NaN probability is written NaN, a NaN fidelity or phase null
         nan, inf = float("nan"), float("inf")
-        values = [-0.0, 5e-324, 1e16, 1e-7, nan, inf, -inf, 0.1, None]
-        rows = [{"counts": [i, 2 * i + 1], "probability": values[i % len(values)],
-                 "classification": ("success", "odd \"A\"", "caf\u00e9\n")[i % 3],
-                 "fidelity": values[(i + 3) % len(values)],
-                 "correction_phase": values[(i + 5) % len(values)]}
-                for i in range(2 * len(values))]
-        results = ResultsDocument(scenario={"protocol": "teleport_basic"}, outcomes=rows,
-                                  aggregates={"success_probability": nan}, environment={},
-                                  checks=[])
+        values = np.array([-0.0, 5e-324, 1e16, 1e-7, nan, inf, -inf, 0.1])
+        rows = np.arange(2 * len(values))
+        results = ResultsDocument(
+            scenario={"protocol": "teleport_basic"},
+            counts=np.column_stack((rows, 2 * rows + 1)),
+            probabilities=values[rows % len(values)],
+            classifications=np.array(["success", "odd \"A\"", "caf\u00e9\n"])[rows % 3],
+            fidelities=values[(rows + 3) % len(values)],
+            corrections=values[(rows + 5) % len(values)],
+            aggregates={"success_probability": nan}, environment={}, checks=[])
         text = results.to_json()
+        assert "outcomes" not in results.__dict__
         assert text == stdlib_json(results)
-        for literal in ("-0.0", "5e-324", "1e+16", "1e-07", "NaN", "Infinity", "-Infinity", "null"):
+        for literal in ("-0.0", "5e-324", "1e+16", "1e-07", '"probability": NaN',
+                        '"probability": Infinity', '"probability": -Infinity',
+                        '"fidelity": null', '"correction_phase": null',
+                        '"odd \\"A\\""', '"caf\\u00e9\\n"'):
             assert literal in text
+        assert '"fidelity": NaN' not in text and '"correction_phase": NaN' not in text
 
 
 class TestParserReuse:
