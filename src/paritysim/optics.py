@@ -38,10 +38,10 @@ reads columns max(0, N - rows_top)..min(N, cols_top) of D_N, cols_top being
 the largest photon number entering port 1 and rows_top the largest entering
 port 2 (in the kernel, the largest sent level and the resource's largest
 row index); the same range for N - 1 holds every column that this band
-reads.  So ``_real_band`` keeps only that band of each block, for caps
-``rows_top`` and ``cols_top`` that only grow: the largest any caller has
-asked for.  Raising a cap drops the groups (below) above the smaller old
-cap, since those below it are full width, and rebuilds them on demand.
+reads.  So a band store, ``_Store``, keeps only that band of each block,
+for caps ``rows_top`` and ``cols_top`` that never change: an input above
+them swaps in a store with the larger caps, the groups (below) up to the
+smaller old cap, which are full width, and plans of its own.
 
 Each block also carries the parity structure exactly, as the row reflection
 
@@ -88,8 +88,8 @@ the bands alone.
 
 from __future__ import annotations
 
-import functools
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -111,19 +111,6 @@ _SQ2 = math.sqrt(2.0)
 #: and G = 12 and 16 no faster, with 1.6 and 2.1 times its padding.
 _GROUP = 8
 
-#: ``_BLOCKS[2 s + p]`` is the group of span s and parity p: one zero-padded
-#: array of shape (slots, rows, columns).  Slot j holds rows 0..ceil(N/2) and
-#: columns lo..hi of D_N, N = 2 G s + p + 2 j, from row 0 and column 0, with
-#: lo = max(0, N - rows_top) and hi = min(N, cols_top) for the caps below;
-#: every other entry of the block is an exact +0.0.
-_BLOCKS: list[np.ndarray] = []
-
-#: [built]: ``_BLOCKS`` holds the bands of the totals 0..built - 1.
-_BUILT = [0]
-
-#: [rows_top, cols_top]: the largest port-2 and port-1 photon numbers asked for.
-_CAPS = [0, 0]
-
 #: (-i)^k for k mod 4, exact.
 _MINUS_I_POWERS = np.array([1.0, -1j, -1.0, 1j])
 
@@ -131,74 +118,153 @@ _MINUS_I_POWERS = np.array([1.0, -1j, -1.0, 1j])
 _SIGNS = np.array([1.0, -1.0])
 
 
-def _slot(total: int) -> tuple[int, np.ndarray]:
-    """``(lo, band)``: the band of ``total`` in its group's block, writeable."""
-    block = _BLOCKS[2 * (total // (2 * _GROUP)) + total % 2]
-    lo, hi = max(0, total - _CAPS[0]), min(total, _CAPS[1])
-    return lo, block[(total // 2) % _GROUP, : total - total // 2 + 1, : hi - lo + 1]
+class _Store:
+    """The bands of the totals 0..``built`` - 1 for port-2 and port-1 photon
+    numbers up to ``caps``, (rows_top, cols_top), and ``plans`` of ``_turn``
+    on them.  ``blocks[2 s + p]``, the group of span s and parity p, is an
+    array of shape (slots, rows, columns) whose slot j holds rows
+    0..ceil(N/2) and columns max(0, N - rows_top)..min(N, cols_top) of D_N,
+    N = 2 G s + p + 2 j, from row 0 and column 0, and +0.0 elsewhere."""
+
+    def __init__(self, caps: tuple = (0, 0), blocks: list = (), built: int = 0):
+        self.caps, self.blocks, self.built, self.plans = caps, list(blocks), built, {}
+
+    def raised(self, rows_top: int, cols_top: int) -> _Store:
+        """This store if its caps hold ``rows_top`` and ``cols_top``, else one
+        with the larger caps and the groups of totals up to its smaller cap."""
+        if rows_top <= self.caps[0] and cols_top <= self.caps[1]:
+            return self
+        spans = (min(self.caps) + 1) // (2 * _GROUP)
+        return _Store((max(rows_top, self.caps[0]), max(cols_top, self.caps[1])),
+                      self.blocks[: 2 * spans], min(self.built, 2 * _GROUP * spans))
+
+    def _new_block(self, first: int) -> np.ndarray:
+        """The zero block of the group whose first total is ``first``: a slot for
+        each of its totals up to rows_top + cols_top, as many rows as the last
+        one keeps, and as many columns as ``_turn`` reads of any slot.  Its view
+        of slot j reads band columns lo..min(N, cols_top + 2 j) at most: a run
+        ending at slot j starts at most j slots earlier, on a total that meets
+        no a above cols_top."""
+        rows_top, cols_top = self.caps
+        totals = range(first, min(first + 2 * _GROUP - 1, rows_top + cols_top + 1), 2)
+        width = max(min(n, cols_top + 2 * j) - max(0, n - rows_top) + 1
+                    for j, n in enumerate(totals))
+        return np.zeros((len(totals), totals[-1] - totals[-1] // 2 + 1, width))
+
+    def band(self, total: int) -> tuple[int, np.ndarray]:
+        """``(lo, band)``: rows 0..ceil(N/2) and columns lo.. of the real matrix
+        D_N of the module docstring for N = ``total``, rows indexed by the photon
+        count in the first mode, built with the bands below it if need be; the
+        band covers columns max(0, total - rows_top)..min(total, cols_top) and
+        is a writeable view of its slot.  Row c > ceil(N/2) is (-1)^a times
+        row N - c."""
+        while self.built <= total:
+            n = self.built
+            if n % (2 * _GROUP) < 2:
+                self.blocks.append(self._new_block(n))
+            self.built += 1  # so that band(n) only finds its slot
+            lo, band = self.band(n)
+            if n == 0:
+                band[0, 0] = 1.0
+                continue
+            half = n - n // 2  # ceil(N/2): rows 0..half are kept
+            hi = lo + band.shape[1] - 1
+            # columns first..hi have an a - 1 term and lo..last an a term; the
+            # block is +0.0 in the columns before first
+            first, last = max(lo, 1), min(hi, n - 1)
+            _, prev = self.band(n - 1)  # rows 0..ceil((N-1)/2), columns first - 1..last of D_(N-1)
+            if n % 2:  # row (N+1)/2 of D_(N-1) is (-1)^a times its row (N-3)/2
+                mirrored = (prev[half - 2] * _SIGNS[np.arange(first - 1, last + 1) % 2]
+                            if n > 1 else np.zeros(prev.shape[1]))
+                prev = np.vstack([prev, mirrored])
+            roots = np.sqrt(np.arange(n + 1.0))  # sqrt(c) and, reversed, sqrt(N - c)
+            raised = np.zeros((half + 1, prev.shape[1]))  # sqrt(c) D[c-1, :]
+            np.multiply(prev[:half], roots[1 : half + 1, None], out=raised[1:])
+            kept = prev * roots[::-1][: half + 1, None]  # sqrt(N-c) D[c, :]
+            weights = roots * (1.0 / (n * _SQ2))  # sqrt(a) / (N sqrt 2)
+            np.multiply((raised - kept)[:, : hi - first + 1], weights[first : hi + 1],
+                        out=band[:, first - lo :])
+            # column N has no a term, so nothing is added there: not even a 0.0,
+            # which would turn a -0.0 into +0.0
+            band[:, : last - lo + 1] += ((raised + kept)[:, lo - first + 1 :]
+                                         * weights[::-1][lo : last + 1])
+        block = self.blocks[2 * (total // (2 * _GROUP)) + total % 2]
+        lo, hi = max(0, total - self.caps[0]), min(total, self.caps[1])
+        return lo, block[(total // 2) % _GROUP, : total - total // 2 + 1, : hi - lo + 1]
+
+    def plan(self, rows: int, cols: int, width: int, reached: bytes) -> tuple[list, np.ndarray, np.ndarray]:
+        """``(products, c, totals)`` for ``_turn`` on amplitudes of ``rows`` x
+        ``cols`` levels and ``width`` floats each that reach the totals whose
+        bytes are ``reached``, within the caps, with the bands of those totals
+        built: for each stacked product its band view, the (shape, offset,
+        strides) of its view of the padded amplitudes and its slice of rows in
+        each half of the output; and the read-only (c, N) of every output row.
+        The store keeps the plans of the 32 inputs used last: a warm pass of
+        29 scenarios turns 16, a teleport sweep 5; planning takes 0.2 to 1.4
+        times a planned call, and a plan's (c, N) 1.3 MB at 401 x 401 levels."""
+        inputs = rows, cols, width, reached
+        if inputs in self.plans:  # reinserted, so that it is now the plan used last
+            return self.plans.setdefault(inputs, self.plans.pop(inputs))
+        totals = np.frombuffer(reached, dtype=np.intp)
+        self.band(int(totals[-1]))
+        rows_top = self.caps[0]
+        # runs of totals two apart in one group, with lo = max(0, N - cols + 1)
+        # linear along the run
+        ordered = np.concatenate((totals[totals % 2 == 0], totals[totals % 2 == 1]))
+        key = (ordered // (2 * _GROUP)) * 2 + (ordered >= cols)
+        breaks = np.flatnonzero((np.diff(key) != 0) | (np.diff(ordered) != 2)) + 1
+        item, step = 8, width * 8  # bytes per float and per (a, b)
+        products, runs, start = [], [], 0
+        for begin, end in zip([0, *breaks.tolist()], [*breaks.tolist(), ordered.size]):
+            n0, count = int(ordered[begin]), end - begin
+            n1 = n0 + 2 * (count - 1)
+            # the product's shape, from the input alone: the rows of the run's
+            # last total, and the most columns a of any of its totals
+            height = n1 - n1 // 2 + 1
+            depth = min(n1, rows - 1) + 1 if n0 < cols else cols - max(0, n0 - rows + 1)
+            lo_step = 2 if n0 >= cols else 0
+            block = self.blocks[2 * (n0 // (2 * _GROUP)) + n0 % 2]
+            # the store's own lo, max(0, N - rows_top), turns at rows_top: a run
+            # across it is read as two views of the same shape
+            below = min(count, max(0, (rows_top - n0) // 2 + 1))
+            for first, size in ((n0, below), (n0 + 2 * below, count - below)):
+                if not size:
+                    continue
+                lo = max(0, first - cols + 1)
+                store_lo, store_step = (first - rows_top, 2) if first > rows_top else (0, 0)
+                band = np.ndarray((size, height, depth), buffer=block,
+                                  offset=block.strides[0] * ((first // 2) % _GROUP) + item * (lo - store_lo),
+                                  strides=(block.strides[0] + item * (lo_step - store_step),
+                                           block.strides[1], item))
+                slab = ((size, depth, width), step * (first + lo * (cols - 1)),
+                        (step * (2 + lo_step * (cols - 1)), step * max(cols - 1, 1), item))
+                products.append((band, slab, slice(start, start + size * height)))
+                runs.append((first, size * height, height, start))
+                start += size * height
+        # each row's total N and its index i among its slot's rows: row k of a
+        # product is row i of its slot j, k = j height + i, and slot j has N = first + 2 j
+        levels = np.min_scalar_type(rows + cols)  # c = N + 1 marks padding
+        firsts, spans, heights, starts = np.array(runs).T
+        j, i = np.divmod(np.arange(start) - np.repeat(starts, spans), np.repeat(heights, spans))
+        totals = (np.repeat(firsts, spans) + 2 * j).astype(levels)
+        i = i.astype(levels)
+        padding = totals + 1
+        # rows c = 0..N/2 from the first products, and c = N..N/2 + 1 from the second
+        c = np.concatenate((np.where(i <= totals // 2, i, padding),
+                            np.where(i < padding // 2, totals - i, padding)))
+        totals = np.concatenate((totals, totals))
+        c.flags.writeable = totals.flags.writeable = False
+        self.plans[inputs] = products, c, totals
+        if len(self.plans) > 32:
+            del self.plans[next(iter(self.plans))]
+        return products, c, totals
 
 
-def _new_block(first: int) -> np.ndarray:
-    """The zero block of the group whose first total is ``first``: a slot for
-    each of its totals up to rows_top + cols_top, as many rows as the last
-    one keeps, and as many columns as ``_turn`` reads of any slot.  Its view
-    of slot j reads band columns lo..min(N, cols_top + 2 j) at most: a run
-    ending at slot j starts at most j slots earlier, on a total that meets
-    no a above cols_top."""
-    rows_top, cols_top = _CAPS
-    totals = range(first, min(first + 2 * _GROUP - 1, rows_top + cols_top + 1), 2)
-    width = max(min(n, cols_top + 2 * j) - max(0, n - rows_top) + 1
-                for j, n in enumerate(totals))
-    return np.zeros((len(totals), totals[-1] - totals[-1] // 2 + 1, width))
-
-
-def _real_band(total: int, rows_top: int, cols_top: int) -> tuple[int, np.ndarray]:
-    """``(lo, band)``: rows 0..ceil(N/2) and columns lo.. of the real matrix
-    D_N of the module docstring for N = ``total``, rows indexed by the photon
-    count in the first mode; the band covers at least columns
-    max(0, total - rows_top)..min(total, cols_top) and is a read-only view of
-    its slot.  Row c > ceil(N/2) is (-1)^a times row N - c."""
-    if rows_top > _CAPS[0] or cols_top > _CAPS[1]:
-        # groups whose totals are all up to the smaller cap are full width
-        spans = (min(_CAPS) + 1) // (2 * _GROUP)
-        del _BLOCKS[2 * spans :]
-        _BUILT[0] = min(_BUILT[0], 2 * _GROUP * spans)
-        _plan.cache_clear()
-        _CAPS[:] = max(rows_top, _CAPS[0]), max(cols_top, _CAPS[1])
-    while _BUILT[0] <= total:
-        n = _BUILT[0]
-        if n % (2 * _GROUP) < 2:
-            _BLOCKS.append(_new_block(n))
-        lo, band = _slot(n)
-        _BUILT[0] += 1
-        if n == 0:
-            band[0, 0] = 1.0
-            continue
-        half = n - n // 2  # ceil(N/2): rows 0..half are kept
-        hi = lo + band.shape[1] - 1
-        # columns first..hi have an a - 1 term and lo..last an a term; the
-        # block is +0.0 in the columns before first
-        first, last = max(lo, 1), min(hi, n - 1)
-        _, prev = _slot(n - 1)  # rows 0..ceil((N-1)/2), columns first - 1..last of D_(N-1)
-        if n % 2:  # row (N+1)/2 of D_(N-1) is (-1)^a times its row (N-3)/2
-            mirrored = (prev[half - 2] * _SIGNS[np.arange(first - 1, last + 1) % 2]
-                        if n > 1 else np.zeros(prev.shape[1]))
-            prev = np.vstack([prev, mirrored])
-        roots = np.sqrt(np.arange(n + 1.0))  # sqrt(c) and, reversed, sqrt(N - c)
-        raised = np.zeros((half + 1, prev.shape[1]))  # sqrt(c) D[c-1, :]
-        np.multiply(prev[:half], roots[1 : half + 1, None], out=raised[1:])
-        kept = prev * roots[::-1][: half + 1, None]  # sqrt(N-c) D[c, :]
-        weights = roots * (1.0 / (n * _SQ2))  # sqrt(a) / (N sqrt 2)
-        np.multiply((raised - kept)[:, : hi - first + 1], weights[first : hi + 1],
-                    out=band[:, first - lo :])
-        # column N has no a term, so nothing is added there: not even a 0.0,
-        # which would turn a -0.0 into +0.0
-        band[:, : last - lo + 1] += ((raised + kept)[:, lo - first + 1 :]
-                                     * weights[::-1][lo : last + 1])
-    lo, band = _slot(total)
-    band = band.view()
-    band.flags.writeable = False
-    return lo, band
+#: The band store that ``_turn`` reads, and the lock under which it is
+#: swapped for one of higher caps, grown and planned.  The products run
+#: outside it, on slots already filled, which no store writes again.
+_STORE = _Store()
+_LOCK = threading.Lock()
 
 
 def _two_mode(state, *modes: int) -> np.ndarray:
@@ -276,7 +342,7 @@ def _turn(first: np.ndarray, second: np.ndarray) -> tuple[np.ndarray, np.ndarray
     rows that pad the amplitudes past a = rows - 1.  The same views with the
     odd-a rows of the amplitudes negated give rows c > N/2 of D_N.  All but
     the products depends on the input's shape and reached totals alone, and
-    ``_plan`` works it out once for each of the inputs it keeps.
+    the store plans it once for each of the inputs it keeps.
 
     Returns ``(c, totals, out)``: row k of the complex ``out`` (trailing
     axes flattened) has c[k] photons leaving port 1 and totals[k] - c[k]
@@ -285,6 +351,7 @@ def _turn(first: np.ndarray, second: np.ndarray) -> tuple[np.ndarray, np.ndarray
     c exceeds its total is padding, zeros or a copy of another row, for the
     caller to skip.
     """
+    global _STORE
     shape = np.broadcast_shapes(np.shape(first), np.shape(second))
     rows, cols = shape[:2]
     # a run's views read at most 2 (G - 1) rows past a = rows - 1
@@ -299,7 +366,9 @@ def _turn(first: np.ndarray, second: np.ndarray) -> tuple[np.ndarray, np.ndarray
     if totals.size == 0:
         empty = np.empty(0, dtype=np.min_scalar_type(rows + cols))
         return empty, empty, np.empty((0, width // 2), dtype=np.complex128)
-    products, c, totals = _plan(rows, cols, width, totals.tobytes())
+    with _LOCK:
+        _STORE = _STORE.raised(cols - 1, rows - 1)
+        products, c, totals = _STORE.plan(rows, cols, width, totals.tobytes())
     slabs = [np.ndarray(shape, buffer=amplitudes, offset=offset, strides=strides)
              for _, (shape, offset, strides), _ in products]
     # out[0] takes the products with rows c = i, out[1] those with c = N - i
@@ -312,72 +381,6 @@ def _turn(first: np.ndarray, second: np.ndarray) -> tuple[np.ndarray, np.ndarray
     return c, totals, out.reshape(-1, width).view(np.complex128)
 
 
-#: The cache keeps the plans of the 32 inputs used last.  A plan holds views
-#: of the blocks, no bands, so raising a cap, which drops blocks, empties it;
-#: a miss that raises a cap does so before it makes its views, so the plan
-#: it stores reads the new blocks.  Plans pay off for callers that turn the
-#: same shapes again, as a run of many scenarios does: a warm pass of 29
-#: scenarios turns 16 distinct keys, a teleport sweep 5.  Planning takes 0.2
-#: to 1.4 times a planned call, and a plan's (c, N) take 1.3 MB at 401 x 401
-#: levels.
-@functools.lru_cache(maxsize=32)
-def _plan(rows: int, cols: int, width: int, reached: bytes) -> tuple[list, np.ndarray, np.ndarray]:
-    """``(products, c, totals)`` for ``_turn`` on amplitudes of ``rows`` x
-    ``cols`` levels and ``width`` floats each that reach the totals whose
-    bytes are ``reached``, with the bands of those totals built: for each
-    stacked product its band view, the (shape, offset, strides) of its view
-    of the padded amplitudes and its slice of rows in each half of the
-    output; and the read-only (c, N) of every output row."""
-    totals = np.frombuffer(reached, dtype=np.intp)
-    _real_band(int(totals[-1]), cols - 1, rows - 1)
-    rows_top = _CAPS[0]
-    # runs of totals two apart in one group, with lo = max(0, N - cols + 1)
-    # linear along the run
-    ordered = np.concatenate((totals[totals % 2 == 0], totals[totals % 2 == 1]))
-    key = (ordered // (2 * _GROUP)) * 2 + (ordered >= cols)
-    breaks = np.flatnonzero((np.diff(key) != 0) | (np.diff(ordered) != 2)) + 1
-    item, step = 8, width * 8  # bytes per float and per (a, b)
-    products, runs, start = [], [], 0
-    for begin, end in zip([0, *breaks.tolist()], [*breaks.tolist(), ordered.size]):
-        n0, count = int(ordered[begin]), end - begin
-        n1 = n0 + 2 * (count - 1)
-        # the product's shape, from the input alone: the rows of the run's
-        # last total, and the most columns a of any of its totals
-        height = n1 - n1 // 2 + 1
-        depth = min(n1, rows - 1) + 1 if n0 < cols else cols - max(0, n0 - rows + 1)
-        lo_step = 2 if n0 >= cols else 0
-        block = _BLOCKS[2 * (n0 // (2 * _GROUP)) + n0 % 2]
-        # the store's own lo, max(0, N - rows_top), turns at rows_top: a run
-        # across it is read as two views of the same shape
-        below = min(count, max(0, (rows_top - n0) // 2 + 1))
-        for first, size in ((n0, below), (n0 + 2 * below, count - below)):
-            if not size:
-                continue
-            lo = max(0, first - cols + 1)
-            store_lo, store_step = (first - rows_top, 2) if first > rows_top else (0, 0)
-            band = np.ndarray((size, height, depth), buffer=block,
-                              offset=block.strides[0] * ((first // 2) % _GROUP) + item * (lo - store_lo),
-                              strides=(block.strides[0] + item * (lo_step - store_step),
-                                       block.strides[1], item))
-            slab = ((size, depth, width), step * (first + lo * (cols - 1)),
-                    (step * (2 + lo_step * (cols - 1)), step * max(cols - 1, 1), item))
-            products.append((band, slab, slice(start, start + size * height)))
-            runs.append((first, size * height, height, start))
-            start += size * height
-    # each row's total N and its index i among its slot's rows: row k of a
-    # product is row i of its slot j, k = j height + i, and slot j has N = first + 2 j
-    levels = np.min_scalar_type(rows + cols)  # c = N + 1 marks padding
-    firsts, spans, heights, starts = np.array(runs).T
-    j, i = np.divmod(np.arange(start) - np.repeat(starts, spans), np.repeat(heights, spans))
-    totals = (np.repeat(firsts, spans) + 2 * j).astype(levels)
-    i = i.astype(levels)
-    padding = totals + 1
-    # rows c = 0..N/2 from the first products, and c = N..N/2 + 1 from the second
-    c = np.concatenate((np.where(i <= totals // 2, i, padding),
-                        np.where(i < padding // 2, totals - i, padding)))
-    totals = np.concatenate((totals, totals))
-    c.flags.writeable = totals.flags.writeable = False
-    return products, c, totals
 
 
 def _turned(pair: np.ndarray, phases: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

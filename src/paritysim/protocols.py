@@ -298,7 +298,7 @@ def _run_teleport(
     retilde: bool,
 ) -> ProtocolReport:
     pair = plus_minus(u, v)
-    encoded = _encode_on_pair(q, pair, tilde=False)
+    encoded = _encode_on_pair(q, pair)
     sent = phase_shift(encoded, math.pi / 2)
     return _run_heralded(
         protocol,

@@ -371,16 +371,13 @@ def encode_qubit(
     With ``tilde`` the encoding is done in the quarter-cycle-shifted basis,
     i.e. the whole state is passed through a pi/2 phase shift.
     """
-    return _encode_on_pair(q, plus_minus(u, v), tilde)
+    state = _encode_on_pair(q, plus_minus(u, v))
+    return phase_shift(state, math.pi / 2) if tilde else state
 
 
-def _encode_on_pair(q: QubitAmplitudes, pair: tuple, tilde: bool) -> SingleModeState:
-    """``encode_qubit`` on the orthonormal ``pair`` that ``plus_minus`` returns."""
-    plus, minus = pair
-    state = _superpose(q.eps_plus, plus, q.eps_minus, minus)
-    if tilde:
-        state = phase_shift(state, math.pi / 2)
-    return state
+def _encode_on_pair(q: QubitAmplitudes, pair: tuple) -> SingleModeState:
+    """The qubit ``q`` on the orthonormal ``pair`` that ``plus_minus`` returns."""
+    return _superpose(q.eps_plus, pair[0], q.eps_minus, pair[1])
 
 
 def resource_from_states(u: SingleModeState, v: SingleModeState, kind: str) -> np.ndarray:

@@ -13,8 +13,8 @@ from paritysim import (
     phase_shift,
     tensor,
 )
+from paritysim import optics
 from paritysim.measurement import _count_factored
-from paritysim.optics import _MINUS_I_POWERS, _real_band
 
 SESSION_START = time.monotonic()
 
@@ -83,15 +83,24 @@ def random_two_mode(rng, rows: int, cols: int, entries: int,
     return matrix / np.linalg.norm(matrix)
 
 
+def store_band(total: int, rows_top: int, cols_top: int) -> tuple:
+    """``(lo, band)`` of ``total`` from the process's band store, after
+    raising its caps to ``rows_top`` and ``cols_top`` under its lock, as
+    ``optics._turn`` raises them."""
+    with optics._LOCK:
+        optics._STORE = optics._STORE.raised(rows_top, cols_top)
+        return optics._STORE.band(total)
+
+
 def full_block(total: int) -> np.ndarray:
     """The beamsplitter's block unitary of ``total`` photons, (-i)^(c-a) D_N[c, a],
-    from the full-width band of ``optics._real_band``: its rows 0..ceil(N/2),
-    and row c above that as (-1)^a times row N - c."""
-    _, half = _real_band(total, total, total)
+    from the full-width band of ``store_band``: its rows 0..ceil(N/2), and
+    row c above that as (-1)^a times row N - c."""
+    _, half = store_band(total, total, total)
     counts = np.arange(total + 1)
     lower = half[: total - half.shape[0] + 1][::-1] * (-1.0) ** (counts % 2)
     real = np.vstack([half, lower])
-    return _MINUS_I_POWERS[(counts[:, None] - counts[None, :]) % 4] * real
+    return optics._MINUS_I_POWERS[(counts[:, None] - counts[None, :]) % 4] * real
 
 
 def kernel_records(sent: SingleModeState, resource: np.ndarray) -> dict:

@@ -1,9 +1,13 @@
+import gc
 import math
+import sys
+import threading
+import weakref
 
 import numpy as np
 import pytest
 
-from conftest import full_block, random_single, random_two_mode, shifted_split
+from conftest import full_block, random_single, random_two_mode, shifted_split, store_band
 from oracle import DenseSpace, exact_block_matrix
 from paritysim import (
     DegenerateState,
@@ -397,7 +401,7 @@ class TestTurnAgainstSpectral:
 
 def full_recurrence(top: int) -> list:
     """Full-width D_0..D_top straight from the module docstring's recurrence,
-    with the products grouped as in ``optics._real_band``: sqrt(c) and
+    with the products grouped as in ``optics._Store.band``: sqrt(c) and
     sqrt(N - c) times D_(N-1) first, then sqrt(a) / (N sqrt 2) and
     sqrt(N - a) / (N sqrt 2) times their sum and difference."""
     blocks = [np.ones((1, 1))]
@@ -421,16 +425,9 @@ REFERENCE = full_recurrence(200)
 
 @pytest.fixture
 def fresh_bands(monkeypatch):
-    """An empty band store with both caps at 0 and no plans, the process's
-    own store restored after.  The plans are emptied on entry and on exit:
-    a plan holds views of the blocks it was made on, so one left from the
-    fixture would read its dropped blocks."""
-    monkeypatch.setattr(optics, "_BLOCKS", [])
-    monkeypatch.setattr(optics, "_BUILT", [0])
-    monkeypatch.setattr(optics, "_CAPS", [0, 0])
-    optics._plan.cache_clear()
-    yield
-    optics._plan.cache_clear()
+    """An empty band store with both caps at 0, the process's own store
+    restored after."""
+    monkeypatch.setattr(optics, "_STORE", optics._Store())
 
 
 def store_entries(c: int) -> int:
@@ -457,12 +454,12 @@ def block_entries(c: int) -> int:
     return entries
 
 
-def slot_mask(block: np.ndarray, first: int) -> np.ndarray:
+def slot_mask(store, block: np.ndarray, first: int) -> np.ndarray:
     """True on the entries of ``block`` that hold a band, for the group whose
-    first total is ``first``, under the store's caps."""
+    first total is ``first``, under the caps of ``store``."""
     mask = np.zeros(block.shape, dtype=bool)
-    for j in range(min(block.shape[0], (optics._BUILT[0] - first + 1) // 2)):
-        _, band = optics._real_band(first + 2 * j, 0, 0)
+    for j in range(min(block.shape[0], (store.built - first + 1) // 2)):
+        _, band = store.band(first + 2 * j)
         mask[j, : band.shape[0], : band.shape[1]] = True
     return mask
 
@@ -471,7 +468,7 @@ class TestBandStore:
     def test_full_recurrence_has_the_row_reflection(self):
         # D_N[N - c, a] = (-1)^a D_N[c, a]: by value everywhere, bit for bit on
         # every nonzero entry, and with the signs of zeros too on row N/2 + 1 of
-        # even N > 0, the mirrored row that _real_band reads to grow D_(N+1).  The
+        # even N > 0, the mirrored row that a store reads to grow D_(N+1).  The
         # signs of other zeros do not follow it (D_6[5, 3] is -0.0 and
         # -D_6[1, 3] is +0.0), and a zero's sign cannot reach a nonzero product
         for n, block in enumerate(REFERENCE):
@@ -484,36 +481,33 @@ class TestBandStore:
                 np.testing.assert_array_equal(np.signbit(mirrored[read]),
                                               np.signbit(block[read]))
 
-    def test_bands_equal_the_full_recurrence_under_any_history(self, rng, fresh_bands):
+    def test_bands_equal_the_full_recurrence_under_any_history(self, rng):
         for _ in range(25):
-            optics._BLOCKS[:] = []
-            optics._BUILT[:] = [0]
-            optics._CAPS[:] = [0, 0]
-            optics._plan.cache_clear()
+            store = optics._Store()
             for _ in range(6):
                 rows_top, cols_top = (int(k) for k in rng.integers(0, 80, size=2))
                 total = int(rng.integers(0, rows_top + cols_top + 1))
                 if rng.random() < 0.25:  # what full_block asks for
                     rows_top = cols_top = total
-                lo, band = optics._real_band(total, rows_top, cols_top)
+                store = store.raised(rows_top, cols_top)
+                lo, band = store.band(total)
                 # the band covers the columns the counting kernel slices out
                 assert lo <= max(0, total - rows_top)
                 assert lo + band.shape[1] - 1 >= min(total, cols_top)
-                for n in range(optics._BUILT[0]):
+                for n in range(store.built):
                     # rows 0..ceil(N/2) of the band's columns, a view of its slot
-                    band_lo, stored = optics._real_band(n, 0, 0)
+                    band_lo, stored = store.band(n)
                     columns = REFERENCE[n][: n - n // 2 + 1, band_lo : band_lo + stored.shape[1]]
                     assert stored.tobytes() == columns.tobytes(), n
-                    assert not stored.flags.writeable
-                    assert np.shares_memory(stored, optics._BLOCKS[2 * (n // (2 * optics._GROUP)) + n % 2])
+                    assert np.shares_memory(stored, store.blocks[2 * (n // (2 * optics._GROUP)) + n % 2])
             # the padding that _turn's views read is an exact +0.0
-            for k, block in enumerate(optics._BLOCKS):
-                padding = block[~slot_mask(block, 2 * optics._GROUP * (k // 2) + k % 2)]
+            for k, block in enumerate(store.blocks):
+                padding = block[~slot_mask(store, block, 2 * optics._GROUP * (k // 2) + k % 2)]
                 assert not padding.any() and not np.signbit(padding).any(), k
 
     def test_block_stays_the_full_unitary(self, fresh_bands):
-        optics._real_band(140, 20, 120)
-        optics._real_band(150, 100, 50)
+        store_band(140, 20, 120)
+        store_band(150, 100, 50)
         for total in (0, 1, 37, 70, 101, 150, 160):
             block = full_block(total)
             counts = np.arange(total + 1)
@@ -524,9 +518,10 @@ class TestBandStore:
     @pytest.mark.parametrize("cutoff", [16, 20, 40, 48])
     def test_store_after_an_enhanced_run_holds_the_band_count(self, fresh_bands, cutoff):
         teleport_enhanced(QubitAmplitudes(0.6, 0.8), coherent_spec(1.0, cutoff))
-        assert optics._CAPS == [cutoff, cutoff]
-        assert optics._BUILT == [2 * cutoff + 1]
-        assert sum(block.nbytes for block in optics._BLOCKS) == 8 * block_entries(cutoff)
+        store = optics._STORE
+        assert store.caps == (cutoff, cutoff)
+        assert store.built == 2 * cutoff + 1
+        assert sum(block.nbytes for block in store.blocks) == 8 * block_entries(cutoff)
         bands = sum((n - n // 2 + 1) * (min(n, cutoff) - max(0, n - cutoff) + 1)
                     for n in range(2 * cutoff + 1))
         span = 2 * optics._GROUP
@@ -540,18 +535,19 @@ class TestBandStore:
         # a split of two cutoff-40 states reads only the bands an enhanced
         # run at cutoff 40 already built, so the store does not grow
         teleport_enhanced(QubitAmplitudes(0.6, 0.8), coherent_spec(1.0, 40))
-        before = sum(block.nbytes for block in optics._BLOCKS)
+        store = optics._STORE
+        before = sum(block.nbytes for block in store.blocks)
         s40 = build_state(coherent_spec(1.0, 40))
         t40 = build_state(coherent_spec(-0.5, 40))
         beamsplitter_5050(tensor(s40, t40), 0, 1)
-        assert optics._CAPS == [40, 40]
-        assert sum(block.nbytes for block in optics._BLOCKS) == before == 8 * block_entries(40)
+        assert optics._STORE is store and store.caps == (40, 40)
+        assert sum(block.nbytes for block in store.blocks) == before == 8 * block_entries(40)
 
 
 def turn_per_total(amplitudes: np.ndarray) -> dict:
     """``{(c, N): row}``, the reference for ``optics._turn``: rows 0..N of D_N
     times each reached anti-diagonal, a 2-D product of each total's
-    ``_real_band`` columns lo..hi and its slab, then the same with the odd-a
+    ``store_band`` columns lo..hi and its slab, then the same with the odd-a
     rows of the slab negated for rows c > N/2, reversed."""
     rows, cols = amplitudes.shape[:2]
     floats = np.ascontiguousarray(amplitudes).reshape(rows, cols, -1).view(np.float64)
@@ -560,7 +556,7 @@ def turn_per_total(amplitudes: np.ndarray) -> dict:
     out = {}
     for total in reached.tolist():
         lo, hi = max(0, total - cols + 1), min(total, rows - 1)
-        band_lo, band = optics._real_band(total, cols - 1, rows - 1)
+        band_lo, band = store_band(total, cols - 1, rows - 1)
         columns = band[:, lo - band_lo : hi - band_lo + 1]
         a = np.arange(lo, hi + 1)
         slab = floats[a, total - a]
@@ -621,7 +617,7 @@ class TestGroupedTurn:
         amplitudes = support(rng, spec["rows"], spec["cols"], trailing,
                              spec.get("a_set"), spec.get("b_set"))
         if raised:  # caps above the input's own: the store's lo and hi differ from the input's
-            optics._real_band(0, spec["cols"] + 30, spec["rows"] + 11)
+            store_band(0, spec["cols"] + 30, spec["rows"] + 11)
         c, totals, out = optics._turn(amplitudes, 1.0)
         rows = out.view(np.float64)
         turned = {(ci, ti): rows[k] for k, (ci, ti) in enumerate(zip(c.tolist(), totals.tolist()))
@@ -645,7 +641,7 @@ class TestGroupedTurn:
         spec = SUPPORTS[name]
         amplitudes = support(rng, spec["rows"], spec["cols"], (2,), spec.get("a_set"), spec.get("b_set"))
         fresh = optics._turn(amplitudes, 1.0)
-        optics._real_band(0, spec["cols"] + 7, spec["rows"] + 30)
+        store_band(0, spec["cols"] + 7, spec["rows"] + 30)
         raised = optics._turn(amplitudes, 1.0)
         for got, expected in zip(raised, fresh):
             assert got.tobytes() == expected.tobytes()
@@ -654,28 +650,86 @@ class TestGroupedTurn:
         limit = 32  # plans kept
         amplitudes = support(rng, 17, 60, (2,))
         first = optics._turn(amplitudes, 1.0)
-        assert optics._plan.cache_info().currsize == 1
+        store = optics._STORE
+        assert len(store.plans) == 1
         # the same support with other amplitudes takes the same plan
         again = optics._turn(support(rng, 17, 60, (2,)), 1.0)
-        info = optics._plan.cache_info()
-        assert (info.hits, info.currsize) == (1, 1)
+        assert optics._STORE is store and len(store.plans) == 1
         assert again[0] is first[0] and again[1] is first[1]
         assert not first[0].flags.writeable and not first[1].flags.writeable
-        # its band views read the blocks of these caps, which a higher cap drops
-        optics._real_band(0, 70, 20)
-        assert optics._plan.cache_info().currsize == 0
+        # its band views read the blocks of these caps: a higher cap swaps in
+        # a store of its own blocks, with none of the old store's plans
+        store_band(0, 70, 20)
+        assert optics._STORE is not store and not optics._STORE.plans
+        store = optics._STORE
         # within the caps no plan is dropped for a cap, but past the limit the
         # plan used longest ago goes: a plan used again stays
         kept = optics._turn(amplitudes, 1.0)
+        made = {}
         for cols in range(1, limit + 5):
-            optics._turn(support(rng, 3, cols, ()), 1.0)
-            optics._turn(amplitudes, 1.0)
-            assert optics._plan.cache_info().currsize <= limit
-        info = optics._plan.cache_info()  # counted from the clear at the cap rise
-        assert info.currsize == limit and info.hits == limit + 4
-        assert optics._turn(amplitudes, 1.0)[0] is kept[0]
-        # the first of the small plans went; the last is kept
-        optics._turn(support(rng, 3, limit + 4, ()), 1.0)
-        assert optics._plan.cache_info().hits == limit + 6
-        optics._turn(support(rng, 3, 1, ()), 1.0)
-        assert optics._plan.cache_info().hits == limit + 6
+            made[cols] = optics._turn(support(rng, 3, cols, ()), 1.0)[0]
+            assert optics._turn(amplitudes, 1.0)[0] is kept[0]
+            assert len(store.plans) <= limit
+        assert optics._STORE is store and len(store.plans) == limit
+        # the last of the small plans is kept; the first went
+        assert optics._turn(support(rng, 3, limit + 4, ()), 1.0)[0] is made[limit + 4]
+        assert optics._turn(support(rng, 3, 1, ()), 1.0)[0] is not made[1]
+        assert len(store.plans) == limit
+
+    def test_a_cap_rise_frees_the_dropped_blocks_without_the_collector(self, rng, fresh_bands):
+        # the store and the blocks a cap rise drops are freed by reference
+        # counting once no plan of theirs is held: no cycle holds them
+        gc.disable()
+        try:
+            optics._turn(support(rng, 40, 40, ()), 1.0)
+            old = weakref.ref(optics._STORE)
+            dropped = weakref.ref(optics._STORE.blocks[-1])
+            (plan,) = optics._STORE.plans.values()
+            store_band(0, 100, 100)
+            assert old() is None and dropped() is not None
+            del plan
+            assert dropped() is None
+        finally:
+            gc.enable()
+
+
+class TestConcurrentCallers:
+    def test_threads_from_an_empty_store_give_the_single_threaded_bytes(self, fresh_bands):
+        # three threads of distinct cutoffs grow and raise one empty store at
+        # once, with the interpreter switching threads as often as it can
+        alphas = {14: 1.0, 40: 3.0, 90: 6.0}
+
+        def columns(cutoff):
+            report = teleport_enhanced(QubitAmplitudes(0.6, 0.8), coherent_spec(alphas[cutoff], cutoff))
+            return [np.asarray(column).tobytes() for column in (
+                report.counts, report.probabilities, report.classifications,
+                report.fidelities, report.corrections, report.coordinates)]
+
+        expected = {}
+        for cutoff in alphas:
+            optics._STORE = optics._Store()
+            expected[cutoff] = columns(cutoff)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(10):
+                optics._STORE = optics._Store()
+                barrier = threading.Barrier(len(alphas))
+                got = {}
+
+                def run(cutoff):
+                    barrier.wait(timeout=60)
+                    try:
+                        got[cutoff] = columns(cutoff)
+                    except Exception as error:  # reported by the comparison below
+                        got[cutoff] = error
+
+                threads = [threading.Thread(target=run, args=(cutoff,)) for cutoff in alphas]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=120)
+                    assert not thread.is_alive()
+                assert got == expected
+        finally:
+            sys.setswitchinterval(interval)
