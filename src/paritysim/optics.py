@@ -43,6 +43,20 @@ for caps ``rows_top`` and ``cols_top`` that never change: an input above
 them swaps in a store with the larger caps, the groups (below) up to the
 smaller old cap, which are full width, and plans of its own.
 
+A store keeps the bands of a parity of N only once a turn reaches a total
+of that parity.  Squeezed vacuum holds even photon numbers only, so a
+teleport on a squeezed pair reaches even totals only, and its store keeps
+the even bands alone, about half of them.  The bands grow in one loop,
+``_Store._grow``, that carries the previous band along, since D_N reads
+only D_(N-1): a band of a kept parity is grown into its slot, and one of the
+other parity into a zero array that is dropped once the next band has read
+it.  ``_Store.plan`` keeps every parity that a turn reaches before it grows,
+so a mixed-parity input grows once.  A parity first kept below the totals
+already built has each of its slots grown in one step, by the same loop,
+from the stored band of the other parity just below it.  Either way a band
+comes from the same operations on the same inputs, so it holds the same
+bits.
+
 Each block also carries the parity structure exactly, as the row reflection
 
     D_N[N - c, a] = (-1)^a D_N[c, a]
@@ -83,7 +97,12 @@ bytes, the bands' 8 (c + 2)^2 (2 c + 1) / 4 plus 4 (G - 1) c (3 c + 2 G + 4)
 of padding; other caps up to c take no more.  At G = 8 that is about 4 c^3
 + 102 c^2, against 8 (c + 1)^3 for full-height bands and about
 8 (2 c)^3 / 3 for full blocks: 272 553 608 bytes at c = 400, 5.3 % above
-the bands alone.
+the bands alone.  Of these the even groups take
+
+    8 (c^3 + (3 G + 1) c^2 + 2 (G^2 + 2) c + 4) / 4
+
+bytes and the odd ones 8 c (c + 2 G) (c + G + 2) / 4: 136 105 608 and
+136 448 000 bytes at c = 400, so a store that keeps one parity takes half.
 """
 
 from __future__ import annotations
@@ -119,24 +138,33 @@ _SIGNS = np.array([1.0, -1.0])
 
 
 class _Store:
-    """The bands of the totals 0..``built`` - 1 for port-2 and port-1 photon
-    numbers up to ``caps``, (rows_top, cols_top), and ``plans`` of ``_turn``
-    on them.  ``blocks[2 s + p]``, the group of span s and parity p, is an
-    array of shape (slots, rows, columns) whose slot j holds rows
-    0..ceil(N/2) and columns max(0, N - rows_top)..min(N, cols_top) of D_N,
-    N = 2 G s + p + 2 j, from row 0 and column 0, and +0.0 elsewhere."""
+    """The bands of the totals 0..``built`` - 1 of the ``kept`` parities, for
+    port-2 and port-1 photon numbers up to ``caps``, (rows_top, cols_top), and
+    ``plans`` of ``_turn`` on them.  ``blocks[2 s + p]``, the group of span s
+    and parity p, is None while p is not kept, and otherwise an array of shape
+    (slots, rows, columns) whose slot j holds rows 0..ceil(N/2) and columns
+    max(0, N - rows_top)..min(N, cols_top) of D_N, N = 2 G s + p + 2 j, from
+    row 0 and column 0, and +0.0 elsewhere.  The band of ``built`` - 1, which
+    the next band grows from, is always kept."""
 
-    def __init__(self, caps: tuple = (0, 0), blocks: list = (), built: int = 0):
-        self.caps, self.blocks, self.built, self.plans = caps, list(blocks), built, {}
+    def __init__(self, caps: tuple = (0, 0), blocks: list = (), built: int = 0,
+                 kept: frozenset = frozenset()):
+        self.caps, self.blocks, self.built, self.kept, self.plans = caps, list(blocks), built, kept, {}
 
     def raised(self, rows_top: int, cols_top: int) -> _Store:
         """This store if its caps hold ``rows_top`` and ``cols_top``, else one
-        with the larger caps and the groups of totals up to its smaller cap."""
+        with the larger caps, the same kept parities and their groups of
+        totals up to its smaller cap."""
         if rows_top <= self.caps[0] and cols_top <= self.caps[1]:
             return self
         spans = (min(self.caps) + 1) // (2 * _GROUP)
+        built = min(self.built, 2 * _GROUP * spans)
+        # the next band grows from a stored one: a span ends on an odd total,
+        # which a store of even bands did not keep
+        if built and (built - 1) % 2 not in self.kept:
+            built -= 1
         return _Store((max(rows_top, self.caps[0]), max(cols_top, self.caps[1])),
-                      self.blocks[: 2 * spans], min(self.built, 2 * _GROUP * spans))
+                      self.blocks[: 2 * spans], built, self.kept)
 
     def _new_block(self, first: int) -> np.ndarray:
         """The zero block of the group whose first total is ``first``: a slot for
@@ -151,28 +179,64 @@ class _Store:
                     for j, n in enumerate(totals))
         return np.zeros((len(totals), totals[-1] - totals[-1] // 2 + 1, width))
 
+    def _slot(self, total: int) -> tuple[int, np.ndarray]:
+        """``(lo, band)``: the columns lo.. of the band of ``total``, a
+        writeable view of its slot, or a transient zero array of its shape if
+        its parity is not kept."""
+        lo, hi = max(0, total - self.caps[0]), min(total, self.caps[1])
+        shape = (total - total // 2 + 1, hi - lo + 1)
+        block = self.blocks[2 * (total // (2 * _GROUP)) + total % 2]
+        if block is None:
+            return lo, np.zeros(shape)
+        return lo, block[(total // 2) % _GROUP, : shape[0], : shape[1]]
+
+    def keep(self, parities) -> None:
+        """Keep the bands of ``parities`` from now on.  A parity first kept
+        below ``built`` gets its groups, and each of its slots is grown from
+        the stored band of the other parity just below it."""
+        for parity in sorted(set(parities) - self.kept):  # one at most, once bands are built
+            self.kept |= {parity}
+            for k in range(parity, len(self.blocks), 2):
+                self.blocks[k] = self._new_block(2 * _GROUP * (k // 2) + parity)
+            self._grow(range(parity, self.built, 2))
+
     def band(self, total: int) -> tuple[int, np.ndarray]:
         """``(lo, band)``: rows 0..ceil(N/2) and columns lo.. of the real matrix
         D_N of the module docstring for N = ``total``, rows indexed by the photon
-        count in the first mode, built with the bands below it if need be; the
-        band covers columns max(0, total - rows_top)..min(total, cols_top) and
-        is a writeable view of its slot.  Row c > ceil(N/2) is (-1)^a times
-        row N - c."""
-        while self.built <= total:
-            n = self.built
-            if n % (2 * _GROUP) < 2:
-                self.blocks.append(self._new_block(n))
-            self.built += 1  # so that band(n) only finds its slot
-            lo, band = self.band(n)
+        count in the first mode, after keeping its parity and growing the bands
+        up to it if need be; the band covers columns
+        max(0, total - rows_top)..min(total, cols_top) and is a writeable view
+        of its slot.  Row c > ceil(N/2) is (-1)^a times row N - c."""
+        self.keep((total % 2,))
+        self._grow(range(self.built, total + 1))
+        return self._slot(total)
+
+    def _grow(self, totals: range) -> None:
+        """Grow the band of each of ``totals``, in ascending order, into its
+        slot or a transient zero array, from the band of the total just below
+        it: the one grown just before, or else a stored one.  A total at
+        ``built`` is built, with the group it opens."""
+        for n in totals:
+            if n == self.built:
+                if n % (2 * _GROUP) < 2:
+                    self.blocks.append(self._new_block(n) if n % 2 in self.kept else None)
+                self.built += 1
+            if n == totals.start or totals.step > 1:  # D_(N-1) was not grown just before
+                band = self._slot(n - 1)[1] if n else None
+            # prev holds rows 0..ceil((N-1)/2) and columns first - 1..last of D_(N-1)
+            prev, (lo, band) = band, self._slot(n)
             if n == 0:
                 band[0, 0] = 1.0
                 continue
+            # the step's temporaries live until the next step makes its own:
+            # freed together at the end of each step, they let glibc trim the
+            # heap and fault it in again, half again as many page faults at
+            # caps 400
             half = n - n // 2  # ceil(N/2): rows 0..half are kept
             hi = lo + band.shape[1] - 1
             # columns first..hi have an a - 1 term and lo..last an a term; the
             # block is +0.0 in the columns before first
             first, last = max(lo, 1), min(hi, n - 1)
-            _, prev = self.band(n - 1)  # rows 0..ceil((N-1)/2), columns first - 1..last of D_(N-1)
             if n % 2:  # row (N+1)/2 of D_(N-1) is (-1)^a times its row (N-3)/2
                 mirrored = (prev[half - 2] * _SIGNS[np.arange(first - 1, last + 1) % 2]
                             if n > 1 else np.zeros(prev.shape[1]))
@@ -188,17 +252,15 @@ class _Store:
             # which would turn a -0.0 into +0.0
             band[:, : last - lo + 1] += ((raised + kept)[:, lo - first + 1 :]
                                          * weights[::-1][lo : last + 1])
-        block = self.blocks[2 * (total // (2 * _GROUP)) + total % 2]
-        lo, hi = max(0, total - self.caps[0]), min(total, self.caps[1])
-        return lo, block[(total // 2) % _GROUP, : total - total // 2 + 1, : hi - lo + 1]
 
     def plan(self, rows: int, cols: int, width: int, reached: bytes) -> tuple[list, np.ndarray, np.ndarray]:
         """``(products, c, totals)`` for ``_turn`` on amplitudes of ``rows`` x
         ``cols`` levels and ``width`` floats each that reach the totals whose
-        bytes are ``reached``, within the caps, with the bands of those totals
-        built: for each stacked product its band view, the (shape, offset,
-        strides) of its view of the padded amplitudes and its slice of rows in
-        each half of the output; and the read-only (c, N) of every output row.
+        bytes are ``reached``, within the caps, with the parities of those
+        totals kept and their bands built: for each stacked product its band
+        view, the (shape, offset, strides) of its view of the padded
+        amplitudes and its slice of rows in each half of the output; and the
+        read-only (c, N) of every output row.
         The store keeps the plans of the 32 inputs used last: a warm pass of
         29 scenarios turns 16, a teleport sweep 5; planning takes 0.2 to 1.4
         times a planned call, and a plan's (c, N) 1.3 MB at 401 x 401 levels."""
@@ -206,6 +268,7 @@ class _Store:
         if inputs in self.plans:  # reinserted, so that it is now the plan used last
             return self.plans.setdefault(inputs, self.plans.pop(inputs))
         totals = np.frombuffer(reached, dtype=np.intp)
+        self.keep(set((totals % 2).tolist()))  # before growing, so that it grows once
         self.band(int(totals[-1]))
         rows_top = self.caps[0]
         # runs of totals two apart in one group, with lo = max(0, N - cols + 1)

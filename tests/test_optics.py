@@ -22,6 +22,8 @@ from paritysim import (
     odd_parity_probability,
     phase_shift,
     sample_counts,
+    squeezed_spec,
+    teleport_basic,
     teleport_enhanced,
     tensor,
 )
@@ -430,28 +432,37 @@ def fresh_bands(monkeypatch):
     monkeypatch.setattr(optics, "_STORE", optics._Store())
 
 
-def store_entries(c: int) -> int:
-    """Entries of the group blocks of every total to 2 c with both caps at c,
-    for c a multiple of 2 G: the bands' ceil((c + 2)^2 (2 c + 1) / 4) plus
-    (G - 1) c (3 c + 2 G + 4) / 2 of padding, which is
+def store_entries(c: int, parities=(0, 1)) -> int:
+    """Entries of the group blocks of the totals of ``parities`` to 2 c with
+    both caps at c, for c a multiple of 2 G: (c^3 + (3 G + 1) c^2 +
+    2 (G^2 + 2) c + 4) / 4 for the even ones and c (c + 2 G)(c + G + 2) / 4
+    for the odd ones.  Together they are the bands' ceil((c + 2)^2 (2 c + 1) / 4)
+    plus (G - 1) c (3 c + 2 G + 4) / 2 of padding, which is
     (2 c^3 + (6 G + 3) c^2 + 4 (G^2 + G + 1) c + 4) / 4."""
     g = optics._GROUP
     assert c % (2 * g) == 0
-    return (2 * c**3 + (6 * g + 3) * c**2 + 4 * (g * g + g + 1) * c + 4) // 4
+    per_parity = ((c**3 + (3 * g + 1) * c**2 + 2 * (g * g + 2) * c + 4) // 4,
+                  c * (c + 2 * g) * (c + g + 2) // 4)
+    return sum(per_parity[parity] for parity in parities)
 
 
-def block_entries(c: int) -> int:
+def block_entries(c: int, parities=(0, 1)) -> int:
     """The same entries summed block by block from the layout: a group of
     totals first, first + 2, .. up to 2 c has a slot per total, the rows of
     its last total and the columns of its bands' union, c + 1 - max(0, first - c)
     when it reaches c and last + 1 below it."""
     g, entries = optics._GROUP, 0
     for first in range(2 * c + 1):
-        if first % (2 * g) < 2:
+        if first % (2 * g) < 2 and first % 2 in parities:
             last = min(first + 2 * g - 2, 2 * c - (2 * c - first) % 2)
             width = min(last, c) - max(0, first - c) + 1
             entries += ((last - first) // 2 + 1) * (last - last // 2 + 1) * width
     return entries
+
+
+def stored_bytes(store) -> int:
+    """Bytes of the group blocks of the parities ``store`` keeps."""
+    return sum(block.nbytes for block in store.blocks if block is not None)
 
 
 def slot_mask(store, block: np.ndarray, first: int) -> np.ndarray:
@@ -482,6 +493,9 @@ class TestBandStore:
                                               np.signbit(block[read]))
 
     def test_bands_equal_the_full_recurrence_under_any_history(self, rng):
+        # each step keeps the even, the odd or both parities, and reads a band
+        # of a kept parity; the checks read only kept bands, so that no read
+        # fills the other parity before it is checked
         for _ in range(25):
             store = optics._Store()
             for _ in range(6):
@@ -489,21 +503,29 @@ class TestBandStore:
                 total = int(rng.integers(0, rows_top + cols_top + 1))
                 if rng.random() < 0.25:  # what full_block asks for
                     rows_top = cols_top = total
+                parities = ({total % 2}, {0, 1})[int(rng.integers(0, 2))]
                 store = store.raised(rows_top, cols_top)
+                store.keep(parities)
                 lo, band = store.band(total)
+                assert parities <= store.kept
                 # the band covers the columns the counting kernel slices out
                 assert lo <= max(0, total - rows_top)
                 assert lo + band.shape[1] - 1 >= min(total, cols_top)
                 for n in range(store.built):
+                    if n % 2 not in store.kept:
+                        continue
                     # rows 0..ceil(N/2) of the band's columns, a view of its slot
                     band_lo, stored = store.band(n)
                     columns = REFERENCE[n][: n - n // 2 + 1, band_lo : band_lo + stored.shape[1]]
                     assert stored.tobytes() == columns.tobytes(), n
                     assert np.shares_memory(stored, store.blocks[2 * (n // (2 * optics._GROUP)) + n % 2])
-            # the padding that _turn's views read is an exact +0.0
-            for k, block in enumerate(store.blocks):
-                padding = block[~slot_mask(store, block, 2 * optics._GROUP * (k // 2) + k % 2)]
-                assert not padding.any() and not np.signbit(padding).any(), k
+                # a group of a parity not kept has no block; the padding that
+                # _turn's views read of a kept one is an exact +0.0
+                for k, block in enumerate(store.blocks):
+                    assert (block is None) == (k % 2 not in store.kept), k
+                    if block is not None:
+                        padding = block[~slot_mask(store, block, 2 * optics._GROUP * (k // 2) + k % 2)]
+                        assert not padding.any() and not np.signbit(padding).any(), k
 
     def test_block_stays_the_full_unitary(self, fresh_bands):
         store_band(140, 20, 120)
@@ -521,7 +543,7 @@ class TestBandStore:
         store = optics._STORE
         assert store.caps == (cutoff, cutoff)
         assert store.built == 2 * cutoff + 1
-        assert sum(block.nbytes for block in store.blocks) == 8 * block_entries(cutoff)
+        assert stored_bytes(store) == 8 * block_entries(cutoff)
         bands = sum((n - n // 2 + 1) * (min(n, cutoff) - max(0, n - cutoff) + 1)
                     for n in range(2 * cutoff + 1))
         span = 2 * optics._GROUP
@@ -536,12 +558,35 @@ class TestBandStore:
         # run at cutoff 40 already built, so the store does not grow
         teleport_enhanced(QubitAmplitudes(0.6, 0.8), coherent_spec(1.0, 40))
         store = optics._STORE
-        before = sum(block.nbytes for block in store.blocks)
+        before = stored_bytes(store)
         s40 = build_state(coherent_spec(1.0, 40))
         t40 = build_state(coherent_spec(-0.5, 40))
         beamsplitter_5050(tensor(s40, t40), 0, 1)
         assert optics._STORE is store and store.caps == (40, 40)
-        assert sum(block.nbytes for block in store.blocks) == before == 8 * block_entries(40)
+        assert stored_bytes(store) == before == 8 * block_entries(40)
+
+    @pytest.mark.parametrize("cutoff", [32, 48])
+    def test_a_squeezed_run_keeps_only_the_even_bands(self, fresh_bands, cutoff):
+        # squeezed vacuum holds even photon numbers only, so teleport_basic on
+        # a squeezed pair reaches even totals only and keeps only their groups
+        q = QubitAmplitudes(0.6, 0.8)
+        teleport_basic(q, squeezed_spec(0.4, cutoff), squeezed_spec(-0.4, cutoff))
+        store = optics._STORE
+        assert store.caps == (cutoff, cutoff) and store.kept == {0}
+        assert all((block is None) == (k % 2 == 1) for k, block in enumerate(store.blocks))
+        assert stored_bytes(store) == 8 * block_entries(cutoff, (0,)) == 8 * store_entries(cutoff, (0,))
+        # an enhanced run at the same caps fills the odd groups from the even
+        # bands, to the bytes of a store that kept both parities from empty
+        teleport_enhanced(q, coherent_spec(1.0, cutoff))
+        assert optics._STORE is store and store.kept == {0, 1}
+        optics._STORE = optics._Store()
+        teleport_enhanced(q, coherent_spec(1.0, cutoff))
+        mixed = optics._STORE
+        assert (store.caps, store.built) == (mixed.caps, mixed.built)
+        assert len(store.blocks) == len(mixed.blocks)
+        for k, (block, expected) in enumerate(zip(store.blocks, mixed.blocks)):
+            assert block.shape == expected.shape and block.tobytes() == expected.tobytes(), k
+        assert stored_bytes(store) == 8 * store_entries(cutoff)
 
 
 def turn_per_total(amplitudes: np.ndarray) -> dict:
@@ -694,37 +739,48 @@ class TestGroupedTurn:
 
 
 class TestConcurrentCallers:
-    def test_threads_from_an_empty_store_give_the_single_threaded_bytes(self, fresh_bands):
-        # three threads of distinct cutoffs grow and raise one empty store at
-        # once, with the interpreter switching threads as often as it can
-        alphas = {14: 1.0, 40: 3.0, 90: 6.0}
+    def test_threads_on_one_store_give_the_single_threaded_bytes(self, fresh_bands):
+        # four threads of distinct cutoffs grow and raise one store at once,
+        # with the interpreter switching threads as often as it can.  The
+        # squeezed run reaches even totals only; every other round starts from
+        # the even bands of a smaller squeezed run, so that the first coherent
+        # run to plan fills the odd groups while the others grow or raise
+        q = QubitAmplitudes(0.6, 0.8)
+        specs = {"coherent 14": (coherent_spec(1.0, 14),),
+                 "coherent 40": (coherent_spec(3.0, 40),),
+                 "squeezed 64": (squeezed_spec(0.8, 64), squeezed_spec(-0.8, 64)),
+                 "coherent 90": (coherent_spec(6.0, 90),)}
 
-        def columns(cutoff):
-            report = teleport_enhanced(QubitAmplitudes(0.6, 0.8), coherent_spec(alphas[cutoff], cutoff))
+        def columns(name):
+            protocol = teleport_enhanced if len(specs[name]) == 1 else teleport_basic
+            report = protocol(q, *specs[name])
             return [np.asarray(column).tobytes() for column in (
                 report.counts, report.probabilities, report.classifications,
                 report.fidelities, report.corrections, report.coordinates)]
 
         expected = {}
-        for cutoff in alphas:
+        for name in specs:
             optics._STORE = optics._Store()
-            expected[cutoff] = columns(cutoff)
+            expected[name] = columns(name)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            for _ in range(10):
+            for attempt in range(10):
                 optics._STORE = optics._Store()
-                barrier = threading.Barrier(len(alphas))
+                if attempt % 2:
+                    teleport_basic(q, squeezed_spec(0.4, 26), squeezed_spec(-0.4, 26))
+                    assert optics._STORE.kept == {0}
+                barrier = threading.Barrier(len(specs))
                 got = {}
 
-                def run(cutoff):
+                def run(name):
                     barrier.wait(timeout=60)
                     try:
-                        got[cutoff] = columns(cutoff)
+                        got[name] = columns(name)
                     except Exception as error:  # reported by the comparison below
-                        got[cutoff] = error
+                        got[name] = error
 
-                threads = [threading.Thread(target=run, args=(cutoff,)) for cutoff in alphas]
+                threads = [threading.Thread(target=run, args=(name,)) for name in specs]
                 for thread in threads:
                     thread.start()
                 for thread in threads:

@@ -354,15 +354,29 @@ class TestCli:
 
     @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)],
                              ids=["umask-022", "umask-077"])
-    def test_results_document_mode_follows_the_umask(self, tmp_path, umask, mode):
-        # as a plain write would create it, also over an existing document
+    def test_results_document_mode_follows_the_umask(self, tmp_path, monkeypatch, umask, mode):
+        # as a plain write would create it, also over an existing document,
+        # and without setting the umask, which every thread shares: a file
+        # another thread created while it was 0 would get no mask
+        def refuse(_mask):
+            raise AssertionError("the umask is set while writing a results document")
+
+        def fail(*_paths):
+            raise OSError("no space left on the device")
+
         scenario = self.write(tmp_path, SCISSORS_DOC)
         out = tmp_path / "results.json"
         out.write_text("")
         out.chmod(0o600 if mode == 0o644 else 0o644)
         old = os.umask(umask)
         try:
-            assert main(["run", "--scenario", scenario, "--out", str(out), "--quiet"]) == 0
+            with monkeypatch.context() as patched:
+                patched.setattr(os, "umask", refuse)
+                assert main(["run", "--scenario", scenario, "--out", str(out), "--quiet"]) == 0
+                # a write that fails leaves the document as it was and no temporary file
+                patched.setattr(os, "replace", fail)
+                with pytest.raises(OSError, match="no space left"):
+                    cli._write_atomic(out, "{}\n")
         finally:
             os.umask(old)
         assert stat.S_IMODE(out.stat().st_mode) == mode
