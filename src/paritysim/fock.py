@@ -81,13 +81,14 @@ class SingleModeState:
         object.__setattr__(self, "amplitudes", amps)
 
     @classmethod
-    def _trusted(cls, amplitudes: np.ndarray) -> "SingleModeState":
-        """Wrap a 1-D complex128 array that the caller already checked finite
-        and made read-only, with zero tail mass, without the copy and the
-        scan of construction: a row of a protocol report's receivers."""
+    def _trusted(cls, amplitudes: np.ndarray, tail_mass: float = 0.0) -> "SingleModeState":
+        """Wrap a non-empty 1-D complex128 array that the caller owns, has
+        made read-only and knows to be finite, and a ``tail_mass`` in [0, 1],
+        without the copy and the checks of construction: a state the package
+        has just built, or a row of a protocol report's receivers."""
         state = object.__new__(cls)
         object.__setattr__(state, "amplitudes", amplitudes)
-        object.__setattr__(state, "tail_mass", 0.0)
+        object.__setattr__(state, "tail_mass", tail_mass)
         return state
 
     @property

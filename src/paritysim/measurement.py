@@ -34,23 +34,30 @@ class CountDistribution:
 
     def __post_init__(self):
         raw = {int(n): float(p) for n, p in self.probabilities.items()}
-        # the negated test also rejects NaN, which fails every comparison
-        if not all(0.0 <= p <= 1.0 + 1e-12 for p in raw.values()):
-            raise ValueError("probabilities must lie in [0, 1]")
-        probs = {n: p for n, p in raw.items() if p > 0.0}
-        total = sum(probs.values())
-        if abs(total - 1.0) > 1e-10:
-            raise ValueError(f"probabilities sum to {total}, not 1")
-        object.__setattr__(self, "probabilities", probs)
+        _check_probabilities(raw.values())
+        object.__setattr__(self, "probabilities", {n: p for n, p in raw.items() if p > 0.0})
 
     def probability(self, n: int) -> float:
         return self.probabilities.get(n, 0.0)
 
     def odd_probability(self) -> float:
-        return sum(p for n, p in self.probabilities.items() if n % 2 == 1)
+        return sum((p for n, p in self.probabilities.items() if n % 2 == 1), 0.0)
 
     def max_count(self) -> int:
         return max(self.probabilities, default=0)
+
+
+def _check_probabilities(values) -> None:
+    """Raise ``ValueError`` unless each of the floats ``values`` lies in
+    [0, 1 + 1e-12] and the positive ones, added in their order, sum to 1
+    within 1e-10."""
+    values = list(values)
+    # the negated test also rejects NaN, which fails every comparison
+    if not all(0.0 <= p <= 1.0 + 1e-12 for p in values):
+        raise ValueError("probabilities must lie in [0, 1]")
+    total = sum(p for p in values if p > 0.0)
+    if abs(total - 1.0) > 1e-10:
+        raise ValueError(f"probabilities sum to {total}, not 1")
 
 
 @dataclass(frozen=True)
@@ -137,25 +144,60 @@ def _count_factored(sent: SingleModeState, left: np.ndarray, right: np.ndarray):
 
 
 def thinned_distribution(dist: CountDistribution, det: DetectorModel) -> CountDistribution:
-    """Binomial thinning of an exact count distribution by detector efficiency.
+    """Binomial thinning of an exact count distribution by detector efficiency."""
+    probs = np.zeros(dist.max_count() + 1)
+    probs[list(dist.probabilities)] = list(dist.probabilities.values())
+    return CountDistribution(dict(enumerate(_thinned(probs, det.efficiency).tolist())))
 
-    The binomial weights of n photons come from those of n - 1 by
-    B_n(k) = eta B_{n-1}(k-1) + (1-eta) B_{n-1}(k), a convex combination of
-    non-negative numbers, so they neither overflow nor cancel at any count.
+
+#: Floats in one block of ``_thinned``'s binomial rows, 8 MiB.
+_THINNING_FLOATS = 1 << 20
+
+
+def _thinned(probs: np.ndarray, eta: float) -> np.ndarray:
+    """sum_n probs[n] B_n: ``probs`` holds the probabilities of counts
+    0..top, and B_n(k) = C(n, k) eta^k (1-eta)^(n-k) is the chance that k of
+    n photons are seen.
+
+    B_n comes from B_(n-1) row by row, as B_n(k) = (1-eta) B_(n-1)(k) + eta
+    B_(n-1)(k-1), a convex combination of non-negative numbers, so the
+    weights neither overflow nor cancel at any count.  Each block of rows is
+    scaled by its probabilities and added to the sum so far by
+    ``np.add.reduce`` over its first axis, which adds them in ascending count
+    order, one after the other, for every k.  A block holds at most
+    ``_THINNING_FLOATS`` floats, so a count near 10^5 needs no square matrix.
     """
-    eta = det.efficiency
-    top = dist.max_count()
-    weights = np.zeros(top + 1)  # B_n(k), zero beyond k = n
-    weights[0] = 1.0
-    out = np.zeros(top + 1)
-    for n in range(top + 1):
-        if n:
-            weights[1 : n + 1] = (1.0 - eta) * weights[1 : n + 1] + eta * weights[:n]
-            weights[0] *= 1.0 - eta
-        p = dist.probability(n)
-        if p:
-            out += p * weights
-    return CountDistribution(dict(enumerate(out.tolist())))
+    size = probs.size
+    height = min(size, max(1, _THINNING_FLOATS // size))
+    rows = np.zeros((height + 1, size))  # row 0 holds the sum so far
+    keep = 1.0 - eta
+    for start in range(0, size, height):
+        block = rows[1 : 1 + min(height, size - start)]
+        for n, row in enumerate(block, start):
+            if n:
+                np.multiply(last, keep, out=row)
+                row[1:] += eta * last[:-1]
+            else:
+                row[0] = 1.0
+            last = row
+        last = last.copy()  # the next block grows from it
+        block *= probs[start : start + len(block), None]
+        rows[0] = np.add.reduce(rows[: len(block) + 1], axis=0)
+    return rows[0]
+
+
+def _lossy_parities(probs: np.ndarray, det: DetectorModel) -> tuple[float, float, float]:
+    """``(odd ideal, odd lossy, tvd)`` for the count distribution whose count
+    n has probability ``probs[n]``: the probability of an odd count before
+    and after ``thinned_distribution`` by ``det``, and the total-variation
+    distance between the two, each added in ascending count order.  Both
+    distributions are checked as ``CountDistribution`` checks them."""
+    lossy = _thinned(probs, det.efficiency)
+    ideal_values, lossy_values = probs.tolist(), lossy.tolist()
+    _check_probabilities(ideal_values)
+    _check_probabilities(lossy_values)
+    return (sum(ideal_values[1::2], 0.0), sum(lossy_values[1::2], 0.0),
+            0.5 * sum(np.abs(probs - lossy).tolist()))
 
 
 def lossy_count_distribution(state, mode: int, det: DetectorModel) -> CountDistribution:
@@ -173,7 +215,9 @@ def parity_flip_probability(dist: CountDistribution, det: DetectorModel) -> floa
 
 
 def total_variation_distance(d1: CountDistribution, d2: CountDistribution) -> float:
-    counts = set(d1.probabilities) | set(d2.probabilities)
+    """Half the sum of |d1(n) - d2(n)| over the counts of either, in
+    ascending order."""
+    counts = sorted(set(d1.probabilities) | set(d2.probabilities))
     return 0.5 * sum(abs(d1.probability(n) - d2.probability(n)) for n in counts)
 
 

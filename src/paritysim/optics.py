@@ -103,6 +103,24 @@ the bands alone.  Of these the even groups take
 
 bytes and the odd ones 8 c (c + 2 G) (c + G + 2) / 4: 136 105 608 and
 136 448 000 bytes at c = 400, so a store that keeps one parity takes half.
+
+``_turn`` gets rows c > N/2 from the same products with the odd-a rows of
+the amplitudes negated.  Where no odd-a amplitude is nonzero, that negation
+changes no nonzero term, so the second half of its output is a copy of the
+first; where no even-a amplitude is nonzero, it negates every nonzero term,
+so the second half is the first negated.  Either way each product is made
+once: a teleport on a squeezed pair, whose sent state holds even levels
+only, is one such input.  Every nonzero value keeps the bits of the second
+product; only the sign of an exact zero can differ from it.
+
+``_turn`` writes its zero-padded amplitudes and its output into scratch
+arrays that each thread keeps, ``_BUFFERS``: each grows to exactly the size
+of the largest call so far, up to ``_KEPT_BYTES``, and is reused after, so
+a warm call allocates neither, and whether it faults fresh pages in does
+not depend on the heap's history.  A call that needs more turns in arrays
+of its own, freed with it.  The output that ``_turn`` returns is a view of
+the calling thread's buffer, valid until that thread's next ``_turn``; its
+callers copy what they keep.  A thread holds its buffers until it ends.
 """
 
 from __future__ import annotations
@@ -370,8 +388,14 @@ def phase_shift(state, phi: float, mode: int = 0):
     if isinstance(state, SingleModeState):
         if mode != 0:
             raise InvalidMode(f"single-mode state has only mode 0, got {mode}")
-        factors = _phase_factors(phi, state.amplitudes.size)
-        return SingleModeState(state.amplitudes * factors, tail_mass=state.tail_mass)
+        # a factor off the quarter cycle can push a finite amplitude near the
+        # largest float past it
+        with np.errstate(over="ignore", invalid="ignore"):
+            shifted = state.amplitudes * _phase_factors(phi, state.amplitudes.size)
+        if not np.isfinite(shifted.view(np.float64)).all():
+            raise ValueError("amplitudes must be finite (no NaN/Inf)")
+        shifted.flags.writeable = False
+        return SingleModeState._trusted(shifted, state.tail_mass)
     matrix = _two_mode(state, mode)
     factors = _phase_factors(phi, matrix.shape[mode])
     return _read_only(matrix * (factors[:, None] if mode == 0 else factors))
@@ -412,20 +436,21 @@ def _turn(first: np.ndarray, second: np.ndarray) -> tuple[np.ndarray, np.ndarray
     leaving port 2, before the blocks' row phases.  Rows go run by run,
     first c = 0, 1, .. and then c = N, N - 1, .. for each total; a row whose
     c exceeds its total is padding, zeros or a copy of another row, for the
-    caller to skip.
+    caller to skip.  ``out`` is a view of the thread's scratch buffer and
+    holds until the thread's next ``_turn``.
     """
     global _STORE
     shape = np.broadcast_shapes(np.shape(first), np.shape(second))
     rows, cols = shape[:2]
     # a run's views read at most 2 (G - 1) rows past a = rows - 1
-    amplitudes = np.empty((rows + 2 * _GROUP - 2, *shape[1:]), dtype=np.complex128)
+    padded = (rows + 2 * _GROUP - 2, *shape[1:])
+    amplitudes = _buffer("amplitudes", np.complex128, padded)
     np.multiply(first, second, out=amplitudes[:rows])
     amplitudes[rows:] = 0.0
     parts = amplitudes.reshape(len(amplitudes), cols, -1).view(np.float64)  # (re, im) interleaved
     width = parts.shape[2]  # floats per (a, b)
     nonzero = parts[:rows].reshape(rows, -1) != 0.0  # by a, then by b and the trailing axes
-    totals = np.flatnonzero(np.convolve(nonzero.any(axis=1),
-                                        nonzero.any(axis=0).reshape(cols, -1).any(axis=1)))
+    totals, odd_a, even_a = _reached(nonzero, cols)
     if totals.size == 0:
         empty = np.empty(0, dtype=np.min_scalar_type(rows + cols))
         return empty, empty, np.empty((0, width // 2), dtype=np.complex128)
@@ -435,15 +460,55 @@ def _turn(first: np.ndarray, second: np.ndarray) -> tuple[np.ndarray, np.ndarray
     slabs = [np.ndarray(shape, buffer=amplitudes, offset=offset, strides=strides)
              for _, (shape, offset, strides), _ in products]
     # out[0] takes the products with rows c = i, out[1] those with c = N - i
-    out = np.empty((2, c.size // 2, width))
-    for sign in (0, 1):
+    out = _buffer("out", np.float64, (2, c.size // 2, width))
+    for sign in (0, 1) if odd_a and even_a else (0,):
         if sign:
             amplitudes[1:rows:2] *= -1.0
         for (band, _, rows_out), slab in zip(products, slabs):
             np.matmul(band, slab, out=out[sign, rows_out].reshape(*band.shape[:2], width))
+    if not odd_a:  # negating the odd-a rows would change no nonzero term
+        np.copyto(out[1], out[0])
+    elif not even_a:  # it would negate every one
+        np.negative(out[0], out=out[1])
     return c, totals, out.reshape(-1, width).view(np.complex128)
 
 
+def _reached(nonzero: np.ndarray, cols: int) -> tuple[np.ndarray, bool, bool]:
+    """``(totals, odd, even)`` for the amplitudes whose floats are nonzero
+    where ``nonzero`` is, by a and then by b and the trailing axes, with
+    ``cols`` levels b: the totals a + b that a nonzero row and a nonzero
+    column reach, and whether a nonzero amplitude has an odd a, and an even
+    a."""
+    by_a = nonzero.any(axis=1)
+    totals = np.flatnonzero(np.convolve(by_a, nonzero.any(axis=0).reshape(cols, -1).any(axis=1)))
+    return totals, bool(by_a[1::2].any()), bool(by_a[::2].any())
+
+
+#: Each thread's scratch arrays for ``_turn``, by name: flat arrays that
+#: grow to the largest size one call needs and are then reused, so a warm
+#: call allocates nothing.
+_BUFFERS = threading.local()
+
+#: The largest scratch array a thread keeps, in bytes.  Kept past their
+#: call, the 5.3 MB padded amplitudes and 10.5 MB output of the coherent
+#: cutoff-400 run raised its peak RSS by 5 MiB, and those of the squeezed
+#: cutoff-390 run its peak by 9 MiB, since the kernel's own temporaries
+#: come on top; every benchmark case needs less than 0.5 MB.
+_KEPT_BYTES = 1 << 22
+
+
+def _buffer(name: str, dtype, shape: tuple) -> np.ndarray:
+    """A C-contiguous array of ``shape`` and ``dtype`` on the calling
+    thread's scratch array ``name``, which grows to exactly this size if it
+    is smaller, up to ``_KEPT_BYTES``: its contents are whatever the
+    thread's last call left.  A larger array is the call's own."""
+    size = math.prod(shape)
+    flat = getattr(_BUFFERS, name, None)
+    if flat is None or flat.size < size:
+        flat = np.empty(size, dtype=dtype)
+        if flat.nbytes <= _KEPT_BYTES:
+            setattr(_BUFFERS, name, flat)
+    return flat[:size].reshape(shape)
 
 
 def _turned(pair: np.ndarray, phases: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

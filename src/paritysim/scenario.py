@@ -30,13 +30,7 @@ import numpy as np
 from . import __version__
 from .errors import SchemaError
 from .fock import _fields_equal, inner_product
-from .measurement import (
-    CountDistribution,
-    DetectorModel,
-    _count_factored,
-    thinned_distribution,
-    total_variation_distance,
-)
+from .measurement import DetectorModel, _count_factored, _lossy_parities
 from .optics import phase_shift
 from .protocols import (
     _state_audits,
@@ -455,13 +449,8 @@ def _detector_aggregates(counts: np.ndarray, probabilities: np.ndarray, efficien
     for index, label in ((0, "mode_a"), (1, "mode_b")):
         # each count's probabilities added in row order, counts ascending
         weights = np.bincount(counts[:, index], weights=probabilities)
-        ideal = CountDistribution(dict(enumerate(weights.tolist())))
-        lossy = thinned_distribution(ideal, det)
-        out[label] = {
-            "odd_parity_ideal": ideal.odd_probability(),
-            "odd_parity_lossy": lossy.odd_probability(),
-            "count_tvd": total_variation_distance(ideal, lossy),
-        }
+        ideal, lossy, tvd = _lossy_parities(weights, det)
+        out[label] = {"odd_parity_ideal": ideal, "odd_parity_lossy": lossy, "count_tvd": tvd}
     return out
 
 
@@ -503,8 +492,7 @@ def _parity_columns(sent, psi) -> tuple:
     odd_a = counts[:, 0] % 2 == 1
     none = np.full(len(probabilities), np.nan)
     columns = (counts, probabilities, np.where(odd_a, "odd_count_a", "even_count_a"), none, none)
-    # the integer 0 where no count is odd, as the records' sum has always given
-    return columns, sum(probabilities[odd_a].tolist())
+    return columns, sum(probabilities[odd_a].tolist(), 0.0)
 
 
 def _facts_results(s: Scenario) -> tuple:

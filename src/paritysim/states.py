@@ -63,6 +63,12 @@ _CANCELLATION_FREE_TAIL = 1e-3
 
 _LN2 = math.log(2.0)
 
+#: The most weights ``_remainder`` takes in one block.
+_REMAINDER_BLOCK = 4096
+
+#: log n! for n = 0, 1, .., grown by ``_log_factorials``.
+_LOG_FACTORIAL_TABLE = np.zeros(0)
+
 #: log of the smallest normal float: exp() below this loses precision, then underflows.
 _LOG_MIN_NORMAL = math.log(sys.float_info.min)
 
@@ -189,7 +195,10 @@ def build_state(spec: StateSpec) -> SingleModeState:
     Coherent and squeezed amplitudes are the exact truncated series (no
     renormalization), with the series remainder recorded as the tail mass.
     Raises TruncationTooSevere if that remainder reaches the spec's
-    tail tolerance, so truncation error stays auditable.
+    tail tolerance, so truncation error stays auditable.  The state wraps
+    its freshly built, read-only amplitudes without the copy and checks of
+    ``SingleModeState``'s constructor: each branch builds finite amplitudes
+    and a tail mass in [0, 1).
     """
     amps = np.zeros(spec.cutoff + 1, dtype=np.complex128)
     if spec.kind == "number":
@@ -218,12 +227,12 @@ def build_state(spec: StateSpec) -> SingleModeState:
         amps = _coherent_amplitudes(spec.alpha, spec.cutoff)
         # level n has the Poisson weight exp(-mean) mean^n / n!
         mean = abs(spec.alpha) ** 2
-        tail = 0.0 if mean == 0.0 else _remainder(
-            amps,
-            lambda n: n * math.log(mean) - mean - math.lgamma(n + 1),
-            lambda n: mean / (n + 1),
-            spec.cutoff + 1,
-        )
+        if mean == 0.0:
+            tail = 0.0
+        else:
+            log_mean = math.log(mean)
+            tail = _remainder(amps, lambda n, fact: n * log_mean - mean - fact[n],
+                              lambda n: mean / (n + 1), spec.cutoff + 1)
     else:  # squeezed_vacuum
         # support on even levels only; amplitude ratio between consecutive
         # even levels is -tanh(r) sqrt(2k+1)/sqrt(2k+2)
@@ -236,25 +245,47 @@ def build_state(spec: StateSpec) -> SingleModeState:
                 f"tanh r rounds to 1, so no cutoff holds the state"
             )
         log_cosh = _log_cosh(spec.r)
-        amps[0] = math.exp(-0.5 * log_cosh)
-        for k in range(spec.cutoff // 2):
-            amps[2 * k + 2] = amps[2 * k] * (-t) * math.sqrt(2 * k + 1) / math.sqrt(2 * k + 2)
+        amps[::2] = _squeezed_levels(t, log_cosh, spec.cutoff // 2)
         # level 2k has weight t^(2k) (2k)! / (4^k k!^2 cosh r); the ratio of
         # consecutive weights, t^2 (2k+1)/(2k+2), stays below t^2
         t2 = t * t
-        tail = 0.0 if t2 == 0.0 else _remainder(
-            amps,
-            lambda k: (k * math.log(t2) + math.lgamma(2 * k + 1) - k * math.log(4.0)
-                       - 2.0 * math.lgamma(k + 1) - log_cosh),
-            lambda k: t2,
-            spec.cutoff // 2 + 1,
-        )
+        if t2 == 0.0:
+            tail = 0.0
+        else:
+            log_t2, log_4 = math.log(t2), math.log(4.0)
+            tail = _remainder(
+                amps,
+                lambda k, fact: k * log_t2 + fact[2 * k] - k * log_4 - 2.0 * fact[k] - log_cosh,
+                lambda k: t2,
+                spec.cutoff // 2 + 1,
+            )
     if tail >= spec.tail_tolerance:
         raise TruncationTooSevere(
             f"tail mass {tail:.3e} at cutoff {spec.cutoff} exceeds tolerance "
             f"{spec.tail_tolerance:.3e}; raise the cutoff"
         )
-    return SingleModeState(amps, tail_mass=tail)
+    amps.flags.writeable = False
+    return SingleModeState._trusted(amps, tail)
+
+
+def _squeezed_levels(t: float, log_cosh: float, count: int) -> list:
+    """The amplitudes of levels 0, 2, .., 2 ``count`` of squeezed vacuum with
+    tanh r = ``t``: c_0 = exp(-log_cosh / 2), and the ratio of consecutive
+    levels -t sqrt(2k+1)/sqrt(2k+2).
+
+    The levels are real, and each step rounds as the complex128 step
+    c (-t) sqrt(2k+1) / sqrt(2k+2) rounds its real part: numpy's complex
+    division multiplies by the reciprocal, after adding the imaginary part
+    times the divisor's zero imaginary part, +0.0, which turns a -0.0 into
+    +0.0 once the series has underflowed.  So each level has the bits of
+    the complex128 recursion that results documents were made with.
+    """
+    level = math.exp(-0.5 * log_cosh)
+    levels = [level]
+    for k in range(count):
+        level = (level * (-t) * math.sqrt(2 * k + 1) + 0.0) * (1.0 / math.sqrt(2 * k + 2))
+        levels.append(level)
+    return levels
 
 
 def _log_cosh(r: float) -> float:
@@ -275,50 +306,103 @@ def _coherent_amplitudes(alpha: complex, cutoff: int) -> np.ndarray:
     exact power-of-two rescalings as w grows; otherwise e_n = 0 and this is the
     plain recursion.  Either way the alpha -> -alpha partner is the exact
     (-1)^n mirror, since every step only negates.
+
+    The recursion runs on Python floats, a complex step as the real and
+    imaginary parts of the products and sums that complex128 arithmetic
+    makes, in the same order, so each level, and each zero's sign, has the
+    bits of the complex128 recursion that results documents were made with.
     """
     log_c0 = -abs(alpha) ** 2 / 2.0
     exponent = 0
     if log_c0 < _LOG_MIN_NORMAL:
         exponent = math.floor(log_c0 / _LN2)
-    amps = np.zeros(cutoff + 1, dtype=np.complex128)
-    exponents = np.zeros(cutoff + 1, dtype=np.int64)
-    amps[0] = math.exp(log_c0 - exponent * _LN2)
-    exponents[0] = exponent
+    re, im, ar, ai = math.exp(log_c0 - exponent * _LN2), 0.0, alpha.real, alpha.imag
+    parts, exponents = [re, im], [exponent]
     for n in range(cutoff):
-        w = amps[n] * alpha / math.sqrt(n + 1)
-        if exponent < 0 and abs(w) >= 1.0:
-            shift = min(-exponent, math.frexp(abs(w))[1])
-            w = w * 2.0 ** -shift
+        # w = c alpha / sqrt(n + 1) on the real and imaginary parts, rounded
+        # as complex128 rounds it: numpy divides by a real as by a complex
+        # with zero imaginary part, multiplying by the reciprocal
+        re, im = re * ar - im * ai, re * ai + im * ar
+        scale = 1.0 / math.sqrt(n + 1)
+        re, im = (re + im * 0.0) * scale, (im - re * 0.0) * scale
+        if exponent < 0 and abs(complex(re, im)) >= 1.0:
+            shift = min(-exponent, math.frexp(abs(complex(re, im)))[1])
+            factor = 2.0 ** -shift
+            re, im = re * factor - im * 0.0, re * 0.0 + im * factor
             exponent += shift
-        amps[n + 1] = w
-        exponents[n + 1] = exponent
+        parts += (re, im)
+        exponents.append(exponent)
+    amps = np.array(parts).view(np.complex128)
     if exponents[0] < 0:
         amps.real = np.ldexp(amps.real, exponents)
         amps.imag = np.ldexp(amps.imag, exponents)
     return amps
 
 
-def _remainder(amps: np.ndarray, log_weight, ratio_bound, first: int) -> float:
+def _remainder(amps: np.ndarray, log_weights, ratio_bound, first: int) -> float:
     """Weight of a series beyond the amplitudes kept in ``amps``.
 
-    ``log_weight(j)`` is the log of the series' j-th weight and
-    ``ratio_bound(j)`` bounds every ratio of consecutive weights from j on.
-    A large remainder is 1 minus the kept weight.  A small one, which that
-    difference would cancel, is summed weight by weight from index ``first``
-    until the geometric bound on the rest is below rounding.
+    ``log_weights(j, fact)`` is the log of the series' weights at the
+    integer array j, given ``fact``, the table of log n! of
+    ``_log_factorials`` up to n = 2 max(j) at least.  ``ratio_bound(j)``, of
+    a number or an array j, bounds every ratio of consecutive weights from
+    j on, and does not grow with j.  A large remainder is 1 minus the kept
+    weight.  A small one, which that difference would cancel, is summed
+    weight by weight from index ``first`` until the geometric bound on the
+    rest is below rounding.  The weights are ``math.exp`` of their logs,
+    taken in blocks as long as the bound at a block's first index says the
+    sum needs, and added from left to right by ``np.add.accumulate``.
     """
     kept = float(np.sum(np.abs(amps) ** 2))
     if kept < 1.0 - _CANCELLATION_FREE_TAIL:
         return 1.0 - kept
-    total = 0.0
-    j = first
+    total, j = 0.0, first
     while True:
-        weight = math.exp(log_weight(j))
-        total += weight
         q = ratio_bound(j)
-        if weight == 0.0 or (q < 1.0 and weight * q <= (1.0 - q) * total * 2.0 ** -60):
-            return total
-        j += 1
+        size = _terms_needed(q)
+        index = np.arange(j, j + size)
+        terms = np.empty(size + 1)
+        terms[0] = total
+        logs = log_weights(index, _log_factorials(2 * j + 2 * size))
+        terms[1:] = list(map(math.exp, logs.tolist()))
+        weights, totals = terms[1:], np.add.accumulate(terms)[1:]
+        bounds = ratio_bound(index)
+        done = weights * bounds <= (1.0 - bounds) * totals * 2.0 ** -60
+        if q >= 1.0:  # there, only a zero weight stops the sum
+            done = (weights == 0.0) | ((bounds < 1.0) & done)
+        done = np.flatnonzero(done)
+        if done.size:
+            return float(totals[done[0]])
+        total, j = float(totals[-1]), j + size
+
+
+def _terms_needed(q: float) -> int:
+    """How many weights, each at most q times the one before, a remainder
+    sum takes until the rest, at most q / (1 - q) times the last weight, is
+    below 2^-60 of the sum: ``_REMAINDER_BLOCK`` at most, and where q is not
+    below 1."""
+    if q >= 1.0:
+        return _REMAINDER_BLOCK
+    if q == 0.0:  # a ratio bound that underflows: the next weight is 0
+        return 1
+    return min(_REMAINDER_BLOCK, max(1, math.ceil((math.log1p(-q) - 60.0 * _LN2) / math.log(q))))
+
+
+def _log_factorials(count: int) -> np.ndarray:
+    """log n! = ``math.lgamma(n + 1)`` for n = 0..``count`` - 1 at least,
+    from a read-only table that grows, to twice its length at least, when a
+    call needs more: it keeps a few floats for each level of the largest
+    cutoff built so far.  Every table holds the same value at an index, so
+    a thread that reads a shorter one than another thread has just stored
+    reads the same numbers."""
+    global _LOG_FACTORIAL_TABLE
+    table = _LOG_FACTORIAL_TABLE
+    if table.size < count:
+        grown = [math.lgamma(n + 1) for n in range(table.size, max(count, 2 * table.size))]
+        table = np.concatenate((table, grown))
+        table.flags.writeable = False
+        _LOG_FACTORIAL_TABLE = table
+    return table
 
 
 def _check_pair(u: SingleModeState, v: SingleModeState) -> complex:
@@ -357,7 +441,9 @@ def _superpose(a, x: SingleModeState, b, y: SingleModeState) -> SingleModeState:
     ns = float(np.sum(np.abs(raw) ** 2))
     if ns <= DEGENERACY_FLOOR:
         raise DegenerateSuperposition("u and v coincide up to sign")
-    return SingleModeState(raw / np.sqrt(ns), tail_mass=combined_tail(x.tail_mass, y.tail_mass, ns))
+    amps = raw / np.sqrt(ns)
+    amps.flags.writeable = False
+    return SingleModeState._trusted(amps, combined_tail(x.tail_mass, y.tail_mass, ns))
 
 
 def encode_qubit(

@@ -24,7 +24,8 @@ from paritysim import (
     thinned_distribution,
     total_variation_distance,
 )
-from paritysim.measurement import OUTCOME_FLOOR
+from paritysim import measurement
+from paritysim.measurement import OUTCOME_FLOOR, _lossy_parities
 
 
 def single_photon_pair():
@@ -269,3 +270,77 @@ class TestCountDistributionRange:
 
     def test_drops_zeros_after_range_check(self):
         assert CountDistribution({0: 0.0, 1: 1.0, 2: 0.0}).probabilities == {1: 1.0}
+
+
+def loop_thinned(dist: CountDistribution, det: DetectorModel) -> CountDistribution:
+    """The reference for ``thinned_distribution``: the binomial weights of n
+    photons grown from those of n - 1 in a loop over the counts, and each
+    count's weights times its probability added to the sum in turn."""
+    eta = det.efficiency
+    top = dist.max_count()
+    weights = np.zeros(top + 1)  # B_n(k), zero beyond k = n
+    weights[0] = 1.0
+    out = np.zeros(top + 1)
+    for n in range(top + 1):
+        if n:
+            weights[1 : n + 1] = (1.0 - eta) * weights[1 : n + 1] + eta * weights[:n]
+            weights[0] *= 1.0 - eta
+        p = dist.probability(n)
+        if p:
+            out += p * weights
+    return CountDistribution(dict(enumerate(out.tolist())))
+
+
+class TestThinningAgainstTheLoop:
+    """The row-wise thinning gives the loop's bits, in one block of rows or
+    in many."""
+
+    @pytest.mark.parametrize("block_floats", [None, 1, 7, 40], ids=lambda f: f"block {f}")
+    def test_random_distributions(self, rng, monkeypatch, block_floats):
+        if block_floats is not None:
+            monkeypatch.setattr(measurement, "_THINNING_FLOATS", block_floats)
+        for _ in range(60):
+            size = int(rng.integers(1, 50))
+            probs = rng.random(size) * (rng.random(size) < 0.6)
+            probs[-1] += 0.1
+            dist = CountDistribution(dict(enumerate((probs / probs.sum()).tolist())))
+            for eta in (0.0, 1.0, float(rng.random())):
+                det = DetectorModel(eta)
+                got, expected = thinned_distribution(dist, det), loop_thinned(dist, det)
+                assert repr(got.probabilities) == repr(expected.probabilities)
+
+    @pytest.mark.parametrize("block_floats", [None, 300_000], ids=["one block", "three blocks"])
+    def test_large_counts(self, monkeypatch, block_floats):
+        if block_floats is not None:
+            monkeypatch.setattr(measurement, "_THINNING_FLOATS", block_floats)
+        for probs in ({1100: 1.0}, {3: 0.25, 700: 0.5, 1100: 0.25}):
+            dist = CountDistribution(probs)
+            det = DetectorModel(0.9)
+            assert repr(thinned_distribution(dist, det).probabilities) == repr(
+                loop_thinned(dist, det).probabilities)
+
+    def test_detector_block_reads_the_distributions(self, rng):
+        # the detector block's arrays give the bits of the dict path, an odd
+        # probability of 0.0 where no count is odd included
+        for size in (1, 2, 3, 30):
+            probs = rng.random(size)
+            probs[1::2] *= rng.random() < 0.5
+            probs /= probs.sum()
+            for eta in (0.0, 0.65, 1.0):
+                det = DetectorModel(eta)
+                ideal = CountDistribution(dict(enumerate(probs.tolist())))
+                lossy = thinned_distribution(ideal, det)
+                expected = (ideal.odd_probability(), lossy.odd_probability(),
+                            total_variation_distance(ideal, lossy))
+                assert repr(_lossy_parities(probs, det)) == repr(expected)
+
+    @pytest.mark.parametrize("probs, message", [([0.5, 0.6], "sum to"), ([1.5, -0.5], "lie in")])
+    def test_detector_block_refuses_what_count_distribution_refuses(self, probs, message):
+        with pytest.raises(ValueError, match=message):
+            CountDistribution(dict(enumerate(probs)))
+        with pytest.raises(ValueError, match=message):
+            _lossy_parities(np.array(probs), DetectorModel(0.5))
+
+    def test_odd_probability_is_a_float_without_odd_counts(self):
+        probability = CountDistribution({0: 0.5, 2: 0.5}).odd_probability()
+        assert type(probability) is float and probability == 0.0

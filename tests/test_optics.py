@@ -73,6 +73,14 @@ class TestPhaseShift:
         with pytest.raises(InvalidMode):
             phase_shift(random_two_mode(rng, 5, 5, 5), 0.3, mode=2)
 
+    def test_single_mode_result_is_read_only_and_finite(self):
+        state = SingleModeState([0.6, 0.8], tail_mass=1e-13)
+        out = phase_shift(state, 0.3)
+        assert not out.amplitudes.flags.writeable and out.tail_mass == 1e-13
+        # a finite amplitude near the largest float leaves it off the quarter cycle
+        with pytest.raises(ValueError, match="must be finite"):
+            phase_shift(SingleModeState([0.0, complex(1.5e308, 1.5e308)]), math.pi / 4)
+
     @pytest.mark.parametrize("phi", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("multimode", [False, True])
     def test_non_finite_phase_refused(self, rng, phi, multimode):
@@ -639,6 +647,26 @@ SUPPORTS = {
 }
 
 
+def two_product_turn(amplitudes: np.ndarray, products: list) -> np.ndarray:
+    """The reference for ``optics._turn``'s output on ``amplitudes``, from
+    the ``products`` of its plan: every run's product made twice, on the
+    zero-padded amplitudes and then with their odd-a rows negated, into a
+    fresh output."""
+    rows = amplitudes.shape[0]
+    padded = np.zeros((rows + 2 * optics._GROUP - 2, *amplitudes.shape[1:]), dtype=complex)
+    padded[:rows] = amplitudes
+    width = 2 * math.prod(amplitudes.shape[2:])
+    half = sum(rows_out.stop - rows_out.start for _, _, rows_out in products)
+    out = np.full((2, half, width), np.nan)
+    for sign in (0, 1):
+        if sign:
+            padded[1:rows:2] *= -1.0
+        for band, (shape, offset, strides), rows_out in products:
+            slab = np.ndarray(shape, buffer=padded, offset=offset, strides=strides)
+            np.matmul(band, slab, out=out[sign, rows_out].reshape(*band.shape[:2], width))
+    return out.reshape(-1, width)
+
+
 class TestGroupedTurn:
     """``optics._turn`` against ``turn_per_total``, on every reached total.
 
@@ -737,19 +765,118 @@ class TestGroupedTurn:
         finally:
             gc.enable()
 
+    # where no odd-a or no even-a amplitude is nonzero, the second half of
+    # the output is a copy or the negation of the first, not a product
+    @pytest.mark.parametrize("a_set", [np.arange(0, 41, 2), np.arange(1, 41, 2), None],
+                             ids=["even a", "odd a", "mixed"])
+    @pytest.mark.parametrize("trailing", [(), (2,)], ids=["2 floats", "4 floats"])
+    def test_one_parity_of_a_gives_the_bits_of_two_products(self, rng, fresh_bands, a_set,
+                                                              trailing):
+        amplitudes = support(rng, 41, 33, trailing, a_set)
+        c, totals, out = optics._turn(amplitudes, 1.0)
+        (products, _, _), = optics._STORE.plans.values()
+        reference = two_product_turn(amplitudes, products)
+        got = out.view(np.float64)
+        assert got.shape == reference.shape
+        nonzero = reference != 0.0
+        assert got[nonzero].tobytes() == reference[nonzero].tobytes()
+        assert (got[~nonzero] == 0.0).all()
+
+
+class TestTurnBuffers:
+    """``_turn`` writes into buffers that each thread keeps and reuses."""
+
+    def test_a_report_keeps_its_columns_after_other_turns(self, fresh_bands):
+        # the kernel copies what it keeps out of the thread's buffers, so a
+        # report's columns hold after later turns, smaller or larger, write them
+        q = QubitAmplitudes(0.6, 0.8)
+
+        def columns(report):
+            return [np.asarray(column).tobytes() for column in (
+                report.counts, report.probabilities, report.classifications,
+                report.fidelities, report.corrections, report.coordinates, report.receivers)]
+
+        report = teleport_basic(q, squeezed_spec(0.8, 64), squeezed_spec(-0.8, 64))
+        kept = columns(report)
+        for protocol, specs in ((teleport_enhanced, (coherent_spec(1.0, 14),)),
+                                (teleport_basic, (squeezed_spec(0.4, 26), squeezed_spec(-0.4, 26))),
+                                (teleport_enhanced, (coherent_spec(6.0, 90),))):
+            protocol(q, *specs)
+            assert columns(report) == kept
+        assert columns(teleport_basic(q, squeezed_spec(0.8, 64), squeezed_spec(-0.8, 64))) == kept
+        state = tensor(build_state(squeezed_spec(0.4, 26)), build_state(squeezed_spec(-0.4, 26)))
+        split = beamsplitter_5050(state, 0, 1)
+        for buffer in (optics._BUFFERS.amplitudes, optics._BUFFERS.out):
+            assert not np.shares_memory(split, buffer)
+            assert not np.shares_memory(report.coordinates, buffer)
+
+    def test_each_thread_grows_its_own_buffers_to_the_size_a_call_needs(self, rng, fresh_bands):
+        amplitudes = support(rng, 20, 20, (2,))
+        _, _, out = optics._turn(amplitudes, 1.0)
+        mine = (optics._BUFFERS.amplitudes, optics._BUFFERS.out)
+        expected = out.tobytes()
+        seen = {}
+
+        def other():
+            sizes = []
+            for shape in ((12, 9), (30, 25, 2), (5, 5)):
+                _, _, theirs = optics._turn(support(np.random.default_rng(1), *shape[:2],
+                                                    shape[2:]), 1.0)
+                sizes.append(optics._BUFFERS.out.size)
+                # exactly what the call needed, kept when a smaller call follows
+                assert sizes[-1] == max(sizes[:-1] + [theirs.view(np.float64).size])
+            seen["buffers"] = (optics._BUFFERS.amplitudes, optics._BUFFERS.out)
+            seen["shares"] = any(np.shares_memory(buffer, mine_one)
+                                 for buffer in seen["buffers"] for mine_one in mine)
+
+        thread = threading.Thread(target=other)
+        thread.start()
+        thread.join(timeout=60)
+        assert not thread.is_alive() and set(seen) == {"buffers", "shares"}
+        assert not seen["shares"]
+        assert out.tobytes() == expected
+        assert optics._BUFFERS.amplitudes is mine[0] and optics._BUFFERS.out is mine[1]
+
+
+    def test_a_thread_keeps_no_buffer_above_the_limit(self, rng, fresh_bands, monkeypatch):
+        # a call that needs more than _KEPT_BYTES turns in arrays of its own
+        # and leaves the thread's smaller buffers as they were
+        small, large = support(rng, 6, 6, ()), support(rng, 30, 30, (2,))
+        monkeypatch.setattr(optics, "_KEPT_BYTES", 8 * 2000)
+        seen = {}
+
+        def run():
+            optics._turn(small, 1.0)
+            kept = (optics._BUFFERS.amplitudes, optics._BUFFERS.out)
+            _, _, out = optics._turn(large, 1.0)
+            seen["large"] = out.view(np.float64).nbytes
+            seen["kept"] = optics._BUFFERS.amplitudes is kept[0] and optics._BUFFERS.out is kept[1]
+            seen["shares"] = any(np.shares_memory(out, buffer) for buffer in kept)
+            seen["sizes"] = [buffer.nbytes for buffer in kept]
+
+        thread = threading.Thread(target=run)
+        thread.start()
+        thread.join(timeout=60)
+        assert not thread.is_alive()
+        assert seen["large"] > optics._KEPT_BYTES and max(seen["sizes"]) <= optics._KEPT_BYTES
+        assert seen["kept"] and not seen["shares"]
+
 
 class TestConcurrentCallers:
     def test_threads_on_one_store_give_the_single_threaded_bytes(self, fresh_bands):
-        # four threads of distinct cutoffs grow and raise one store at once,
-        # with the interpreter switching threads as often as it can.  The
-        # squeezed run reaches even totals only; every other round starts from
+        # five threads of distinct cutoffs grow and raise one store at once,
+        # with the interpreter switching threads as often as it can, each
+        # turning in buffers of its own.  The squeezed runs reach even
+        # totals only, so their turns copy the first half of each output to
+        # the second; every other round starts from
         # the even bands of a smaller squeezed run, so that the first coherent
         # run to plan fills the odd groups while the others grow or raise
         q = QubitAmplitudes(0.6, 0.8)
         specs = {"coherent 14": (coherent_spec(1.0, 14),),
                  "coherent 40": (coherent_spec(3.0, 40),),
                  "squeezed 64": (squeezed_spec(0.8, 64), squeezed_spec(-0.8, 64)),
-                 "coherent 90": (coherent_spec(6.0, 90),)}
+                 "coherent 90": (coherent_spec(6.0, 90),),
+                 "squeezed 96": (squeezed_spec(1.0, 96), squeezed_spec(-1.0, 96))}
 
         def columns(name):
             protocol = teleport_enhanced if len(specs[name]) == 1 else teleport_basic

@@ -166,6 +166,16 @@ class TestRunScenario:
         assert results.all_passed
         assert results.aggregates["success_probability"] == pytest.approx(0.25, abs=1e-12)
 
+    def test_parity_fields_are_floats_where_no_count_is_odd(self):
+        # a facts run never has an odd count in A, and neither does its
+        # detector's mode A: each of those sums over no record is 0.0
+        doc = json.loads((DEMO_SCENARIOS / "lossy_facts_coherent.json").read_text())
+        fields = run_scenario(validate_scenario(doc)).to_dict()["aggregates"]
+        mode_a = fields["detector"]["mode_a"]
+        for value in (fields["fact1_odd_parity_mode_a"], mode_a["odd_parity_ideal"],
+                      mode_a["odd_parity_lossy"]):
+            assert type(value) is float and value == 0.0
+
     def test_detector_block(self):
         doc = dict(ENHANCED_DOC, detector_efficiency=0.85)
         results = run_scenario(validate_scenario(doc))
@@ -307,7 +317,7 @@ def lossy_scenarios(draw):
 @settings(max_examples=60, deadline=None)
 @given(doc=lossy_scenarios())
 def test_detector_block_is_the_dict_loop_marginals(doc):
-    # bit for bit, an integer 0 where no count of a mode is odd included
+    # bit for bit, a 0.0 where no count of a mode is odd included
     results = run_scenario(validate_scenario(doc))
     expected = dict_loop_detector(results.outcomes, doc["detector_efficiency"])
     assert repr(results.aggregates["detector"]) == repr(expected)

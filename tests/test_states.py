@@ -1,7 +1,10 @@
 import math
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import half_cycle_spec, random_single, real_overlap_partner
 from paritysim import (
@@ -455,3 +458,125 @@ class TestHugeAmplitudes:
         for tiny in (1e-8, 1e-200, 5e-324):
             with pytest.raises(DegenerateState):
                 build_state(explicit_spec([tiny, 0.0]))
+
+
+def loop_coherent(alpha: complex, cutoff: int) -> np.ndarray:
+    """The coherent series as one complex128 recursion step per level, the
+    reference for ``states._coherent_amplitudes``: c_(n+1) = c_n alpha /
+    sqrt(n + 1) on w_n = c_n 2^-e_n, e_n folded back towards 0 by exact
+    rescalings."""
+    log_c0 = -abs(alpha) ** 2 / 2.0
+    exponent = 0
+    if log_c0 < math.log(sys.float_info.min):
+        exponent = math.floor(log_c0 / math.log(2.0))
+    amps = np.zeros(cutoff + 1, dtype=np.complex128)
+    exponents = np.zeros(cutoff + 1, dtype=np.int64)
+    amps[0] = math.exp(log_c0 - exponent * math.log(2.0))
+    exponents[0] = exponent
+    for n in range(cutoff):
+        w = amps[n] * alpha / math.sqrt(n + 1)
+        if exponent < 0 and abs(w) >= 1.0:
+            shift = min(-exponent, math.frexp(abs(w))[1])
+            w = w * 2.0 ** -shift
+            exponent += shift
+        amps[n + 1] = w
+        exponents[n + 1] = exponent
+    if exponents[0] < 0:
+        amps.real = np.ldexp(amps.real, exponents)
+        amps.imag = np.ldexp(amps.imag, exponents)
+    return amps
+
+
+def loop_squeezed(t: float, log_cosh: float, cutoff: int) -> np.ndarray:
+    """The squeezed series as one complex128 step per even level, the
+    reference for ``states._squeezed_levels``."""
+    amps = np.zeros(cutoff + 1, dtype=np.complex128)
+    amps[0] = math.exp(-0.5 * log_cosh)
+    for k in range(cutoff // 2):
+        amps[2 * k + 2] = amps[2 * k] * (-t) * math.sqrt(2 * k + 1) / math.sqrt(2 * k + 2)
+    return amps
+
+
+def loop_remainder(amps: np.ndarray, log_weight, ratio_bound, first: int) -> float:
+    """The reference for ``states._remainder``: 1 minus the kept weight when
+    that is at least 1e-3, else the weights from ``first`` on, one
+    ``math.exp`` of a log weight at a time, until the geometric bound on
+    the rest is below rounding."""
+    kept = float(np.sum(np.abs(amps) ** 2))
+    if kept < 1.0 - 1e-3:
+        return 1.0 - kept
+    total = 0.0
+    j = first
+    while True:
+        weight = math.exp(log_weight(j))
+        total += weight
+        q = ratio_bound(j)
+        if weight == 0.0 or (q < 1.0 and weight * q <= (1.0 - q) * total * 2.0 ** -60):
+            return total
+        j += 1
+
+
+def loop_state(spec) -> tuple[np.ndarray, float]:
+    """``(amplitudes, tail)`` of a coherent or squeezed spec from the loops."""
+    if spec.kind == "coherent":
+        amps = loop_coherent(spec.alpha, spec.cutoff)
+        mean = abs(spec.alpha) ** 2
+        tail = 0.0 if mean == 0.0 else loop_remainder(
+            amps, lambda n: n * math.log(mean) - mean - math.lgamma(n + 1),
+            lambda n: mean / (n + 1), spec.cutoff + 1)
+        return amps, tail
+    t = math.tanh(spec.r)
+    log_cosh = abs(spec.r) - math.log(2.0) + math.log1p(math.exp(-2.0 * abs(spec.r)))
+    amps = loop_squeezed(t, log_cosh, spec.cutoff)
+    t2 = t * t
+    tail = 0.0 if t2 == 0.0 else loop_remainder(
+        amps,
+        lambda k: (k * math.log(t2) + math.lgamma(2 * k + 1) - k * math.log(4.0)
+                   - 2.0 * math.lgamma(k + 1) - log_cosh),
+        lambda k: t2,
+        spec.cutoff // 2 + 1)
+    return amps, tail
+
+
+class TestSeriesAgainstTheLoops:
+    """``build_state`` gives the bits of the per-level loops, amplitudes
+    (signs of zeros included) and tail mass, or refuses where their tail
+    reaches the tolerance: over squeezing from 1e-9 to 5 (where the series
+    underflows at large cutoffs), coherent amplitudes up to 45 (past 37.6,
+    where the prefactor is no normal float) and cutoffs from 0 to about
+    |alpha|^2 + 12 |alpha| + 600."""
+
+    def check(self, spec):
+        amps, tail = loop_state(spec)
+        if tail >= spec.tail_tolerance:
+            with pytest.raises(TruncationTooSevere):
+                build_state(spec)
+            return
+        state = build_state(spec)
+        assert state.amplitudes.tobytes() == amps.tobytes()
+        assert state.tail_mass.hex() == tail.hex()
+        assert not state.amplitudes.flags.writeable
+
+    @settings(max_examples=150, deadline=None)
+    @given(r=st.floats(1e-9, 5.0), sign=st.sampled_from((1.0, -1.0)),
+           cutoff=st.integers(0, 700), tolerance=st.sampled_from((1e-12, 0.5, 0.999)))
+    def test_squeezed(self, r, sign, cutoff, tolerance):
+        self.check(squeezed_spec(sign * r, cutoff, tolerance))
+
+    @settings(max_examples=150, deadline=None)
+    @given(magnitude=st.one_of(st.floats(0.0, 12.0), st.floats(37.0, 45.0)),
+           phase=st.floats(0.0, 2 * math.pi), extra=st.integers(0, 600),
+           tolerance=st.sampled_from((1e-12, 0.5, 0.999)))
+    def test_coherent(self, magnitude, phase, extra, tolerance):
+        alpha = magnitude * complex(math.cos(phase), math.sin(phase))
+        cutoff = int(magnitude * magnitude + 12 * magnitude) * (extra % 2) + extra
+        self.check(coherent_spec(alpha, cutoff, tolerance))
+
+    @pytest.mark.parametrize("spec", [squeezed_spec(0.01, 4), squeezed_spec(-1.0, 96),
+                                      squeezed_spec(1e-6, 2000, 0.5), coherent_spec(0.08, 4),
+                                      coherent_spec(4.0, 52), coherent_spec(40.0, 2000),
+                                      # mean photon numbers whose ratio bound underflows
+                                      coherent_spec(1e-161, 1000), coherent_spec(2e-162, 10**5)],
+                             ids=str)
+    def test_benchmark_and_edge_sizes(self, spec):
+        self.check(spec)
