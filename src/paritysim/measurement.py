@@ -116,6 +116,17 @@ def _count_factored(sent: SingleModeState, left: np.ndarray, right: np.ndarray):
     ``sent`` and row of ``left`` reach, which is what keeps even-only
     (squeezed) supports cheap.
 
+    It also skips the totals that cannot hold a record.  Each block is
+    unitary, so the probabilities of the records of total N sum to
+    W_N = sum_(a + m = N) |sent_a|^2 l_m, with l_m = Re(left_m G left_m^H)
+    >= 0 the weight of resource row m, and none exceeds it: W is one
+    convolution of two short non-negative vectors.  A total with W_N below
+    half of ``OUTCOME_FLOOR`` is dead; the factor 2 leaves room for the
+    rounding of W_N and of a record's computed probability, each many
+    orders smaller.  ``_turn`` turns the totals from the first to the last
+    live one, with the bits a turn of every total gives them, so the records
+    kept are the same to the last bit.
+
     All rows of Y are then scored together, as they come, padding included.
     Record (na, nb)'s amplitudes are its row of Y Q^T times (-i)^na, so its
     probability is Re sum (Y G) * conj(Y) over that row, with the r x r
@@ -128,7 +139,14 @@ def _count_factored(sent: SingleModeState, left: np.ndarray, right: np.ndarray):
     gram = np.ascontiguousarray(right.T) @ right.conj()
     # the blocks' column phases i^a = conj((-i)^a), folded into the input once
     twisted = sent.amplitudes * _MINUS_I_POWERS[np.arange(sent.amplitudes.size) % 4].conj()
-    c, totals, out = _turn(twisted[:, None, None], left)
+    # the bound W of the docstring: l is summed from the (re, im) floats, and
+    # the convolution runs on complex numbers with zero imaginary parts, since
+    # numpy's float convolution would fault in about 90 KB of library code
+    # that no other step of a run reads, and a complex einsum another 60 KB
+    factor = np.ascontiguousarray(left, dtype=np.complex128)
+    weights = np.multiply(np.dot(factor, gram).view(np.float64), factor.view(np.float64)).sum(axis=1)
+    bounds = np.convolve(sent.amplitudes * sent.amplitudes.conj(), weights).real
+    c, totals, out = _turn(twisted[:, None, None], left, bounds >= OUTCOME_FLOOR / 2)
     # Re(a conj(b)) = Re a Re b + Im a Im b, summed over the (re, im) pairs
     probs = np.einsum("ij,ij->i", (out @ gram).view(np.float64), out.view(np.float64))
     kept = np.flatnonzero((probs >= OUTCOME_FLOOR) & (c <= totals))  # c > N: padding

@@ -66,6 +66,10 @@ _LN2 = math.log(2.0)
 #: The most weights ``_remainder`` takes in one block.
 _REMAINDER_BLOCK = 4096
 
+#: The most weights ``_remainder`` adds one at a time, where a block's fixed
+#: cost of about 25 numpy calls is more than the loop's.
+_LOOP_TERMS = 24
+
 #: log n! for n = 0, 1, .., grown by ``_log_factorials``.
 _LOG_FACTORIAL_TABLE = np.zeros(0)
 
@@ -343,20 +347,34 @@ def _remainder(amps: np.ndarray, log_weights, ratio_bound, first: int) -> float:
     """Weight of a series beyond the amplitudes kept in ``amps``.
 
     ``log_weights(j, fact)`` is the log of the series' weights at the
-    integer array j, given ``fact``, the table of log n! of
-    ``_log_factorials`` up to n = 2 max(j) at least.  ``ratio_bound(j)``, of
+    integer or integer array j, given ``fact``, the log n! of
+    ``_log_factorials`` up to n = 2 max(j) at least, as its table or as a
+    list.  ``ratio_bound(j)``, of
     a number or an array j, bounds every ratio of consecutive weights from
     j on, and does not grow with j.  A large remainder is 1 minus the kept
     weight.  A small one, which that difference would cancel, is summed
     weight by weight from index ``first`` until the geometric bound on the
     rest is below rounding.  The weights are ``math.exp`` of their logs,
     taken in blocks as long as the bound at a block's first index says the
-    sum needs, and added from left to right by ``np.add.accumulate``.
+    sum needs, and added from left to right by ``np.add.accumulate``.  A sum
+    that the bound puts at ``_LOOP_TERMS`` weights or fewer is added one
+    weight at a time instead, by the same float operations on Python floats,
+    so it has the same bits without a block's numpy calls.
     """
     kept = float(np.sum(np.abs(amps) ** 2))
     if kept < 1.0 - _CANCELLATION_FREE_TAIL:
         return 1.0 - kept
     total, j = 0.0, first
+    size = _terms_needed(ratio_bound(j))
+    if size <= _LOOP_TERMS:
+        fact = _log_factorials(2 * j + 2 * size)[: 2 * j + 2 * size].tolist()
+        for j in range(first, first + size):
+            weight = math.exp(log_weights(j, fact))
+            total += weight
+            q = ratio_bound(j)
+            if weight == 0.0 or (q < 1.0 and weight * q <= (1.0 - q) * total * 2.0 ** -60):
+                return total
+        j += 1  # rounding outran the bound: the blocks go on from here
     while True:
         q = ratio_bound(j)
         size = _terms_needed(q)

@@ -110,3 +110,14 @@ def kernel_records(sent: SingleModeState, resource: np.ndarray) -> dict:
     counts, probs, receivers = _count_factored(sent, resource, np.eye(resource.shape[1]))
     return {tuple(pair): (p, receiver)
             for pair, p, receiver in zip(counts.tolist(), probs.tolist(), receivers)}
+
+
+def total_bounds(sent: SingleModeState, left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """W_N = sum_(a + m = N) |sent_a|^2 Re(left_m G left_m^H) for each total
+    N, G = right^T conj(right), computed as the counting kernel computes it:
+    the most probability any record of total N can have, since each block
+    is unitary."""
+    gram = np.ascontiguousarray(right.T) @ right.conj()
+    factor = np.ascontiguousarray(left, dtype=np.complex128)
+    weights = np.multiply(np.dot(factor, gram).view(np.float64), factor.view(np.float64)).sum(axis=1)
+    return np.convolve(sent.amplitudes * sent.amplitudes.conj(), weights).real

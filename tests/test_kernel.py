@@ -32,7 +32,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from conftest import full_block, kernel_records, random_single
+from conftest import full_block, kernel_records, random_single, total_bounds
 from paritysim import (
     InvalidMode,
     QubitAmplitudes,
@@ -43,12 +43,14 @@ from paritysim import (
     count_distribution,
     encode_qubit,
     explicit_spec,
+    normalize,
     number_spec,
     phase_shift,
     resource_from_states,
     squeezed_spec,
     tensor,
 )
+from paritysim import optics
 from paritysim.measurement import OUTCOME_FLOOR, _count_factored
 from paritysim.states import _factors_on_pair, plus_minus
 
@@ -238,3 +240,152 @@ def test_every_block_up_to_120_is_unitary():
         block = full_block(total)
         worst = max(worst, float(np.max(np.abs(block.conj().T @ block - np.eye(total + 1)))))
     assert worst <= 1e-12
+
+
+def full_turn(sent, left, right):
+    """``(c, totals, out, probs)``: the kernel's turn with every reached
+    total turned, no live totals passed to ``optics._turn``, and each row's
+    probability as the kernel scores it."""
+    gram = np.ascontiguousarray(right.T) @ right.conj()
+    twisted = sent.amplitudes * optics._MINUS_I_POWERS[np.arange(sent.amplitudes.size) % 4].conj()
+    c, totals, out = optics._turn(twisted[:, None, None], left)
+    probs = np.einsum("ij,ij->i", (out @ gram).view(np.float64), out.view(np.float64))
+    return c, totals, out, probs
+
+
+def full_count(sent, left, right):
+    """The counting kernel on ``full_turn``: the reference for the totals
+    that ``_count_factored`` skips."""
+    c, totals, out, probs = full_turn(sent, left, right)
+    kept = np.flatnonzero((probs >= OUTCOME_FLOOR) & (c <= totals))
+    na = c[kept]
+    nb = totals[kept] - na
+    order = np.lexsort((nb, na))
+    kept, counts = kept[order], np.column_stack((na[order], nb[order])).astype(np.intp)
+    probs = probs[kept]
+    phases = optics._MINUS_I_POWERS[counts[:, 0] % 4]
+    return counts, probs, out[kept] * (phases / np.sqrt(probs))[:, None]
+
+
+def full_turn_rows(sent, left, right) -> tuple[np.ndarray, np.ndarray]:
+    """``(totals, probabilities)`` of every record row of ``full_turn``,
+    padding dropped."""
+    c, totals, _, probs = full_turn(sent, left, right)
+    rows = c <= totals
+    return totals[rows].astype(np.intp), probs[rows]
+
+
+def tiny_coefficients(gen, size: int) -> list:
+    """``size`` coefficients of random phase and magnitudes from 1 down to
+    1e-12, one of them of magnitude 1."""
+    magnitudes = 10.0 ** -gen.uniform(0.0, 12.0, size=size)
+    magnitudes[gen.integers(size)] = 1.0
+    return [cmath.rect(m, gen.uniform(0.0, 2 * math.pi)) for m in magnitudes.tolist()]
+
+
+@st.composite
+def kernel_inputs(draw):
+    """``(sent, left, right)`` as a protocol or the parity facts pass them:
+    a qubit on a coherent or squeezed pair, an explicit input with
+    coefficients down to 1e-12 on a number-state pair, or a coherent input
+    on the facts' one-column resource psi (x) |0>.  Cutoffs run from a few
+    levels, where the top totals are live, to past the minimal one."""
+    kind = draw(st.sampled_from(["coherent", "squeezed", "explicit", "facts"]))
+    gen = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    qubit = gen.normal(size=2) + 1j * gen.normal(size=2)
+    q = QubitAmplitudes(*(qubit / np.linalg.norm(qubit)))
+    if kind in ("coherent", "facts"):
+        magnitude = draw(st.floats(0.05, 4.0))
+        alpha = cmath.rect(magnitude, draw(st.floats(0.0, 2 * math.pi)))
+        cutoff = draw(st.integers(max(2, int(magnitude * magnitude)),
+                                  int(magnitude * magnitude + 8 * magnitude + 20)))
+        u = normalize(build_state(coherent_spec(alpha, cutoff, 0.9)))
+        if kind == "facts":
+            return phase_shift(u, math.pi / 2), u.amplitudes[:, None], np.ones((1, 1))
+        v = phase_shift(u, math.pi)
+    elif kind == "squeezed":
+        r = draw(st.floats(0.01, 1.2))
+        cutoff = 2 * draw(st.integers(1, 50))
+        u, v = (normalize(build_state(squeezed_spec(x, cutoff, 0.9))) for x in (r, -r))
+    else:
+        low, high = sorted(draw(st.lists(st.integers(0, 6), min_size=2, max_size=2, unique=True)))
+        u, v = build_state(number_spec(low, high)), build_state(number_spec(high, high))
+        sent = build_state(explicit_spec(tiny_coefficients(gen, draw(st.integers(2, 14)))))
+        return (phase_shift(sent, math.pi / 2), *_factors_on_pair(plus_minus(u, v)))
+    return encode_qubit(q, u, v, tilde=True), *_factors_on_pair(plus_minus(u, v))
+
+
+class TestLiveTotals:
+    """The kernel turns only the totals from the first to the last whose
+    bound W_N reaches half of ``OUTCOME_FLOOR``, and so keeps the bits of
+    the full turn."""
+
+    # a kept slice in a shape of its own rather than its run's moved a last
+    # bit in about 1 of 40 draws, so this takes many
+    @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(inputs=kernel_inputs(), fresh=st.booleans())
+    def test_skipping_keeps_the_bits_of_the_full_turn(self, inputs, fresh):
+        # a fresh store sees the skipping path first, so its bands and plans
+        # are those that the skip made
+        saved = optics._STORE
+        try:
+            if fresh:
+                optics._STORE = optics._Store()
+            got = _count_factored(*inputs)
+            expected = full_count(*inputs)
+        finally:
+            optics._STORE = saved
+        for array, reference in zip(got, expected):
+            assert array.dtype == reference.dtype and array.shape == reference.shape
+            assert array.tobytes() == reference.tobytes()
+
+    @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(inputs=kernel_inputs())
+    def test_a_dropped_total_holds_no_record(self, inputs):
+        bounds = total_bounds(*inputs)
+        totals, probs = full_turn_rows(*inputs)
+        dropped = bounds[totals] < OUTCOME_FLOOR / 2
+        assert (probs[dropped] < OUTCOME_FLOOR).all()
+        # each row within rounding of its total's bound
+        assert (probs <= bounds[totals] * (1 + 1e-12) + 1e-300).all()
+
+    @pytest.mark.parametrize("scale", [1.02, 0.98], ids=["just above", "just below"])
+    def test_a_bound_near_half_the_floor(self, scale):
+        # the vacuum resource keeps every photon in the sent state, so
+        # W_N = |sent_N|^2: total 5 sits just above or just below half the
+        # floor, with total 3 live below it and 7 dead above it
+        weight = scale * OUTCOME_FLOOR / 2
+        coefficients = np.zeros(8)
+        coefficients[3], coefficients[5], coefficients[7] = math.sqrt(1.0 - weight - 1e-16), math.sqrt(weight), 1e-8
+        sent = SingleModeState(coefficients)
+        inputs = (sent, np.array([[1.0 + 0j]]), np.ones((1, 1)))
+        bounds = total_bounds(*inputs)
+        assert (bounds[5] >= OUTCOME_FLOOR / 2) == (scale > 1)
+        totals, probs = full_turn_rows(*inputs)
+        assert (probs[totals >= 5] < OUTCOME_FLOOR).all()
+        got, expected = _count_factored(*inputs), full_count(*inputs)
+        for array, reference in zip(got, expected):
+            assert array.tobytes() == reference.tobytes()
+        assert got[0].sum(axis=1).tolist() == [3] * 4
+
+    def test_a_split_after_a_kernel_call_of_its_shape_gets_every_total(self):
+        # the kernel on the one-column resource turns amplitudes of the shape
+        # of the split of the same two states, but the plans differ by the
+        # totals turned: the split still holds every total
+        psi = build_state(coherent_spec(2.0, 30))
+        sent = phase_shift(psi, math.pi / 2)
+        bounds = total_bounds(sent, psi.amplitudes[:, None], np.ones((1, 1)))
+        assert bounds[-1] < OUTCOME_FLOOR / 2  # the kernel skips the top totals
+        saved = optics._STORE
+        try:
+            optics._STORE = optics._Store()
+            expected = beamsplitter_5050(tensor(sent, psi), 0, 1)
+            optics._STORE = optics._Store()
+            _count_factored(sent, psi.amplitudes[:, None], np.ones((1, 1)))
+            assert optics._STORE.built < 61
+            split = beamsplitter_5050(tensor(sent, psi), 0, 1)
+        finally:
+            optics._STORE = saved
+        assert split.tobytes() == expected.tobytes()
+        # the top total, 60, holds the product of the two top levels
+        assert split[:, ::-1].diagonal().any()

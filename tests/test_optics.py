@@ -7,7 +7,8 @@ import weakref
 import numpy as np
 import pytest
 
-from conftest import full_block, random_single, random_two_mode, shifted_split, store_band
+from conftest import (full_block, random_single, random_two_mode, shifted_split, store_band,
+                      total_bounds)
 from oracle import DenseSpace, exact_block_matrix
 from paritysim import (
     DegenerateState,
@@ -19,8 +20,10 @@ from paritysim import (
     build_state,
     coherent_spec,
     count_distribution,
+    encode_qubit,
     odd_parity_probability,
     phase_shift,
+    plus_minus,
     sample_counts,
     squeezed_spec,
     teleport_basic,
@@ -28,6 +31,8 @@ from paritysim import (
     tensor,
 )
 from paritysim import optics
+from paritysim.measurement import OUTCOME_FLOOR
+from paritysim.states import _factors_on_pair
 
 #: a finite two-mode matrix whose squared entries overflow
 HUGE = np.diag([1e200, 1e200])
@@ -546,8 +551,10 @@ class TestBandStore:
             assert np.max(np.abs(block.conj().T @ block - np.eye(total + 1))) <= 1e-13
 
     @pytest.mark.parametrize("cutoff", [16, 20, 40, 48])
-    def test_store_after_an_enhanced_run_holds_the_band_count(self, fresh_bands, cutoff):
-        teleport_enhanced(QubitAmplitudes(0.6, 0.8), coherent_spec(1.0, cutoff))
+    def test_store_after_a_full_split_holds_the_band_count(self, fresh_bands, cutoff):
+        # a split of two coherent states reaches every total of both parities,
+        # and beamsplitter_5050 turns each of them
+        full_split(cutoff)
         store = optics._STORE
         assert store.caps == (cutoff, cutoff)
         assert store.built == 2 * cutoff + 1
@@ -562,9 +569,11 @@ class TestBandStore:
             assert bands < block_entries(cutoff) <= store_entries(-(-cutoff // span) * span)
 
     def test_beamsplitter_keeps_the_caps_of_its_state(self, fresh_bands):
-        # a split of two cutoff-40 states reads only the bands an enhanced
-        # run at cutoff 40 already built, so the store does not grow
-        teleport_enhanced(QubitAmplitudes(0.6, 0.8), coherent_spec(1.0, 40))
+        # a split of two cutoff-40 states reads only the bands that the store
+        # already holds at caps 40, so it does not grow: the odd bands to 79,
+        # then the even ones, grown from them, to 80
+        store_band(79, 40, 40)
+        store_band(80, 40, 40)
         store = optics._STORE
         before = stored_bytes(store)
         s40 = build_state(coherent_spec(1.0, 40))
@@ -574,27 +583,57 @@ class TestBandStore:
         assert stored_bytes(store) == before == 8 * block_entries(40)
 
     @pytest.mark.parametrize("cutoff", [32, 48])
-    def test_a_squeezed_run_keeps_only_the_even_bands(self, fresh_bands, cutoff):
-        # squeezed vacuum holds even photon numbers only, so teleport_basic on
-        # a squeezed pair reaches even totals only and keeps only their groups
-        q = QubitAmplitudes(0.6, 0.8)
-        teleport_basic(q, squeezed_spec(0.4, cutoff), squeezed_spec(-0.4, cutoff))
+    def test_an_even_split_keeps_only_the_even_bands(self, fresh_bands, cutoff):
+        # squeezed vacuum holds even photon numbers only, so a split of two
+        # squeezed states reaches even totals only and keeps only their groups
+        split = tensor(build_state(squeezed_spec(0.4, cutoff)),
+                       build_state(squeezed_spec(-0.4, cutoff)))
+        beamsplitter_5050(split, 0, 1)
         store = optics._STORE
         assert store.caps == (cutoff, cutoff) and store.kept == {0}
         assert all((block is None) == (k % 2 == 1) for k, block in enumerate(store.blocks))
         assert stored_bytes(store) == 8 * block_entries(cutoff, (0,)) == 8 * store_entries(cutoff, (0,))
-        # an enhanced run at the same caps fills the odd groups from the even
-        # bands, to the bytes of a store that kept both parities from empty
-        teleport_enhanced(q, coherent_spec(1.0, cutoff))
+        # a split of coherent states at the same caps fills the odd groups
+        # from the even bands, to the bytes of a store that kept both
+        # parities from empty
+        full_split(cutoff)
         assert optics._STORE is store and store.kept == {0, 1}
         optics._STORE = optics._Store()
-        teleport_enhanced(q, coherent_spec(1.0, cutoff))
+        full_split(cutoff)
         mixed = optics._STORE
         assert (store.caps, store.built) == (mixed.caps, mixed.built)
         assert len(store.blocks) == len(mixed.blocks)
         for k, (block, expected) in enumerate(zip(store.blocks, mixed.blocks)):
             assert block.shape == expected.shape and block.tobytes() == expected.tobytes(), k
         assert stored_bytes(store) == 8 * store_entries(cutoff)
+
+    @pytest.mark.parametrize("spec", [coherent_spec(1.0, 40), coherent_spec(3.0, 48)], ids=str)
+    def test_a_heralded_run_grows_the_store_to_its_last_live_total(self, fresh_bands, spec):
+        # the kernel turns no total above the last whose weight bound reaches
+        # half the floor, so the store holds fewer bands than a full split of
+        # the same caps, and no record lies above that total
+        q = QubitAmplitudes(0.6, 0.8)
+        report = teleport_enhanced(q, spec)
+        u = build_state(spec)
+        v = phase_shift(u, math.pi)
+        last = last_live_total(encode_qubit(q, u, v, tilde=True), *_factors_on_pair(plus_minus(u, v)))
+        store = optics._STORE
+        assert store.caps == (spec.cutoff, spec.cutoff)
+        assert store.built == last + 1 < 2 * spec.cutoff + 1
+        assert int(report.counts.sum(axis=1).max()) <= last
+        assert stored_bytes(store) < 8 * block_entries(spec.cutoff)
+
+
+def full_split(cutoff: int) -> np.ndarray:
+    """The split of two coherent states of ``cutoff``, which reaches every
+    total 0..2 ``cutoff`` of both parities."""
+    state = tensor(build_state(coherent_spec(1.0, cutoff)), build_state(coherent_spec(-0.5, cutoff)))
+    return beamsplitter_5050(state, 0, 1)
+
+
+def last_live_total(sent, left, right) -> int:
+    """The largest photon total whose bound W_N reaches half the outcome floor."""
+    return int(np.flatnonzero(total_bounds(sent, left, right) >= OUTCOME_FLOOR / 2)[-1])
 
 
 def turn_per_total(amplitudes: np.ndarray) -> dict:

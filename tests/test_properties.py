@@ -17,6 +17,7 @@ from paritysim import (
     QubitAmplitudes,
     SingleModeState,
     TruncationReport,
+    TruncationTooSevere,
     beamsplitter_5050,
     bipartite_coefficients,
     build_state,
@@ -119,6 +120,45 @@ def test_aggregates_are_left_to_right_sums_over_the_records(q, squeezed, enhance
                                                 for o in report.success_outcomes())
     counts = [o.counts for o in report.outcomes]
     assert all(a < b for a, b in zip(counts, counts[1:]))
+
+
+def smallest_cutoff(spec_of, high: int) -> int:
+    """The smallest cutoff up to ``high`` at which ``spec_of(cutoff)`` builds
+    within its tail tolerance, by bisection: the tail falls as the cutoff
+    rises."""
+    low = 0
+    while low < high:
+        middle = (low + high) // 2
+        try:
+            build_state(spec_of(middle))
+            high = middle
+        except TruncationTooSevere:
+            low = middle + 1
+    return low
+
+
+# the laws at large photon numbers, at the smallest cutoffs that hold the
+# states, where the top levels and totals carry the most weight they can
+LARGE_SETTINGS = settings(max_examples=8, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+
+
+@LARGE_SETTINGS
+@given(q=qubits(), magnitude=st.floats(5.0, 9.0), phase=st.floats(0.0, 6.283185307179586))
+def test_half_enhanced_success_at_large_coherent_amplitudes(q, magnitude, phase):
+    alpha = cmath.rect(magnitude, phase)
+    cutoff = smallest_cutoff(lambda c: coherent_spec(alpha, c), int(magnitude * magnitude + 12 * magnitude + 40))
+    report = teleport_enhanced(q, coherent_spec(alpha, cutoff))
+    assert abs(report.success_probability - 0.5) <= 1e-10
+    assert report.min_success_fidelity() >= 1.0 - 1e-10
+
+
+@LARGE_SETTINGS
+@given(q=qubits(), r=st.floats(1.0, 1.4))
+def test_quarter_basic_success_at_large_squeezing(q, r):
+    cutoff = smallest_cutoff(lambda c: squeezed_spec(r, c), 400)
+    report = teleport_basic(q, squeezed_spec(r, cutoff), squeezed_spec(-r, cutoff))
+    assert abs(report.success_probability - 0.25) <= 1e-10
+    assert report.min_success_fidelity() >= 1.0 - 1e-10
 
 
 def _with_entry(value: float) -> np.ndarray:

@@ -30,6 +30,7 @@ from paritysim import (
     plus_minus,
     resource_from_states,
     squeezed_spec,
+    states,
 )
 
 
@@ -579,4 +580,12 @@ class TestSeriesAgainstTheLoops:
                                       coherent_spec(1e-161, 1000), coherent_spec(2e-162, 10**5)],
                              ids=str)
     def test_benchmark_and_edge_sizes(self, spec):
+        self.check(spec)
+
+    @pytest.mark.parametrize("spec", [squeezed_spec(0.01, 4), coherent_spec(0.08, 4),
+                                      squeezed_spec(0.4, 26), coherent_spec(4.0, 52)], ids=str)
+    def test_a_sum_that_outruns_the_bound_goes_on_in_blocks(self, spec, monkeypatch):
+        # a bound of two weights stops the one-at-a-time sum before it is
+        # done; the blocks, of two weights each, carry on to the same bits
+        monkeypatch.setattr(states, "_terms_needed", lambda q: 2)
         self.check(spec)
