@@ -10,7 +10,6 @@ exhaustive enumeration of photon-counting records.
 __version__ = "0.1.0"
 
 from .errors import (
-    CutoffOverflow,
     DegenerateState,
     DegenerateSuperposition,
     InvalidMode,
@@ -82,9 +81,8 @@ from .states import (
 
 __all__ = [
     # errors
-    "CutoffOverflow", "DegenerateState", "DegenerateSuperposition", "InvalidMode",
-    "InvalidResource", "NonRealOverlap", "ParitySimError", "SchemaError",
-    "TruncationTooSevere",
+    "DegenerateState", "DegenerateSuperposition", "InvalidMode", "InvalidResource",
+    "NonRealOverlap", "ParitySimError", "SchemaError", "TruncationTooSevere",
     # fock
     "SingleModeState", "TruncationReport", "inner_product", "normalize", "tensor",
     "truncation_check",

@@ -25,10 +25,6 @@ class InvalidMode(ParitySimError):
     """Mode index out of range, or the same mode was named twice."""
 
 
-class CutoffOverflow(ParitySimError):
-    """An operation would populate an occupation above the per-mode cutoff."""
-
-
 class InvalidResource(ParitySimError):
     """A resource specification that cannot define an entangled pair (e.g. N == M)."""
 

@@ -66,12 +66,8 @@ _LN2 = math.log(2.0)
 #: The most weights ``_remainder`` takes in one block.
 _REMAINDER_BLOCK = 4096
 
-#: The most weights ``_remainder`` adds one at a time, where a block's fixed
-#: cost of about 25 numpy calls is more than the loop's.
-_LOOP_TERMS = 24
-
 #: log n! for n = 0, 1, .., grown by ``_log_factorials``.
-_LOG_FACTORIAL_TABLE = np.zeros(0)
+_LOG_FACTORIAL_TABLE = []
 
 #: log of the smallest normal float: exp() below this loses precision, then underflows.
 _LOG_MIN_NORMAL = math.log(sys.float_info.min)
@@ -197,7 +193,10 @@ def build_state(spec: StateSpec) -> SingleModeState:
     """Materialize a spec as amplitudes over 0..cutoff.
 
     Coherent and squeezed amplitudes are the exact truncated series (no
-    renormalization), with the series remainder recorded as the tail mass.
+    renormalization), with the series remainder recorded as the tail mass:
+    1 minus the kept weight where that is large, else the weights past the
+    cutoff, which ``_remainder`` adds one at a time in one loop from the
+    lists of their logs and ratio bounds that the callbacks here build.
     Raises TruncationTooSevere if that remainder reaches the spec's
     tail tolerance, so truncation error stays auditable.  The state wraps
     its freshly built, read-only amplitudes without the copy and checks of
@@ -235,8 +234,8 @@ def build_state(spec: StateSpec) -> SingleModeState:
             tail = 0.0
         else:
             log_mean = math.log(mean)
-            tail = _remainder(amps, lambda n, fact: n * log_mean - mean - fact[n],
-                              lambda n: mean / (n + 1), spec.cutoff + 1)
+            tail = _remainder(amps, lambda ns, fact: [n * log_mean - mean - fact[n] for n in ns],
+                              lambda ns: [mean / (n + 1) for n in ns], spec.cutoff + 1)
     else:  # squeezed_vacuum
         # support on even levels only; amplitude ratio between consecutive
         # even levels is -tanh(r) sqrt(2k+1)/sqrt(2k+2)
@@ -259,8 +258,9 @@ def build_state(spec: StateSpec) -> SingleModeState:
             log_t2, log_4 = math.log(t2), math.log(4.0)
             tail = _remainder(
                 amps,
-                lambda k, fact: k * log_t2 + fact[2 * k] - k * log_4 - 2.0 * fact[k] - log_cosh,
-                lambda k: t2,
+                lambda ks, fact: [k * log_t2 + fact[2 * k] - k * log_4 - 2.0 * fact[k] - log_cosh
+                                  for k in ks],
+                lambda ks: [t2] * len(ks),
                 spec.cutoff // 2 + 1,
             )
     if tail >= spec.tail_tolerance:
@@ -343,55 +343,35 @@ def _coherent_amplitudes(alpha: complex, cutoff: int) -> np.ndarray:
     return amps
 
 
-def _remainder(amps: np.ndarray, log_weights, ratio_bound, first: int) -> float:
+def _remainder(amps: np.ndarray, log_weights, ratio_bounds, first: int) -> float:
     """Weight of a series beyond the amplitudes kept in ``amps``.
 
-    ``log_weights(j, fact)`` is the log of the series' weights at the
-    integer or integer array j, given ``fact``, the log n! of
-    ``_log_factorials`` up to n = 2 max(j) at least, as its table or as a
-    list.  ``ratio_bound(j)``, of
-    a number or an array j, bounds every ratio of consecutive weights from
-    j on, and does not grow with j.  A large remainder is 1 minus the kept
-    weight.  A small one, which that difference would cancel, is summed
-    weight by weight from index ``first`` until the geometric bound on the
-    rest is below rounding.  The weights are ``math.exp`` of their logs,
-    taken in blocks as long as the bound at a block's first index says the
-    sum needs, and added from left to right by ``np.add.accumulate``.  A sum
-    that the bound puts at ``_LOOP_TERMS`` weights or fewer is added one
-    weight at a time instead, by the same float operations on Python floats,
-    so it has the same bits without a block's numpy calls.
+    ``log_weights(js, fact)`` lists the logs of the series' weights at the
+    indices of the range js, given ``fact``, the list of log n! from
+    ``_log_factorials`` up to n = 2 max(js) at least.  ``ratio_bounds(js)``
+    lists, for each j in js, a bound on every ratio of consecutive weights
+    from j on, which does not grow with j.  A large remainder is 1 minus the
+    kept weight.  A small one, which that difference would cancel, is summed
+    from index ``first`` on, ``math.exp`` of one log weight at a time from
+    left to right, until the geometric bound on the rest is below rounding.
+    The logs are taken in blocks as long as the bound at a block's first
+    index says the sum needs; a sum that rounding carries past its block
+    goes on with the next.
     """
     kept = float(np.sum(np.abs(amps) ** 2))
     if kept < 1.0 - _CANCELLATION_FREE_TAIL:
         return 1.0 - kept
     total, j = 0.0, first
-    size = _terms_needed(ratio_bound(j))
-    if size <= _LOOP_TERMS:
-        fact = _log_factorials(2 * j + 2 * size)[: 2 * j + 2 * size].tolist()
-        for j in range(first, first + size):
-            weight = math.exp(log_weights(j, fact))
+    while True:
+        size = _terms_needed(ratio_bounds(range(j, j + 1))[0])
+        block = range(j, j + size)
+        for log_weight, q in zip(log_weights(block, _log_factorials(2 * block.stop)),
+                                 ratio_bounds(block)):
+            weight = math.exp(log_weight)
             total += weight
-            q = ratio_bound(j)
             if weight == 0.0 or (q < 1.0 and weight * q <= (1.0 - q) * total * 2.0 ** -60):
                 return total
-        j += 1  # rounding outran the bound: the blocks go on from here
-    while True:
-        q = ratio_bound(j)
-        size = _terms_needed(q)
-        index = np.arange(j, j + size)
-        terms = np.empty(size + 1)
-        terms[0] = total
-        logs = log_weights(index, _log_factorials(2 * j + 2 * size))
-        terms[1:] = list(map(math.exp, logs.tolist()))
-        weights, totals = terms[1:], np.add.accumulate(terms)[1:]
-        bounds = ratio_bound(index)
-        done = weights * bounds <= (1.0 - bounds) * totals * 2.0 ** -60
-        if q >= 1.0:  # there, only a zero weight stops the sum
-            done = (weights == 0.0) | ((bounds < 1.0) & done)
-        done = np.flatnonzero(done)
-        if done.size:
-            return float(totals[done[0]])
-        total, j = float(totals[-1]), j + size
+        j = block.stop
 
 
 def _terms_needed(q: float) -> int:
@@ -406,19 +386,17 @@ def _terms_needed(q: float) -> int:
     return min(_REMAINDER_BLOCK, max(1, math.ceil((math.log1p(-q) - 60.0 * _LN2) / math.log(q))))
 
 
-def _log_factorials(count: int) -> np.ndarray:
+def _log_factorials(count: int) -> list:
     """log n! = ``math.lgamma(n + 1)`` for n = 0..``count`` - 1 at least,
-    from a read-only table that grows, to twice its length at least, when a
-    call needs more: it keeps a few floats for each level of the largest
-    cutoff built so far.  Every table holds the same value at an index, so
-    a thread that reads a shorter one than another thread has just stored
-    reads the same numbers."""
+    from a list that is swapped for one at least twice as long when a call
+    needs more: it keeps a few floats for each level of the largest cutoff
+    built so far.  A list once stored is never changed, and every list holds
+    the same value at an index, so a thread that reads a shorter one than
+    another thread has just stored reads the same numbers."""
     global _LOG_FACTORIAL_TABLE
     table = _LOG_FACTORIAL_TABLE
-    if table.size < count:
-        grown = [math.lgamma(n + 1) for n in range(table.size, max(count, 2 * table.size))]
-        table = np.concatenate((table, grown))
-        table.flags.writeable = False
+    if len(table) < count:
+        table = table + [math.lgamma(n + 1) for n in range(len(table), max(count, 2 * len(table)))]
         _LOG_FACTORIAL_TABLE = table
     return table
 

@@ -46,6 +46,8 @@ from paritysim import (
     truncation_check,
     validate_scenario,
 )
+from paritysim import measurement
+from paritysim.scenario import _parity_columns
 
 PROPERTY_SETTINGS = settings(max_examples=40, deadline=None,
                              suppress_health_check=[HealthCheck.too_slow])
@@ -159,6 +161,28 @@ def test_quarter_basic_success_at_large_squeezing(q, r):
     report = teleport_basic(q, squeezed_spec(r, cutoff), squeezed_spec(-r, cutoff))
     assert abs(report.success_probability - 0.25) <= 1e-10
     assert report.min_success_fidelity() >= 1.0 - 1e-10
+
+
+@settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(q=qubits(), magnitude=st.floats(0.05, 6.0), phase=st.floats(0.0, 6.283185307179586))
+def test_forbidden_records_stay_at_rounding(q, magnitude, phase):
+    # the records the parity arguments forbid, both counts odd in an enhanced
+    # run and an odd count in A for parity fact 1, are rounding residues of
+    # about 1e-33 or less; the floor is lowered to keep them, but not to 0,
+    # since the kernel divides by the square root of each kept probability
+    alpha = cmath.rect(magnitude, phase)
+    spec = coherent_spec(alpha, smallest_cutoff(lambda c: coherent_spec(alpha, c),
+                                                 int(magnitude * magnitude + 12 * magnitude + 40)))
+    psi = build_state(spec)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(measurement, "OUTCOME_FLOOR", 1e-300)
+        report = teleport_enhanced(q, spec)
+        (counts, probabilities, *_), _ = _parity_columns(phase_shift(psi, math.pi / 2), psi)
+    both_odd = (report.counts % 2 == 1).all(axis=1)
+    assert report.probabilities[both_odd].max(initial=0.0) <= 1e-28
+    odd_a = counts[:, 0] % 2 == 1
+    assert odd_a.any()  # the lowered floor keeps the residues
+    assert probabilities[odd_a].max() <= 1e-28
 
 
 def _with_entry(value: float) -> np.ndarray:

@@ -576,16 +576,20 @@ class TestSeriesAgainstTheLoops:
     @pytest.mark.parametrize("spec", [squeezed_spec(0.01, 4), squeezed_spec(-1.0, 96),
                                       squeezed_spec(1e-6, 2000, 0.5), coherent_spec(0.08, 4),
                                       coherent_spec(4.0, 52), coherent_spec(40.0, 2000),
+                                      # the memory guard's cap states, the longest sums a gate runs
+                                      squeezed_spec(1.7, 390), squeezed_spec(-1.7, 390),
+                                      coherent_spec(14, 400),
                                       # mean photon numbers whose ratio bound underflows
                                       coherent_spec(1e-161, 1000), coherent_spec(2e-162, 10**5)],
                              ids=str)
     def test_benchmark_and_edge_sizes(self, spec):
         self.check(spec)
 
+    @pytest.mark.parametrize("size", [1, 2, 3])
     @pytest.mark.parametrize("spec", [squeezed_spec(0.01, 4), coherent_spec(0.08, 4),
                                       squeezed_spec(0.4, 26), coherent_spec(4.0, 52)], ids=str)
-    def test_a_sum_that_outruns_the_bound_goes_on_in_blocks(self, spec, monkeypatch):
-        # a bound of two weights stops the one-at-a-time sum before it is
-        # done; the blocks, of two weights each, carry on to the same bits
-        monkeypatch.setattr(states, "_terms_needed", lambda q: 2)
+    def test_a_sum_that_outruns_the_bound_goes_on_in_blocks(self, spec, size, monkeypatch):
+        # blocks of a forced size end before the sum is done, so it carries
+        # its total from block to block; that gives the same bits
+        monkeypatch.setattr(states, "_terms_needed", lambda q: size)
         self.check(spec)
