@@ -3,12 +3,13 @@
 A single mode is a ``SingleModeState``: a dense complex vector indexed by
 photon number.  A two-mode state is a plain read-only complex128 matrix
 ``R[n, m]``, the amplitude of n photons in the first mode and m in the
-second; ``tensor`` builds the product one.  The package's own paths build
-no two-mode state beyond the entropy scenario's resource
-(``states.resource_from_states``), which ``entanglement_entropy``
-decomposes.  The protocols and the parity facts pass their resources to the
-counting kernel as narrow factors (rank 2, and rank 1 for the facts'
-``psi (x) |0>``), so the three-mode state is never built.
+second; ``tensor`` builds the product one.  No internal path builds a
+two-mode matrix: the protocols and the parity facts pass their resources to
+the counting kernel as narrow factors (rank 2, and rank 1 for the facts'
+``psi (x) |0>``), so the three-mode state is never built either, and the
+entropy scenario reads the resource's Schmidt weights off its two factors.
+``states.resource_from_states`` builds the matrix for callers, and
+``entanglement_entropy`` decomposes any matrix.
 
 All values are immutable after construction; every operation returns a new
 value.  Values that hold arrays compare with ``==`` field by field, arrays

@@ -28,11 +28,18 @@ OUTCOME_FLOOR = 1e-14
 
 @dataclass(frozen=True)
 class CountDistribution:
-    """Exact photon-count probabilities for one mode."""
+    """Exact photon-count probabilities for one mode, keyed by count.
+
+    Raises ``ValueError`` for a count that is not a non-negative integer (a
+    Python or numpy int, not a bool) and for probabilities that are not a
+    distribution.
+    """
 
     probabilities: dict
 
     def __post_init__(self):
+        if not all(_is_count(n) for n in self.probabilities):
+            raise ValueError("photon counts must be non-negative integers")
         raw = {int(n): float(p) for n, p in self.probabilities.items()}
         _check_probabilities(raw.values())
         object.__setattr__(self, "probabilities", {n: p for n, p in raw.items() if p > 0.0})
@@ -45,6 +52,11 @@ class CountDistribution:
 
     def max_count(self) -> int:
         return max(self.probabilities, default=0)
+
+
+def _is_count(n) -> bool:
+    """Whether ``n`` is a non-negative Python or numpy int, and not a bool."""
+    return isinstance(n, (int, np.integer)) and not isinstance(n, bool) and n >= 0
 
 
 def _check_probabilities(values) -> None:
@@ -246,9 +258,13 @@ def sample_counts(state, modes, rng: np.random.Generator, shots: int) -> list[tu
 
     Counts are drawn from those at or above the 1e-14 probability floor.
     Raises ``ValueError``, as ``count_distribution`` does, for a matrix that
-    is not a finite, normalized state.  Purely a convenience for simulated experiments; takes the caller's seeded
+    is not a finite, normalized state, and for ``shots`` that is not a
+    non-negative integer (a Python or numpy int, not a bool).  Purely a
+    convenience for simulated experiments; takes the caller's seeded
     generator so there is no hidden randomness.
     """
+    if not _is_count(shots):
+        raise ValueError(f"shots must be a non-negative integer, got {shots!r}")
     measured = tuple(modes)
     if len(measured) != 1:
         raise InvalidMode(f"one mode is counted and the other remains, got modes {measured}")

@@ -191,6 +191,33 @@ def entanglement_entropy(state) -> float:
     return max(0.0, float(-np.sum(weights * np.log2(weights))))
 
 
+def _factor_entropy(left: np.ndarray, right: np.ndarray) -> float:
+    """``entanglement_entropy`` of the two-mode state ``left @ right.T``,
+    for two factors of two columns each, with no matrix built and no SVD.
+
+    The squared Schmidt coefficients are the two eigenvalues of the 2x2
+    product M = (left^H left)(right^T conj(right)) of Gram matrices, taken
+    on Python numbers from its trace and determinant.  The larger one is
+    tr/2 + sqrt(tr^2/4 - det), with tr^2/4 - det written as
+    ((M00 - M11)/2)^2 + M01 M10, which does not cancel when the two are
+    nearly equal, as they are for every one-ebit resource; the smaller one
+    is det / larger, which does not cancel when it is small.  Both are
+    normalized by the trace, so the factors' scale does not matter, and get
+    the 1e-14 cut and the +0.0 floor of ``entanglement_entropy``.
+    """
+    (a00, a01), (a10, a11) = (left.T.conj() @ left).tolist()
+    (b00, b01), (b10, b11) = (right.T @ right.conj()).tolist()
+    m00, m01 = a00 * b00 + a01 * b10, a00 * b01 + a01 * b11
+    m10, m11 = a10 * b00 + a11 * b10, a10 * b01 + a11 * b11
+    half_gap = 0.5 * (m00 - m11)
+    trace = (m00 + m11).real
+    # the Gram matrices are Hermitian, so each determinant is real
+    det = (a00.real * a11.real - abs(a01) ** 2) * (b00.real * b11.real - abs(b01) ** 2)
+    larger = 0.5 * trace + math.sqrt(max(0.0, (half_gap * half_gap + m01 * m10).real))
+    weights = [weight for weight in (larger / trace, det / larger / trace) if weight > 1e-14]
+    return max(0.0, -sum(weight * math.log2(weight) for weight in weights))
+
+
 def _phase_rows(corrections: np.ndarray, size: int):
     """For each distinct non-zero correction phase, its factors exp(i phase n)
     for n < ``size`` and the mask of the rows it corrects."""

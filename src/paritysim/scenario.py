@@ -15,6 +15,9 @@ audits, and ``run_scenario`` adds the detector aggregates and builds the
 document.  A heralded protocol's columns are its report's.  The parity facts
 count ``psi`` and ``phi`` against the rank-1 resource ``psi (x) |0>`` with
 the protocols' kernel (``measurement._count_factored``) and keep its arrays.
+The entropy scenario reads the resource's Schmidt weights off its two
+factors (``protocols._factor_entropy``), so no scenario builds a two-mode
+matrix.
 """
 
 from __future__ import annotations
@@ -33,8 +36,8 @@ from .fock import _fields_equal, inner_product
 from .measurement import DetectorModel, _count_factored, _lossy_parities
 from .optics import phase_shift
 from .protocols import (
+    _factor_entropy,
     _state_audits,
-    entanglement_entropy,
     quantum_scissors,
     teleport_basic,
     teleport_enhanced,
@@ -44,9 +47,10 @@ from .states import (
     STATE_KINDS,
     QubitAmplitudes,
     StateSpec,
+    _factors_on_pair,
     build_state,
     explicit_spec,
-    resource_from_states,
+    plus_minus,
 )
 
 #: Each protocol's fields besides ``protocol`` and ``tolerances``, which all
@@ -516,7 +520,7 @@ def _facts_results(s: Scenario) -> tuple:
 
 def _entropy_results(s: Scenario) -> tuple:
     u, v = build_state(s.u), build_state(s.v)
-    entropy = entanglement_entropy(resource_from_states(u, v, s.resource_kind))
+    entropy = _factor_entropy(*_factors_on_pair(plus_minus(u, v), s.resource_kind))
     checks = [_check("entanglement_entropy", 1.0, entropy, s.tolerances.probability)]
     aggregates = {"entanglement_entropy": entropy, "resource_kind": s.resource_kind}
     empty = np.empty(0)

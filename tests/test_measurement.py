@@ -208,6 +208,20 @@ class TestSampler:
             sample_counts(state, (0,), np.random.default_rng(9), 3)
 
 
+class TestSampleShots:
+    @pytest.mark.parametrize("shots", [-1, 1.5, 2.0, True, False, None, "3"])
+    def test_refuses_shots_that_are_not_a_non_negative_integer(self, shots):
+        state = np.eye(2) / math.sqrt(2)
+        with pytest.raises(ValueError, match="shots must be a non-negative integer"):
+            sample_counts(state, (0,), np.random.default_rng(9), shots)
+
+    def test_zero_shots_and_numpy_integers(self):
+        state = np.eye(2) / math.sqrt(2)
+        assert sample_counts(state, (0,), np.random.default_rng(9), 0) == []
+        draws = sample_counts(state, (0,), np.random.default_rng(9), np.int64(5))
+        assert draws == sample_counts(state, (0,), np.random.default_rng(9), 5)
+
+
 class TestCountDistributionType:
     def test_rejects_bad_total(self):
         with pytest.raises(ValueError):
@@ -216,6 +230,26 @@ class TestCountDistributionType:
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError):
             CountDistribution({0: 1.5, 1: -0.5})
+
+    @pytest.mark.parametrize("probs", [
+        {-3: 1.0},
+        {0: 0.5, -3: 0.5},
+        {1.5: 1.0},
+        {2.0: 1.0},
+        {True: 1.0},
+        {"1": 1.0},
+    ], ids=["negative", "negative_among_others", "fraction", "integral_float", "bool", "string"])
+    def test_rejects_counts_that_are_not_non_negative_integers(self, probs):
+        # a negative count used to give odd_probability() 1.0, max_count() -3,
+        # a raw ZeroDivisionError from parity_flip_probability and a raw
+        # IndexError from thinned_distribution; 1.5 used to become count 1
+        with pytest.raises(ValueError, match="non-negative integers"):
+            CountDistribution(probs)
+
+    def test_accepts_numpy_integer_counts(self):
+        dist = CountDistribution({np.int64(2): 0.25, np.uint8(3): 0.75})
+        assert dist.probabilities == {2: 0.25, 3: 0.75}
+        assert all(type(n) is int for n in dist.probabilities)
 
 
 class TestLossyLargeCounts:

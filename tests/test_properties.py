@@ -185,6 +185,65 @@ def test_forbidden_records_stay_at_rounding(q, magnitude, phase):
     assert probabilities[odd_a].max() <= 1e-28
 
 
+# log-uniform magnitudes, down to pairs that _check_pair refuses as parallel
+small_to_large = st.floats(-7.0, 0.0).map(lambda exponent: 10.0 ** exponent)
+
+
+@st.composite
+def entropy_pairs(draw):
+    """The wire states u and v of an entropy scenario: coherent +-alpha,
+    squeezed +-r, number states, or explicit states with a common phase per
+    level (a real overlap) or, now and then, different phases."""
+    family = draw(st.sampled_from(["coherent", "squeezed", "number", "explicit"]))
+    if family == "coherent":
+        alpha = cmath.rect(6.0 * draw(small_to_large), draw(st.floats(0.0, 2.0 * math.pi)))
+        cutoff = smallest_cutoff(lambda c: coherent_spec(alpha, c),
+                                 int(abs(alpha) ** 2 + 12 * abs(alpha) + 40))
+        return tuple({"kind": "coherent", "alpha_re": a.real, "alpha_im": a.imag, "cutoff": cutoff}
+                     for a in (alpha, -alpha))
+    if family == "squeezed":
+        r = 1.2 * draw(small_to_large)
+        cutoff = smallest_cutoff(lambda c: squeezed_spec(r, c), 400)
+        return tuple({"kind": "squeezed_vacuum", "r": s, "cutoff": cutoff} for s in (r, -r))
+    if family == "number":
+        return tuple({"kind": "number", "n": draw(st.integers(0, 8)), "cutoff": draw(st.integers(8, 12))}
+                     for _ in range(2))
+    size = draw(st.integers(2, 6))
+    a = np.array([draw(finite) for _ in range(size)])
+    assume(np.linalg.norm(a) > 0.1)
+    # b is a plus a small or large step, so near-parallel pairs come up
+    b = a + draw(small_to_large) * np.array([draw(finite) for _ in range(size)])
+    phases = np.exp(1j * np.array([draw(st.floats(0.0, 2.0 * math.pi)) for _ in range(size)]))
+    other = phases if draw(st.integers(0, 9)) else phases * np.exp(1j * np.arange(size))
+    return tuple({"kind": "explicit", "coefficients": [[c.real, c.imag] for c in x],
+                  "cutoff": size - 1} for x in (phases * a, other * b))
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(pair=entropy_pairs(), kind=st.sampled_from(["phi_minus", "psi_minus"]))
+def test_entropy_scenario_reads_one_ebit_off_the_factors(pair, kind):
+    # the entropy scenario's weights, read off the resource's two factors,
+    # give one ebit to 1e-15 and the SVD of the dense resource to 1e-14, and
+    # it refuses the pairs that the dense path refuses, with the same error
+    scenario = validate_scenario({"protocol": "entropy", "u": pair[0], "v": pair[1],
+                                  "resource_kind": kind})
+    try:
+        u, v = build_state(scenario.u), build_state(scenario.v)
+    except ParitySimError:
+        assume(False)
+    try:
+        dense = entanglement_entropy(resource_from_states(u, v, kind))
+    except Exception as error:
+        event(f"refused: {type(error).__name__}")
+        with pytest.raises(Exception) as refused:
+            run_scenario(scenario)
+        assert type(refused.value) is type(error)
+        return
+    entropy = run_scenario(scenario).aggregates["entanglement_entropy"]
+    assert abs(entropy - 1.0) <= 1e-15
+    assert abs(entropy - dense) <= 1e-14
+
+
 def _with_entry(value: float) -> np.ndarray:
     matrix = np.full((3, 3), 1.0 / 3.0)
     matrix[1, 2] = value

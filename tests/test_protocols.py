@@ -401,6 +401,24 @@ class TestEntanglementEntropy:
         with pytest.raises(ValueError):
             entanglement_entropy(np.ones((1, 1, 1)))
 
+    def test_factor_entropy_is_the_svd_entropy(self, rng):
+        # any two factors of two columns, at any scale, uneven weights included
+        for size in (1, 2, 5, 30):
+            for _ in range(10):
+                left, right = (rng.normal(size=(size, 2)) + 1j * rng.normal(size=(size, 2))
+                               for _ in range(2))
+                left[:, 1] *= rng.random()
+                matrix = left @ right.T
+                expected = entanglement_entropy(matrix / np.sqrt(np.sum(np.abs(matrix) ** 2)))
+                assert protocols._factor_entropy(3.0 * left, right) == pytest.approx(
+                    expected, abs=1e-12)
+
+    def test_factor_entropy_of_a_product_is_plus_zero(self):
+        left = np.array([[0.6, 0.0], [0.8j, 0.0]])
+        right = np.array([[1.0, 0.5], [1.0, -0.5], [0.0, 2.0]])
+        entropy = protocols._factor_entropy(left, right)
+        assert entropy == 0.0 and math.copysign(1.0, entropy) == 1.0
+
     @pytest.mark.parametrize("matrix, error, message", [
         (np.zeros((0, 3)), InvalidMode, "at least one level in each mode"),
         (np.zeros((2, 2)), ValueError, "must be normalized"),

@@ -2,6 +2,7 @@ import json
 import math
 import os
 import stat
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -630,6 +631,36 @@ class TestMaxCutoff:
         pair = [1.0 / (MAX_CUTOFF + 1) ** 0.5, 0.0]
         doc = dict(SCISSORS_DOC, input_coefficients=[pair] * (MAX_CUTOFF + 1))
         assert self.validate(tmp_path, doc) == 0
+
+
+class TestEntropyAtTheCap:
+    """The entropy scenario at the largest cutoffs reads its weights off the
+    resource's two factors: it calls no numpy.linalg function and builds no
+    (cutoff+1)^2 matrix."""
+
+    @pytest.mark.parametrize("kind, state", [
+        ("phi_minus", lambda sign: {"kind": "coherent", "alpha_re": sign * 14.0, "cutoff": 400}),
+        ("psi_minus", lambda sign: {"kind": "squeezed_vacuum", "r": sign * 1.7, "cutoff": 390}),
+    ], ids=["coherent", "squeezed"])
+    def test_no_linalg_and_a_small_peak(self, monkeypatch, kind, state):
+        scenario = validate_scenario({"protocol": "entropy", "u": state(1.0), "v": state(-1.0),
+                                      "resource_kind": kind})
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the entropy scenario called numpy.linalg")
+
+        for name in np.linalg.__all__:
+            if not isinstance(getattr(np.linalg, name), type):
+                monkeypatch.setattr(np.linalg, name, refuse)
+        tracemalloc.start()
+        try:
+            results = run_scenario(scenario)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert results.all_passed
+        assert abs(results.aggregates["entanglement_entropy"] - 1.0) <= 1e-15
+        assert peak < 256 * 1024
 
 
 def stdlib_json(results) -> str:

@@ -32,6 +32,7 @@ from paritysim import (
     squeezed_spec,
     states,
 )
+from paritysim.states import _factors_on_pair
 
 
 class TestStateSpec:
@@ -253,6 +254,10 @@ class TestResources:
             expected_phi = (np.outer(m, p) - np.outer(p, m)) / math.sqrt(2)
             np.testing.assert_allclose(psi, expected_psi, rtol=0, atol=1e-12)
             np.testing.assert_allclose(phi, expected_phi, rtol=0, atol=1e-12)
+            # and the two factors that the package reads off the pair
+            for kind, dense in (("psi_minus", psi), ("phi_minus", phi)):
+                left, right = _factors_on_pair((plus, minus), kind)
+                np.testing.assert_allclose(left @ right.T, dense, rtol=0, atol=1e-12)
 
     def test_one_ebit_whenever_distinct(self, rng):
         for _ in range(8):
